@@ -21,8 +21,6 @@ from .admissibility import (
     is_admissible,
 )
 from .config import DEFAULT_TOLERANCES
-from .ktypes import make_ktype
-from .polynomials import harmonic_representative
 from .structure import (
     composition_series,
     decompose,
@@ -128,17 +126,9 @@ def cmd_ktypes(args) -> int:
         if not is_admissible(params.n, args.lam) or args.lam == 0:
             print(f"lambda = {args.lam} is not admissible for n = {params.n}", file=sys.stderr)
             return 2
-        from .admissibility import radial_pairs
-
-        vectors = []
-        for l, k in radial_pairs(params.n, args.lam):
-            if params.n == 2 and k < 0:
-                continue
-            h = harmonic_representative(params.n, k)
-            residue = (params.q + 2 * k) % 4
-            start = -args.m_max + ((residue + args.m_max) % 4)
-            for m in range(start, args.m_max + 1, 4):
-                vectors.append(make_ktype(params, m, l, k, h))
+        vectors = [
+            F for F in ktype_lattice(params, args.lam, args.m_max) if F.lam.value == args.lam
+        ]
     else:
         vectors = ktype_lattice(params, args.lam_max, args.m_max)
     _emit(_json([v.to_json() for v in vectors]), args.output)

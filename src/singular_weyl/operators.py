@@ -8,6 +8,10 @@ Closed forms implemented here:
 * E_j^{+-} . F_{m,l,k} = a four-term combination over the indices
   (m+-2, l-1, k+1), (m+-2, l, k+1), (m+-2, l, k-1), (m+-2, l+1, k-1)
 
+``E_MOVES`` is the single source of those four moves and of their units;
+the closed form, the least-squares oracle and the ladder graph in
+``structure`` all read it.
+
 The E coefficients shipped here are the oracle-confirmed ones (the source
 statement and proof disagree internally; ``printed_E_coefficients`` keeps
 the published table and ``recover_E_coefficients`` re-derives the truth by
@@ -36,6 +40,21 @@ from .polynomials import HarmonicPolynomial, decompose_yj, scaled_partial_harmon
 
 class SingularityError(ValueError):
     """Evaluation point too close to an excluded locus."""
+
+
+# E_j^{+-} moves (l, k) by (delta l, delta k); its coefficient on that move is
+# a rational times the unit, i or s.  Keys are the ECoefficients field names.
+E_MOVES: dict[str, tuple[int, int, str]] = {
+    "down_up": (-1, +1, "i"),
+    "same_up": (0, +1, "s"),
+    "same_down": (0, -1, "i"),
+    "up_down": (+1, -1, "s"),
+}
+
+
+def _e_units(s: complex) -> dict[str, complex]:
+    """Label -> the complex unit of that E_MOVES entry."""
+    return {label: 1j if unit == "i" else s for label, (_, _, unit) in E_MOVES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +326,17 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
 
 @dataclass(frozen=True)
 class ECoefficients:
-    """The four E_j^{+-} coefficients in the scaled direction normalization.
+    """The rational parts of the four E_j^{+-} coefficients, one per
+    ``E_MOVES`` label, in the scaled direction normalization."""
 
-    Directions: (m+2s, l-1, k+1) and (m+2s, l, k+1) carry h_plus; the
-    directions (m+2s, l, k-1) and (m+2s, l+1, k-1) carry c_{k,n} d_j h.
-    Each value is (unit, rational) with unit in {i, s}.
-    """
+    down_up: Fraction
+    same_up: Fraction
+    same_down: Fraction
+    up_down: Fraction
 
-    down_up: Fraction      # on (l-1, k+1), unit i
-    same_up: Fraction      # on (l,   k+1), unit s
-    same_down: Fraction    # on (l,   k-1), unit i
-    up_down: Fraction      # on (l+1, k-1), unit s
-
-    def as_complex(self, s: complex) -> tuple[complex, complex, complex, complex]:
-        return (
-            1j * complex(self.down_up),
-            s * complex(self.same_up),
-            1j * complex(self.same_down),
-            s * complex(self.up_down),
-        )
+    def as_complex(self, s: complex) -> dict[str, complex]:
+        """Label -> unit times rational part."""
+        return {label: u * complex(getattr(self, label)) for label, u in _e_units(s).items()}
 
 
 def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoefficients:
@@ -375,22 +386,24 @@ def _e_directions(
 ) -> list[tuple[str, int, int, HarmonicPolynomial]]:
     """Candidate (label, l', k', harmonic) targets of E_j^{+-} on F.
 
-    Zero harmonic parts are dropped (they carry no function).  j is 1-based.
+    Moves with k' = k+1 carry h_plus, those with k' = k-1 carry c_{k,n} d_j h.
+    Targets with l' < 0 and zero harmonic parts (they carry no function) are
+    dropped.  j is 1-based.
     """
     if not 1 <= j <= F.params.n:
         raise ValueError(f"coordinate j = {j} out of range 1..{F.params.n}")
     if F.k < 0:
         raise NotImplementedError("Heisenberg ladder on signed k < 0 is not supported")
     h_plus, c = decompose_yj(F.h, j - 1)
-    d_h = scaled_partial_harmonic(F.h, j - 1, c)
-    directions = []
-    if not h_plus.is_zero():
-        directions.append(("down_up", F.l - 1, F.k + 1, h_plus))
-        directions.append(("same_up", F.l, F.k + 1, h_plus))
-    if d_h is not None:
-        directions.append(("same_down", F.l, F.k - 1, d_h))
-        directions.append(("up_down", F.l + 1, F.k - 1, d_h))
-    return directions
+    harmonic = {
+        +1: None if h_plus.is_zero() else h_plus,
+        -1: scaled_partial_harmonic(F.h, j - 1, c),
+    }
+    return [
+        (label, F.l + dl, F.k + dk, harmonic[dk])
+        for label, (dl, dk, _) in E_MOVES.items()
+        if F.l + dl >= 0 and harmonic[dk] is not None
+    ]
 
 
 def apply_E(F: KTypeVector, j: int, sign: int) -> LinearCombination:
@@ -399,14 +412,11 @@ def apply_E(F: KTypeVector, j: int, sign: int) -> LinearCombination:
     Coefficients are the oracle-confirmed ones; terms whose coefficient or
     harmonic part vanishes are dropped (l = 0 kills the l-changing terms).
     """
-    coeffs = shipped_E_coefficients(F.params.n, F.m, F.l, F.k, sign)
-    values = dict(
-        zip(("down_up", "same_up", "same_down", "up_down"), coeffs.as_complex(F.params.s))
-    )
+    values = shipped_E_coefficients(F.params.n, F.m, F.l, F.k, sign).as_complex(F.params.s)
     terms = []
     for label, l2, k2, harm in _e_directions(F, j, sign):
         coeff = values[label]
-        if coeff == 0 or l2 < 0:
+        if coeff == 0:
             continue
         target = make_ktype(F.params, F.m + 2 * sign, l2, k2, harm)
         terms.append((coeff, target))
@@ -417,12 +427,10 @@ def heisenberg_direction_vectors(
     F: KTypeVector, j: int, sign: int
 ) -> list[tuple[str, KTypeVector]]:
     """The labeled candidate K-types E_j^{+-} can map F to (unit coefficients)."""
-    out = []
-    for label, l2, k2, harm in _e_directions(F, j, sign):
-        if l2 < 0:
-            continue
-        out.append((label, make_ktype(F.params, F.m + 2 * sign, l2, k2, harm)))
-    return out
+    return [
+        (label, make_ktype(F.params, F.m + 2 * sign, l2, k2, harm))
+        for label, l2, k2, harm in _e_directions(F, j, sign)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +489,7 @@ def recover_E_coefficients(
 
     Solves min ||A c - rhs|| over the candidate directions at the given
     compact-picture points, then rationalizes each coefficient against its
-    structural unit (i for the l-1/k-1-free entries, s otherwise).
+    ``E_MOVES`` unit (i or s).
     """
     P = np.asarray(points, dtype=float)
     spec = OperatorSpec.heisenberg_ladder(F.params, j, sign)
@@ -501,21 +509,9 @@ def recover_E_coefficients(
 
     s = F.params.s
     n = F.params.n
-    shipped_table = shipped_E_coefficients(n, F.m, F.l, F.k, sign)
-    printed_table = printed_E_coefficients(n, F.m, F.l, F.k, sign)
-    units = {"down_up": 1j, "same_up": s, "same_down": 1j, "up_down": s}
-    shipped_rat = {
-        "down_up": shipped_table.down_up,
-        "same_up": shipped_table.same_up,
-        "same_down": shipped_table.same_down,
-        "up_down": shipped_table.up_down,
-    }
-    printed_rat = {
-        "down_up": printed_table.down_up,
-        "same_up": printed_table.same_up,
-        "same_down": printed_table.same_down,
-        "up_down": printed_table.up_down,
-    }
+    units = _e_units(s)
+    shipped_values = shipped_E_coefficients(n, F.m, F.l, F.k, sign).as_complex(s)
+    printed_values = printed_E_coefficients(n, F.m, F.l, F.k, sign).as_complex(s)
 
     B = Fraction(2 * F.l + F.k) + Fraction(n, 2)
     bound_frac = 4 * B * (B - 1)
@@ -531,12 +527,9 @@ def recover_E_coefficients(
     for label, c in zip(labels, coeffs):
         c = complex(c)
         recovered[label] = c
-        ship = complex(units[label] * complex(shipped_rat[label]))
-        prin = complex(units[label] * complex(printed_rat[label]))
-        shipped[label] = ship
-        printed[label] = prin
-        scale = max(1.0, abs(ship))
-        if abs(c - ship) > tol.coeff_match * scale:
+        ship = shipped[label] = shipped_values[label]
+        prin = printed[label] = printed_values[label]
+        if abs(c - ship) > tol.coeff_match * max(1.0, abs(ship)):
             ok_shipped = False
         if abs(c - prin) > tol.coeff_match * max(1.0, abs(prin)):
             ok_printed = False
@@ -607,9 +600,7 @@ class GroupElement:
         return cls("orthogonal", rotation=tuple(map(tuple, u)))
 
 
-def group_action_noncompact(
-    g: GroupElement, f: SpaceTimeFunction, s: complex, q: int = 0
-) -> SpaceTimeFunction:
+def group_action_noncompact(g: GroupElement, f: SpaceTimeFunction, s: complex) -> SpaceTimeFunction:
     """Evaluator for g . f on its natural domain.
 
     SL2 elements use the flow that integrates the algebra action: prefactor
@@ -673,14 +664,13 @@ def group_parameter_derivative(
     f: SpaceTimeFunction,
     P: np.ndarray,
     s: complex,
-    q: int = 0,
     fd: FDConfig = DEFAULT_FD,
 ) -> np.ndarray:
     """d/dtau (family(tau) . f)(P) at tau = 0, 4th order plus Richardson."""
     P = np.asarray(P, dtype=float)
 
     def at(tau: float) -> np.ndarray:
-        return group_action_noncompact(family(tau), f, s, q).batch(P)
+        return group_action_noncompact(family(tau), f, s).batch(P)
 
     h = fd.group_step
     d_h = (at(-2 * h) - 8 * at(-h) + 8 * at(h) - at(2 * h)) / (12 * h)

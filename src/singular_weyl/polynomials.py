@@ -562,9 +562,8 @@ def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fra
     k = h.degree
     c = c_const(k, n)
     rho2 = Polynomial.radius_squared(n)
+    # HarmonicPolynomial proves the candidate harmonic, exactly, on construction
     candidate = Polynomial.variable(n, j) * h.poly - rho2.scale(c) * h.poly.partial(j)
-    if not laplacian(candidate).is_zero():
-        raise ArithmeticError("harmonic projection failed the exact Laplacian check")
     evaluator = None
     if h.power is not None and h.power >= 0 and not candidate.is_zero():
         p = h.power

@@ -21,7 +21,7 @@ from .admissibility import (
     radial_pairs,
     weight_residue,
 )
-from .operators import shipped_E_coefficients
+from .operators import E_MOVES, shipped_E_coefficients
 from .ktypes import KTypeVector, make_ktype
 from .polynomials import harmonic_representative
 
@@ -125,8 +125,19 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
     return out
 
 
+def _e_targets(n: int, l: int, k: int):
+    """Yield (label, l', k') for each ``E_MOVES`` target of (l, k) in range.
+
+    In range means l' >= 0 and k' >= 0, and for n = 1 also k' <= 1.
+    """
+    for label, (dl, dk, _) in E_MOVES.items():
+        l2, k2 = l + dl, k + dk
+        if l2 >= 0 and k2 >= 0 and (n > 1 or k2 <= 1):
+            yield label, l2, k2
+
+
 def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]]:
-    """The four (l', k', lambda') targets reachable from (l, k) under E_j.
+    """The (l', k', lambda') targets reachable from (l, k) under E_j.
 
     lambda' - lambda is +-(2l+2k+n-2) for the (l-+1, k+-1) moves and +-2l
     for the (l, k+-1) moves.  Pairs with an out-of-range k' are dropped;
@@ -134,19 +145,9 @@ def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    candidates = [(l - 1, k + 1), (l + 1, k - 1), (l, k + 1), (l, k - 1)]
-    out = []
-    for l2, k2 in candidates:
-        if l2 < 0:
-            continue
-        if n == 1 and k2 not in (0, 1):
-            continue
-        if n >= 3 and k2 < 0:
-            continue
-        if n == 2 and k2 < 0:
-            continue
-        out.append((l2, k2, Fraction(pair_eigenvalue(n, l2, k2))))
-    return out
+    return [
+        (l2, k2, Fraction(pair_eigenvalue(n, l2, k2))) for _, l2, k2 in _e_targets(n, l, k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +293,10 @@ def ladder_graph(
         if not with_heisenberg or (n == 2 and k < 0):
             continue
         for sign in (+1, -1):
-            table = shipped_E_coefficients(n, m, l, k, sign)
-            moves = {
-                "down_up": (l - 1, k + 1, 1j * complex(table.down_up)),
-                "same_up": (l, k + 1, params.s * complex(table.same_up)),
-                "same_down": (l, k - 1, 1j * complex(table.same_down)),
-                "up_down": (l + 1, k - 1, params.s * complex(table.up_down)),
-            }
-            for label, (l2, k2, coeff) in moves.items():
-                if coeff == 0 or l2 < 0:
-                    continue
-                if n == 1 and k2 not in (0, 1):
-                    continue
-                if n >= 2 and k2 < 0:
+            values = shipped_E_coefficients(n, m, l, k, sign).as_complex(params.s)
+            for label, l2, k2 in _e_targets(n, l, k):
+                coeff = values[label]
+                if coeff == 0:
                     continue
                 target = (m + 2 * sign, l2, k2)
                 edges.append(

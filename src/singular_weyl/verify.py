@@ -8,6 +8,10 @@ Each sweep returns a list of check dicts with the schema
 ``run_verification`` assembles the full suite for one parameter set; the
 expected coefficient differences against the published Heisenberg-ladder
 table are reported as WARN, never FAIL.
+
+Every sweep's ``seed`` is an int or a ``np.random.Generator``.  It goes
+through ``np.random.default_rng``, which returns a Generator unchanged, so
+callers can draw the sample points of several sweeps from one stream.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .admissibility import ParameterSet, enumerate_admissible, radial_pairs
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES, FDConfig, Tolerances
 from .hypergeometric import contiguous_residual_scaled, RELATIONS
-from .ktypes import periodicity_residual, to_noncompact
+from .ktypes import make_ktype, periodicity_residual, to_noncompact
 from .operators import (
     GroupElement,
     OperatorSpec,
@@ -25,12 +29,20 @@ from .operators import (
     apply_kappa,
     eta_coefficient,
     fd_apply,
+    fd_first,
     group_parameter_derivative,
     ktype_steps,
     pde_residual_noncompact,
     recover_E_coefficients,
 )
-from .polynomials import harmonic_basis, harmonic_dimension, laplacian, decompose_yj
+from .polynomials import (
+    Polynomial,
+    decompose_yj,
+    harmonic_basis,
+    harmonic_dimension,
+    harmonic_representative,
+    laplacian,
+)
 from .structure import heisenberg_targets, ktype_lattice
 
 
@@ -58,7 +70,7 @@ def sample_noncompact_points(n: int, count: int, rng: np.random.Generator) -> np
 
 def sweep_contiguous(
     samples: int = 1000,
-    seed: int = 20240,
+    seed: int | np.random.Generator = 20240,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[dict]:
     """Residuals of all seven contiguous relations on seeded random samples.
@@ -107,12 +119,10 @@ def sweep_harmonicity(n_max: int = 5, k_max: int = 6) -> list[dict]:
             basis = harmonic_basis(n, k)
             if len(basis) != harmonic_dimension(n, k):
                 ok_dim = False
+            rho2 = Polynomial.radius_squared(n)
             for h in basis:
                 if not laplacian(h.poly).is_zero():
                     ok_harm = False
-                from .polynomials import Polynomial
-
-                rho2 = Polynomial.radius_squared(n)
                 for j in range(n):
                     h_plus, c = decompose_yj(h, j)
                     lhs = Polynomial.variable(n, j) * h.poly
@@ -151,7 +161,7 @@ def sweep_periodicity(
     lam_max=30,
     m_max: int = 14,
     points: int = 20,
-    seed: int = 20241,
+    seed: int | np.random.Generator = 20241,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[dict]:
     """Compact-picture periodicity for every constructed K-type, j in 1..4."""
@@ -181,7 +191,7 @@ def sweep_pde_kernel(
     lam_max=60,
     m_max: int = 30,
     points: int = 50,
-    seed: int = 20242,
+    seed: int | np.random.Generator = 20242,
     tol: Tolerances = DEFAULT_TOLERANCES,
     fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
@@ -217,7 +227,7 @@ def sweep_ladder(
     lam_max=60,
     m_max: int = 30,
     points: int = 20,
-    seed: int = 20243,
+    seed: int | np.random.Generator = 20243,
     tol: Tolerances = DEFAULT_TOLERANCES,
     fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
@@ -271,7 +281,7 @@ def sweep_heisenberg(
     lam_max=30,
     m_max: int = 10,
     points: int = 40,
-    seed: int = 20244,
+    seed: int | np.random.Generator = 20244,
     tol: Tolerances = DEFAULT_TOLERANCES,
     fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
@@ -361,7 +371,7 @@ def sweep_heisenberg(
 def sweep_group_algebra(
     params: ParameterSet,
     points: int = 20,
-    seed: int = 20245,
+    seed: int | np.random.Generator = 20245,
     tol: Tolerances = DEFAULT_TOLERANCES,
     fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
@@ -374,9 +384,6 @@ def sweep_group_algebra(
     if lam_small is None:
         raise RuntimeError("no admissible eigenvalue below 20")
     l, k = radial_pairs(n, lam_small.value)[0]
-    from .polynomials import harmonic_representative
-    from .ktypes import make_ktype
-
     m = (params.q + 2 * k) % 4
     F = make_ktype(params, m, l, k, harmonic_representative(n, k))
     f = to_noncompact(F, tol)
@@ -391,7 +398,7 @@ def sweep_group_algebra(
         ("e-", GroupElement.sl2_lower, (0, 0, 1)),
     ]
     for name, family, (al, be, ga) in sl2_families:
-        flow = group_parameter_derivative(family, f, P, params.s, params.q, fd)
+        flow = group_parameter_derivative(family, f, P, params.s, fd=fd)
         alg = fd_apply(OperatorSpec.sl2(params, al, be, ga), f, P, steps=steps, fd=fd)
         worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
@@ -403,7 +410,7 @@ def sweep_group_algebra(
     heis_families.append((np.zeros(n), np.zeros(n), 1.0))
     for u, v, w in heis_families:
         family = lambda tau, _u=u, _v=v, _w=w: GroupElement.heisenberg(tau * _u, tau * _v, tau * _w)
-        flow = group_parameter_derivative(family, f, P, params.s, params.q, fd)
+        flow = group_parameter_derivative(family, f, P, params.s, fd=fd)
         alg = fd_apply(OperatorSpec.heisenberg(params, u, v, w), f, P, steps=steps, fd=fd)
         worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
@@ -417,9 +424,7 @@ def sweep_group_algebra(
                 R[_b, _a] = np.sin(tau)
                 return GroupElement.orthogonal(R)
 
-            flow = group_parameter_derivative(rot, f, P, params.s, params.q, fd)
-            from .operators import fd_first
-
+            flow = group_parameter_derivative(rot, f, P, params.s, fd=fd)
             alg = P[:, 1 + b_ax] * fd_first(f, P, 1 + a_ax, steps[:, 1 + a_ax], fd) - P[
                 :, 1 + a_ax
             ] * fd_first(f, P, 1 + b_ax, steps[:, 1 + b_ax], fd)

@@ -1,48 +1,36 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Tolerances are pinned here exactly as stated; the sweeps come from
-singular_weyl.verify so the CLI ``verify`` subcommand exercises the same
-code paths.
+Tolerances are pinned here exactly as stated.  Criteria 3-6, 8 and 9 call
+the sweeps of singular_weyl.verify, so the CLI ``verify`` subcommand
+exercises the same code paths; criterion 7 keeps its own loop because it
+also checks the denominator bound and the direction-vector shifts.
 """
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from singular_weyl import (
     ParameterSet,
     admissible_pairs,
-    apply_eta,
-    apply_kappa,
     composition_series,
     decompose,
-    fd_apply,
-    harmonic_basis,
-    harmonic_dimension,
-    harmonic_representative,
     is_admissible,
-    laplacian,
-    make_ktype,
-    pde_residual_noncompact,
-    periodicity_residual,
     recover_E_coefficients,
-    to_noncompact,
 )
-from singular_weyl.hypergeometric import RELATIONS, contiguous_residual_scaled
-from singular_weyl.operators import (
-    OperatorSpec,
-    eta_coefficient,
-    heisenberg_direction_vectors,
-    ktype_steps,
-)
-from singular_weyl.polynomials import Polynomial, decompose_yj
-from singular_weyl.structure import ktype_lattice, structure_case, CHAINS
+from singular_weyl.operators import heisenberg_direction_vectors
+from singular_weyl.structure import ktype_lattice, structure_case
 from singular_weyl.verify import (
     sample_compact_points,
-    sample_noncompact_points,
+    sweep_contiguous,
     sweep_group_algebra,
+    sweep_harmonicity,
+    sweep_ladder,
+    sweep_pde_kernel,
+    sweep_periodicity,
 )
 from conftest import brute_force_admissible
 
@@ -81,23 +69,7 @@ def test_criterion_2_paper_lattice_points(capsys):
 def test_criterion_3_contiguous_relations(capsys):
     # 1000 seeded samples, |a|,|b| <= 20, |z| <= 10, residual <= 1e-10 relative
     start = time.time()
-    rng = np.random.default_rng(20240)
-    samples = []
-    while len(samples) < 1000:
-        a = complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) / np.sqrt(2)
-        b = complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) / np.sqrt(2)
-        z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10)) / np.sqrt(2)
-        if min(abs(b - 1), min(abs(b + j) for j in range(0, 25))) < 0.1:
-            continue
-        samples.append((a, b, z))
-    worst = {}
-    for name in sorted(RELATIONS):
-        worst[name] = max(
-            abs(res) / scale
-            for res, scale in (
-                contiguous_residual_scaled(name, a, b, z) for a, b, z in samples
-            )
-        )
+    worst = {c["check"]: c["max_residual"] for c in sweep_contiguous(1000, 20240)}
     elapsed = time.time() - start
     bad = {k: v for k, v in worst.items() if v > 1e-10}
     ok = not bad and elapsed < 5.0
@@ -109,24 +81,7 @@ def test_criterion_3_contiguous_relations(capsys):
 
 def test_criterion_4_exact_harmonicity(capsys):
     start = time.time()
-    ok = True
-    for n in range(1, 6):
-        for k in range(0, 7):
-            if n == 1 and k > 1:
-                continue
-            basis = harmonic_basis(n, k)
-            if len(basis) != harmonic_dimension(n, k):
-                ok = False
-            rho2 = Polynomial.radius_squared(n)
-            for h in basis:
-                if not laplacian(h.poly).is_zero():
-                    ok = False
-                for j in range(n):
-                    h_plus, c = decompose_yj(h, j)
-                    lhs = Polynomial.variable(n, j) * h.poly
-                    rhs = h_plus.poly + rho2.scale(c) * h.poly.partial(j)
-                    if lhs != rhs:
-                        ok = False
+    ok = all(c["status"] == "PASS" for c in sweep_harmonicity(5, 6))
     elapsed = time.time() - start
     ok = ok and elapsed < 10.0
     report(capsys, 4, "exact harmonicity, dimensions, y_j decomposition",
@@ -134,9 +89,8 @@ def test_criterion_4_exact_harmonicity(capsys):
     assert ok
 
 
-def _acceptance_lattice(n: int, s: complex, lam_max: int, m_max: int):
-    params = ParameterSet(n=n, q=n % 4, s=s)
-    return params, ktype_lattice(params, lam_max, m_max)
+def _acceptance_params(n: int, s: complex) -> ParameterSet:
+    return ParameterSet(n=n, q=n % 4, s=s)
 
 
 def test_criterion_5_pde_kernel(capsys):
@@ -144,19 +98,14 @@ def test_criterion_5_pde_kernel(capsys):
     # n in 1..4, admissible lambda <= 60, |m| <= 30, both presets
     start = time.time()
     rng = np.random.default_rng(20242)
-    worst = 0.0
-    count = 0
-    for s in (0.5j, -0.25):
-        for n in (1, 2, 3, 4):
-            params, lattice = _acceptance_lattice(n, s, 60, 30)
-            P = sample_noncompact_points(n, 50, rng)
-            for F in lattice:
-                f = to_noncompact(F)
-                steps = ktype_steps(F, P, "noncompact")
-                res = pde_residual_noncompact(f, float(F.lam.value), s, P, steps=steps)
-                scale = np.maximum(1.0, np.abs(f.batch(P)))
-                worst = max(worst, float(np.max(np.abs(res) / scale)))
-                count += 1
+    checks = [
+        c
+        for s in (0.5j, -0.25)
+        for n in (1, 2, 3, 4)
+        for c in sweep_pde_kernel(_acceptance_params(n, s), 60, 30, 50, rng)
+    ]
+    worst = max(c["max_residual"] for c in checks)
+    count = sum(c["ktypes"] for c in checks)
     elapsed = time.time() - start
     ok = worst <= 1e-6 and elapsed < 60.0
     report(capsys, 5, "PDE kernel membership",
@@ -166,32 +115,16 @@ def test_criterion_5_pde_kernel(capsys):
 
 
 def test_criterion_6_ladder_closed_forms(capsys):
+    # the sweep also covers the lambda = 0 family
     start = time.time()
     rng = np.random.default_rng(20243)
-    worst = 0.0
-    kills_ok = True
-    count = 0
-    for n in (1, 2, 3, 4):
-        params, lattice = _acceptance_lattice(n, 0.5j, 60, 30)
-        P = sample_compact_points(n, 20, rng)
-        for F in lattice:
-            fc = F.compact_function()
-            steps = ktype_steps(F, P, "compact")
-            scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:])))
-            closed = apply_kappa(F).eval_compact(P[:, 0], P[:, 1:])
-            oracle = fd_apply(OperatorSpec.kappa(params), fc, P, steps=steps)
-            worst = max(worst, float(np.max(np.abs(closed - oracle) / scale)))
-            boundary = 2 * F.k + 4 * F.l + n
-            for sign in (1, -1):
-                combo = apply_eta(F, sign)
-                closed = combo.eval_compact(P[:, 0], P[:, 1:])
-                oracle = fd_apply(OperatorSpec.eta(params, sign), fc, P, steps=steps)
-                worst = max(worst, float(np.max(np.abs(closed - oracle) / scale)))
-                # exact coefficient zero exactly at the boundary weight
-                killed = eta_coefficient(F, sign) == 0
-                if killed != (F.m == -sign * boundary) or killed != combo.is_empty():
-                    kills_ok = False
-            count += 1
+    closed_forms, kills = zip(
+        *(sweep_ladder(_acceptance_params(n, 0.5j), 60, 30, 20, rng) for n in (1, 2, 3, 4))
+    )
+    worst = max(c["max_residual"] for c in closed_forms)
+    count = sum(c["ktypes"] for c in closed_forms)
+    # exact coefficient zero exactly at the boundary weight
+    kills_ok = all(c["status"] == "PASS" for c in kills)
     elapsed = time.time() - start
     ok = worst <= 1e-8 and kills_ok and elapsed < 60.0
     report(capsys, 6, "kappa/eta closed forms vs oracle + boundary kills",
@@ -215,7 +148,7 @@ def test_criterion_7_heisenberg_action(capsys):
     printed_diffs = 0
     count = 0
     for n in (1, 2, 3, 4):
-        params, lattice = _acceptance_lattice(n, 0.5j, 30, 10)
+        lattice = ktype_lattice(_acceptance_params(n, 0.5j), 30, 10)
         P = sample_compact_points(n, 40, rng)
         for F in lattice:
             lam = F.lam.value
@@ -264,19 +197,16 @@ def test_criterion_7_heisenberg_action(capsys):
 
 
 def test_criterion_8_periodicity(capsys):
+    # the sweep also covers the lambda = 0 family
     start = time.time()
     rng = np.random.default_rng(20245)
-    worst = 0.0
-    count = 0
-    for n in (1, 2, 3, 4):
-        params, lattice = _acceptance_lattice(n, 0.5j, 30, 14)
-        P = sample_compact_points(n, 20, rng)
-        for F in lattice:
-            scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:])))
-            for j in (1, 2, 3, 4):
-                res = periodicity_residual(F, P[:, 0], P[:, 1:], j)
-                worst = max(worst, float(np.max(np.abs(res) / scale)))
-            count += 1
+    checks = [
+        c
+        for n in (1, 2, 3, 4)
+        for c in sweep_periodicity(_acceptance_params(n, 0.5j), 30, 14, 20, rng)
+    ]
+    worst = max(c["max_residual"] for c in checks)
+    count = sum(c["ktypes"] for c in checks)
     elapsed = time.time() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report(capsys, 8, "compact-picture periodicity",
@@ -302,9 +232,6 @@ def test_criterion_9_group_algebra_consistency(capsys):
 
 
 def test_criterion_10_structure_generation(capsys):
-    import json
-    from pathlib import Path
-
     start = time.time()
     golden = json.loads(
         (Path(__file__).parent / "golden" / "composition_series.json").read_text()

@@ -6,12 +6,15 @@ import pytest
 
 from singular_weyl import (
     ParameterSet,
+    apply_E,
     composition_series,
     decompose,
+    harmonic_representative,
     heisenberg_targets,
     ktype_lattice,
     ladder_graph,
     level_curves_csv,
+    make_ktype,
     pair_eigenvalue,
 )
 from singular_weyl.structure import structure_case
@@ -174,6 +177,26 @@ class TestLadderGraph:
             assert tgt in allowed
             if not e.dangling:
                 assert lam_of[e.target] == allowed[tgt]
+
+    def test_e_edge_coefficients_match_apply_E(self):
+        # both read the E_MOVES table: the graph's E edges out of a node are
+        # the closed-form E_1 terms on its representative harmonic
+        for n, q, s in ((3, 1, 0.5j), (4, 0, -0.25), (2, 2, 0.5j), (1, 1, 0.5j)):
+            params = ParameterSet(n=n, q=q, s=s)
+            graph = ladder_graph(params, 30, (-8, 8))
+            for node in graph.nodes:
+                if node.k < 0:
+                    continue
+                source = (node.m, node.l, node.k)
+                F = make_ktype(params, *source, harmonic_representative(n, node.k))
+                for sign, op in ((1, "E+"), (-1, "E-")):
+                    edges = {
+                        e.target: e.coefficient
+                        for e in graph.edges
+                        if e.source == source and e.operator == op
+                    }
+                    closed = {(T.m, T.l, T.k): c for c, T in apply_E(F, 1, sign).terms}
+                    assert edges == closed, (n, source, sign)
 
     def test_dangling_edges_marked(self):
         params = ParameterSet(n=3, q=1, s=0.5j)
