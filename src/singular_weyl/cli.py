@@ -13,7 +13,6 @@ import os
 import sys
 
 from .admissibility import (
-    AdmissibilityError,
     ParameterSet,
     S_PRESETS,
     admissible_pairs,
@@ -136,12 +135,7 @@ def cmd_ktypes(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        s = _resolve_s(args)
-        params = ParameterSet(n=args.n, q=args.q, s=s)
-    except (ValueError, AdmissibilityError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
+    params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
     tol = DEFAULT_TOLERANCES
     overrides = {}
     for name in ("pde_residual", "ladder_match", "contiguous", "periodicity", "group_match"):
@@ -166,11 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    try:
-        params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
-    except (ValueError, AdmissibilityError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
+    params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
     series = composition_series(params)
     out = {
         "n": params.n,
@@ -179,11 +169,7 @@ def cmd_structure(args) -> int:
         "chain": list(series.chain),
     }
     if args.lam is not None:
-        try:
-            out["decomposition"] = [d.to_json() for d in decompose(params, args.lam)]
-        except AdmissibilityError as exc:
-            print(f"invalid parameters: {exc}", file=sys.stderr)
-            return 2
+        out["decomposition"] = [d.to_json() for d in decompose(params, args.lam)]
     if args.format == "json":
         _emit(_json(out), args.output)
     else:
@@ -206,41 +192,21 @@ def cmd_structure(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    try:
-        params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
-    except (ValueError, AdmissibilityError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.figure == "levels":
-            _emit(level_curves_csv(params.n, args.lam_max), args.output)
-        elif args.figure == "lattice":
-            lambdas = [args.lam] if args.lam is not None else None
-            graph = ladder_graph(
-                params,
-                args.lam_max,
-                (args.m_min, args.m_max),
-                lambdas=lambdas,
-                with_heisenberg=False,
-            )
-            text = graph.to_dot() if args.format == "dot" else _json(graph.to_json())
-            _emit(text, args.output)
-        elif args.figure == "heisenberg":
-            graph = ladder_graph(
-                params,
-                args.lam_max,
-                (args.m_min, args.m_max),
-                include_zero_family=True,
-                with_heisenberg=True,
-            )
-            text = graph.to_dot() if args.format == "dot" else _json(graph.to_json())
-            _emit(text, args.output)
-        else:
-            print(f"unknown figure {args.figure!r}", file=sys.stderr)
-            return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
+    if args.figure == "levels":
+        _emit(level_curves_csv(params.n, args.lam_max), args.output)
+        return 0
+    # "lattice" honours --lambda; "heisenberg" adds the lambda = 0 family and the E edges
+    heisenberg = args.figure == "heisenberg"
+    graph = ladder_graph(
+        params,
+        args.lam_max,
+        (args.m_min, args.m_max),
+        include_zero_family=heisenberg,
+        lambdas=[args.lam] if args.lam is not None and not heisenberg else None,
+        with_heisenberg=heisenberg,
+    )
+    _emit(graph.to_dot() if args.format == "dot" else _json(graph.to_json()), args.output)
     return 0
 
 
@@ -313,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AdmissibilityError) as exc:
+    except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -24,10 +24,6 @@ class Tolerances:
     # contiguous-relation residuals (relative to the largest term)
     contiguous: float = 1e-10
 
-    # Kummer collapse identities and the defining ODE
-    kummer: float = 1e-12
-    hyp_ode: float = 1e-9
-
     # PDE kernel residual in the non-compact picture
     pde_residual: float = 1e-6
 
@@ -57,12 +53,12 @@ class FDConfig:
     """Finite-difference stencil settings.
 
     4th-order central stencils with one Richardson extrapolation level.
-    ``base_step`` is scaled by coordinate magnitude and divided by the local
-    oscillation rate of the target function (see ``operators.fd_steps``).
+    ``base_step`` is scaled by coordinate magnitude
+    (``operators.default_steps``) or divided by the local oscillation rate of
+    the target K-type (``operators.ktype_steps``).
     """
 
     base_step: float = 1e-3
-    richardson: bool = True
     min_step: float = 1e-6
     group_step: float = 1e-3
 

@@ -277,39 +277,30 @@ RELATIONS: dict[str, Callable] = {
 }
 
 
-def contiguous_terms(
-    relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES, precise: bool = True
-):
-    """The additive terms of the named relation; they must sum to zero."""
+def contiguous_terms(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
+    """The additive terms of the named relation, each 1F1 summed in extended
+    precision; they must sum to zero."""
     if relation not in RELATIONS:
         raise KeyError(f"unknown relation {relation!r}; choose from {sorted(RELATIONS)}")
     a, b, z = complex(a), complex(b), complex(z)
 
-    if precise:
-        def F(aa, bb, zz, derivative=False):
-            if derivative:
-                return hyp1f1_precise(aa, bb, zz, derivatives=1, tol=tol)[1]
-            return hyp1f1_precise(aa, bb, zz, tol=tol)
-    else:
-        def F(aa, bb, zz, derivative=False):
-            if derivative:
-                return hyp1f1_with_derivatives(aa, bb, zz, order=1, tol=tol)[1]
-            return hyp1f1(aa, bb, zz, tol)
+    def F(aa, bb, zz, derivative=False):
+        if derivative:
+            return hyp1f1_precise(aa, bb, zz, derivatives=1, tol=tol)[1]
+        return hyp1f1_precise(aa, bb, zz, tol=tol)
 
     return RELATIONS[relation](F, a, b, z)
 
 
-def contiguous_residual(
-    relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES, precise: bool = True
-) -> complex:
+def contiguous_residual(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """LHS - RHS of the named contiguous relation, evaluated via the series."""
-    return complex(sum(contiguous_terms(relation, a, b, z, tol, precise)))
+    return complex(sum(contiguous_terms(relation, a, b, z, tol)))
 
 
 def contiguous_residual_scaled(
-    relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES, precise: bool = True
+    relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[complex, float]:
     """Residual together with the magnitude of the largest participating term."""
-    terms = contiguous_terms(relation, a, b, z, tol, precise)
+    terms = contiguous_terms(relation, a, b, z, tol)
     scale = max(abs(complex(t)) for t in terms)
     return complex(sum(terms)), max(scale, 1e-30)

@@ -72,28 +72,34 @@ def _displace(P: np.ndarray, axis: int, offsets: Sequence[float], h: np.ndarray)
     return np.concatenate(stacks, axis=0)
 
 
-def fd_first(f: SpaceTimeFunction, P: np.ndarray, axis: int, h, fd: FDConfig = DEFAULT_FD) -> np.ndarray:
-    """First partial along ``axis`` at the rows of P."""
-    P = np.asarray(P, dtype=float)
-    h = np.broadcast_to(np.asarray(h, dtype=float), (P.shape[0],))
-    offsets = [-2.0, -1.0, 1.0, 2.0, -0.5, 0.5]
-    vals = f.batch(_displace(P, axis, offsets, h)).reshape(len(offsets), -1)
-    d_h = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-    if not fd.richardson:
-        return d_h
-    d_h2 = (vals[1] - 8 * vals[4] + 8 * vals[5] - vals[2]) / (6 * h)
+# sample offsets, in units of h, of the first-derivative stencil at steps h and h/2
+_FIRST_OFFSETS = (-2.0, -1.0, 1.0, 2.0, -0.5, 0.5)
+
+
+def _first_richardson(vals, h):
+    """Richardson-extrapolated 4th-order first derivative from the values at
+    ``_FIRST_OFFSETS`` times h."""
+    m2, m1, p1, p2, m_half, p_half = vals
+    d_h = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+    d_h2 = (m1 - 8 * m_half + 8 * p_half - p1) / (6 * h)
     return (16 * d_h2 - d_h) / 15
 
 
-def fd_second(f: SpaceTimeFunction, P: np.ndarray, axis: int, h, fd: FDConfig = DEFAULT_FD) -> np.ndarray:
+def fd_first(f: SpaceTimeFunction, P: np.ndarray, axis: int, h) -> np.ndarray:
+    """First partial along ``axis`` at the rows of P."""
+    P = np.asarray(P, dtype=float)
+    h = np.broadcast_to(np.asarray(h, dtype=float), (P.shape[0],))
+    vals = f.batch(_displace(P, axis, _FIRST_OFFSETS, h)).reshape(len(_FIRST_OFFSETS), -1)
+    return _first_richardson(vals, h)
+
+
+def fd_second(f: SpaceTimeFunction, P: np.ndarray, axis: int, h) -> np.ndarray:
     """Second partial along ``axis`` at the rows of P."""
     P = np.asarray(P, dtype=float)
     h = np.broadcast_to(np.asarray(h, dtype=float), (P.shape[0],))
     offsets = [0.0, -2.0, -1.0, 1.0, 2.0, -0.5, 0.5]
     vals = f.batch(_displace(P, axis, offsets, h)).reshape(len(offsets), -1)
     d_h = (-vals[1] + 16 * vals[2] - 30 * vals[0] + 16 * vals[3] - vals[4]) / (12 * h**2)
-    if not fd.richardson:
-        return d_h
     d_h2 = (-vals[2] + 16 * vals[5] - 30 * vals[0] + 16 * vals[6] - vals[3]) / (3 * h**2)
     return (16 * d_h2 - d_h) / 15
 
@@ -150,7 +156,6 @@ class OperatorSpec:
     arity-checked.  Coordinates j are 1-based.
     """
 
-    picture: str
     kind: str
     n: int
     s: complex
@@ -161,27 +166,26 @@ class OperatorSpec:
 
     @classmethod
     def kappa(cls, params: ParameterSet) -> "OperatorSpec":
-        return cls("compact", "kappa", params.n, params.s)
+        return cls("kappa", params.n, params.s)
 
     @classmethod
     def eta(cls, params: ParameterSet, sign: int) -> "OperatorSpec":
-        return cls("compact", "eta_plus" if sign > 0 else "eta_minus", params.n, params.s)
+        return cls("eta_plus" if sign > 0 else "eta_minus", params.n, params.s)
 
     @classmethod
     def omega(cls, params: ParameterSet) -> "OperatorSpec":
-        return cls("compact", "omega", params.n, params.s)
+        return cls("omega", params.n, params.s)
 
     @classmethod
     def heisenberg_ladder(cls, params: ParameterSet, j: int, sign: int) -> "OperatorSpec":
         if not 1 <= j <= params.n:
             raise ValueError(f"coordinate j = {j} out of range 1..{params.n}")
-        return cls("compact", "e_plus" if sign > 0 else "e_minus", params.n, params.s, j=j)
+        return cls("e_plus" if sign > 0 else "e_minus", params.n, params.s, j=j)
 
     @classmethod
     def sl2(cls, params: ParameterSet, alpha, beta, gamma) -> "OperatorSpec":
         return cls(
-            "noncompact", "sl2", params.n, params.s,
-            sl2_coeffs=(complex(alpha), complex(beta), complex(gamma)),
+            "sl2", params.n, params.s, sl2_coeffs=(complex(alpha), complex(beta), complex(gamma))
         )
 
     @classmethod
@@ -190,11 +194,11 @@ class OperatorSpec:
         v = tuple(complex(c) for c in v)
         if len(u) != params.n or len(v) != params.n:
             raise ValueError("u and v must have length n")
-        return cls("noncompact", "heisenberg", params.n, params.s, heis_coeffs=(u, v, complex(w)))
+        return cls("heisenberg", params.n, params.s, heis_coeffs=(u, v, complex(w)))
 
     @classmethod
     def pde(cls, params: ParameterSet, lam) -> "OperatorSpec":
-        return cls("noncompact", "pde", params.n, params.s, lam=complex(lam))
+        return cls("pde", params.n, params.s, lam=complex(lam))
 
 
 def fd_apply(
@@ -225,34 +229,34 @@ def fd_apply(
     f0 = f.batch(P)
 
     if spec.kind == "kappa":
-        out = 1j * fd_first(f, P, 0, h[:, 0], fd)
+        out = 1j * fd_first(f, P, 0, h[:, 0])
     elif spec.kind in ("eta_plus", "eta_minus"):
         sign = 1 if spec.kind == "eta_plus" else -1
         euler = np.zeros_like(f0)
         for j in range(n):
-            euler += x[:, j] * fd_first(f, P, 1 + j, h[:, 1 + j], fd)
-        dtheta = fd_first(f, P, 0, h[:, 0], fd)
+            euler += x[:, j] * fd_first(f, P, 1 + j, h[:, 1 + j])
+        dtheta = fd_first(f, P, 0, h[:, 0])
         out = 0.5 * np.exp(-sign * 2j * t) * (
             -euler - sign * 1j * dtheta - (n / 2 + sign * 2j * s * rho2) * f0
         )
     elif spec.kind in ("e_plus", "e_minus"):
         sign = 1 if spec.kind == "e_plus" else -1
         ax = spec.j  # 1-based j is the column index in P
-        dj = fd_first(f, P, ax, h[:, ax], fd)
+        dj = fd_first(f, P, ax, h[:, ax])
         out = np.exp(-sign * 1j * t) * (sign * 1j * dj - 2 * s * x[:, ax - 1] * f0)
     elif spec.kind == "omega":
         lap = np.zeros_like(f0)
         for j in range(n):
-            lap += fd_second(f, P, 1 + j, h[:, 1 + j], fd)
-        dtheta = fd_first(f, P, 0, h[:, 0], fd)
+            lap += fd_second(f, P, 1 + j, h[:, 1 + j])
+        dtheta = fd_first(f, P, 0, h[:, 0])
         out = rho2 * (4 * s * dtheta + 4 * s**2 * rho2 * f0 + lap)
     elif spec.kind == "sl2":
         alpha, beta, gamma = spec.sl2_coeffs
         r = -n / 2
         euler = np.zeros_like(f0)
         for j in range(n):
-            euler += x[:, j] * fd_first(f, P, 1 + j, h[:, 1 + j], fd)
-        dt = fd_first(f, P, 0, h[:, 0], fd)
+            euler += x[:, j] * fd_first(f, P, 1 + j, h[:, 1 + j])
+        dt = fd_first(f, P, 0, h[:, 0])
         out = (
             (gamma * t - alpha) * euler
             + (gamma * t**2 - 2 * alpha * t - beta) * dt
@@ -263,7 +267,7 @@ def fd_apply(
         out = s * (w - 2 * (np.asarray(v)[None, :] * x).sum(axis=1)) * f0
         for j in range(n):
             if u[j] != 0 or v[j] != 0:
-                dj = fd_first(f, P, 1 + j, h[:, 1 + j], fd)
+                dj = fd_first(f, P, 1 + j, h[:, 1 + j])
                 out += (-u[j] + t * v[j]) * dj
     elif spec.kind == "pde":
         guard = 10 * np.max(h[:, 1:], axis=1)
@@ -271,8 +275,8 @@ def fd_apply(
             raise SingularityError("point too close to x = 0 for the potential term")
         lap = np.zeros_like(f0)
         for j in range(n):
-            lap += fd_second(f, P, 1 + j, h[:, 1 + j], fd)
-        dt = fd_first(f, P, 0, h[:, 0], fd)
+            lap += fd_second(f, P, 1 + j, h[:, 1 + j])
+        dt = fd_first(f, P, 0, h[:, 0])
         out = 4 * s * dt + lap - 2 * spec.lam / rho2 * f0
     else:
         raise ValueError(f"unknown operator kind {spec.kind!r}")
@@ -339,11 +343,16 @@ class ECoefficients:
         return {label: u * complex(getattr(self, label)) for label, u in _e_units(s).items()}
 
 
+def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[Fraction, int, int]:
+    """(B, edge, ladder) of the E table: B = k + 2l + n/2, edge = 2l + 2k + n - 2
+    and ladder = (sign m) + 2k + 4l + n."""
+    B = Fraction(2 * l + k) + Fraction(n, 2)
+    return B, 2 * l + 2 * k + n - 2, sign * m + 2 * k + 4 * l + n
+
+
 def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoefficients:
     """Oracle-confirmed E_j^{+-} coefficients."""
-    B = Fraction(2 * l + k) + Fraction(n, 2)
-    edge = 2 * l + 2 * k + n - 2
-    ladder = sign * m + 2 * k + 4 * l + n
+    B, edge, ladder = _e_table_terms(n, m, l, k, sign)
     if (l, k, n) == (0, 0, 2):
         # degenerate point of the generic formula (edge = B - 1 = 0): only
         # the (l, k+1) move survives, with coefficient -s * ladder
@@ -370,9 +379,7 @@ def printed_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoeffi
     """
     if sign > 0 or (l, k, n) == (0, 0, 2):
         return shipped_E_coefficients(n, m, l, k, sign)
-    B = Fraction(2 * l + k) + Fraction(n, 2)
-    edge = 2 * l + 2 * k + n - 2
-    ladder = -m + 2 * k + 4 * l + n
+    B, edge, ladder = _e_table_terms(n, m, l, k, sign)
     return ECoefficients(
         down_up=Fraction(-2 * l),
         same_up=Fraction(edge * ladder, 2) / (B - 1),
@@ -381,9 +388,7 @@ def printed_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoeffi
     )
 
 
-def _e_directions(
-    F: KTypeVector, j: int, sign: int
-) -> list[tuple[str, int, int, HarmonicPolynomial]]:
+def _e_directions(F: KTypeVector, j: int) -> list[tuple[str, int, int, HarmonicPolynomial]]:
     """Candidate (label, l', k', harmonic) targets of E_j^{+-} on F.
 
     Moves with k' = k+1 carry h_plus, those with k' = k-1 carry c_{k,n} d_j h.
@@ -414,7 +419,7 @@ def apply_E(F: KTypeVector, j: int, sign: int) -> LinearCombination:
     """
     values = shipped_E_coefficients(F.params.n, F.m, F.l, F.k, sign).as_complex(F.params.s)
     terms = []
-    for label, l2, k2, harm in _e_directions(F, j, sign):
+    for label, l2, k2, harm in _e_directions(F, j):
         coeff = values[label]
         if coeff == 0:
             continue
@@ -429,7 +434,7 @@ def heisenberg_direction_vectors(
     """The labeled candidate K-types E_j^{+-} can map F to (unit coefficients)."""
     return [
         (label, make_ktype(F.params, F.m + 2 * sign, l2, k2, harm))
-        for label, l2, k2, harm in _e_directions(F, j, sign)
+        for label, l2, k2, harm in _e_directions(F, j)
     ]
 
 
@@ -513,7 +518,7 @@ def recover_E_coefficients(
     shipped_values = shipped_E_coefficients(n, F.m, F.l, F.k, sign).as_complex(s)
     printed_values = printed_E_coefficients(n, F.m, F.l, F.k, sign).as_complex(s)
 
-    B = Fraction(2 * F.l + F.k) + Fraction(n, 2)
+    B, _, _ = _e_table_terms(n, F.m, F.l, F.k, sign)
     bound_frac = 4 * B * (B - 1)
     denominator_bound = max(1, abs(bound_frac.numerator))
 
@@ -673,6 +678,4 @@ def group_parameter_derivative(
         return group_action_noncompact(family(tau), f, s).batch(P)
 
     h = fd.group_step
-    d_h = (at(-2 * h) - 8 * at(-h) + 8 * at(h) - at(2 * h)) / (12 * h)
-    d_h2 = (at(-h) - 8 * at(-h / 2) + 8 * at(h / 2) - at(h)) / (6 * h)
-    return (16 * d_h2 - d_h) / 15
+    return _first_richardson([at(c * h) for c in _FIRST_OFFSETS], h)

@@ -5,6 +5,8 @@ Each sweep returns a list of check dicts with the schema
 
     {check, status: PASS|FAIL|WARN, max_residual, tolerance, ...detail}
 
+and builds every PASS/FAIL record through ``_check``.
+
 ``run_verification`` assembles the full suite for one parameter set; the
 expected coefficient differences against the published Heisenberg-ladder
 table are reported as WARN, never FAIL.
@@ -46,8 +48,17 @@ from .polynomials import (
 from .structure import heisenberg_targets, ktype_lattice
 
 
-def _status(max_residual: float, tolerance: float) -> str:
-    return "PASS" if max_residual <= tolerance else "FAIL"
+def _check(name: str, worst: float, tolerance: float, **detail) -> dict:
+    """One check record: PASS when ``worst <= tolerance``, FAIL otherwise."""
+    status = "PASS" if worst <= tolerance else "FAIL"
+    return {
+        "check": name, "max_residual": worst, "tolerance": tolerance, "status": status, **detail
+    }
+
+
+def _exact(name: str, ok: bool, **detail) -> dict:
+    """A zero-tolerance check record for an exact yes/no property."""
+    return _check(name, 0.0 if ok else 1.0, 0.0, **detail)
 
 
 def sample_compact_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -94,21 +105,12 @@ def sweep_contiguous(
         for a, b, z in pts:
             res, scale = contiguous_residual_scaled(name, a, b, z, tol)
             worst = max(worst, abs(res) / scale)
-        checks.append(
-            {
-                "check": f"contiguous/{name}",
-                "points": len(pts),
-                "max_residual": worst,
-                "tolerance": tol.contiguous,
-                "status": _status(worst, tol.contiguous),
-            }
-        )
+        checks.append(_check(f"contiguous/{name}", worst, tol.contiguous, points=len(pts)))
     return checks
 
 
 def sweep_harmonicity(n_max: int = 5, k_max: int = 6) -> list[dict]:
     """Exact-arithmetic checks: harmonicity, dimensions, decomposition."""
-    checks = []
     ok_harm = True
     ok_dim = True
     ok_split = True
@@ -129,31 +131,11 @@ def sweep_harmonicity(n_max: int = 5, k_max: int = 6) -> list[dict]:
                     rhs = h_plus.poly + rho2.scale(c) * h.poly.partial(j)
                     if lhs != rhs:
                         ok_split = False
-    checks.append(
-        {
-            "check": "harmonic/laplacian-kernel",
-            "max_residual": 0.0 if ok_harm else 1.0,
-            "tolerance": 0.0,
-            "status": "PASS" if ok_harm else "FAIL",
-        }
-    )
-    checks.append(
-        {
-            "check": "harmonic/dimension-formula",
-            "max_residual": 0.0 if ok_dim else 1.0,
-            "tolerance": 0.0,
-            "status": "PASS" if ok_dim else "FAIL",
-        }
-    )
-    checks.append(
-        {
-            "check": "harmonic/yj-decomposition",
-            "max_residual": 0.0 if ok_split else 1.0,
-            "tolerance": 0.0,
-            "status": "PASS" if ok_split else "FAIL",
-        }
-    )
-    return checks
+    return [
+        _exact("harmonic/laplacian-kernel", ok_harm),
+        _exact("harmonic/dimension-formula", ok_dim),
+        _exact("harmonic/yj-decomposition", ok_split),
+    ]
 
 
 def sweep_periodicity(
@@ -170,19 +152,12 @@ def sweep_periodicity(
     P = sample_compact_points(params.n, points, rng)
     worst = 0.0
     for F in lattice:
+        scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:], tol)))
         for j in (1, 2, 3, 4):
             res = periodicity_residual(F, P[:, 0], P[:, 1:], j, tol)
-            scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:], tol)))
             worst = max(worst, float(np.max(np.abs(res) / scale)))
     return [
-        {
-            "check": "ktypes/periodicity",
-            "ktypes": len(lattice),
-            "points": points,
-            "max_residual": worst,
-            "tolerance": tol.periodicity,
-            "status": _status(worst, tol.periodicity),
-        }
+        _check("ktypes/periodicity", worst, tol.periodicity, ktypes=len(lattice), points=points)
     ]
 
 
@@ -210,15 +185,12 @@ def sweep_pde_kernel(
         if rel > worst:
             worst, worst_index = rel, (F.m, F.l, F.k)
     return [
-        {
-            "check": "operators/pde-kernel",
-            "ktypes": len(lattice),
-            "points": points,
-            "worst_index": list(worst_index) if worst_index else None,
-            "max_residual": worst,
-            "tolerance": tol.pde_residual,
-            "status": _status(worst, tol.pde_residual),
-        }
+        _check(
+            "operators/pde-kernel", worst, tol.pde_residual,
+            ktypes=len(lattice),
+            points=points,
+            worst_index=list(worst_index) if worst_index else None,
+        )
     ]
 
 
@@ -259,20 +231,11 @@ def sweep_ladder(
             if killed != at_boundary or killed != combo.is_empty():
                 kills_ok = False
     return [
-        {
-            "check": "operators/ladder-closed-form",
-            "ktypes": len(lattice),
-            "points": points,
-            "max_residual": worst,
-            "tolerance": tol.ladder_match,
-            "status": _status(worst, tol.ladder_match),
-        },
-        {
-            "check": "operators/eta-boundary-kills",
-            "max_residual": 0.0 if kills_ok else 1.0,
-            "tolerance": 0.0,
-            "status": "PASS" if kills_ok else "FAIL",
-        },
+        _check(
+            "operators/ladder-closed-form", worst, tol.ladder_match,
+            ktypes=len(lattice), points=points,
+        ),
+        _exact("operators/eta-boundary-kills", kills_ok),
     ]
 
 
@@ -322,33 +285,13 @@ def sweep_heisenberg(
                 if not rec.matches_printed:
                     printed_diffs += 1
     checks = [
-        {
-            "check": "operators/heisenberg-lsq",
-            "recoveries": recoveries,
-            "points": points,
-            "max_residual": worst_lsq,
-            "tolerance": tol.lsq_residual,
-            "status": _status(worst_lsq, tol.lsq_residual),
-        },
-        {
-            "check": "operators/heisenberg-rational-coefficients",
-            "max_residual": worst_rational,
-            "tolerance": tol.coeff_match,
-            "status": _status(worst_rational, tol.coeff_match),
-        },
-        {
-            "check": "operators/heisenberg-shipped-match",
-            "max_residual": 0.0 if shipped_ok else 1.0,
-            "tolerance": 0.0,
-            "status": "PASS" if shipped_ok else "FAIL",
-            "failures": details,
-        },
-        {
-            "check": "operators/eigenvalue-shifts",
-            "max_residual": 0.0 if shift_ok else 1.0,
-            "tolerance": 0.0,
-            "status": "PASS" if shift_ok else "FAIL",
-        },
+        _check(
+            "operators/heisenberg-lsq", worst_lsq, tol.lsq_residual,
+            recoveries=recoveries, points=points,
+        ),
+        _check("operators/heisenberg-rational-coefficients", worst_rational, tol.coeff_match),
+        _exact("operators/heisenberg-shipped-match", shipped_ok, failures=details),
+        _exact("operators/eigenvalue-shifts", shift_ok),
     ]
     if printed_diffs:
         checks.append(
@@ -425,20 +368,13 @@ def sweep_group_algebra(
                 return GroupElement.orthogonal(R)
 
             flow = group_parameter_derivative(rot, f, P, params.s, fd=fd)
-            alg = P[:, 1 + b_ax] * fd_first(f, P, 1 + a_ax, steps[:, 1 + a_ax], fd) - P[
-                :, 1 + a_ax
-            ] * fd_first(f, P, 1 + b_ax, steps[:, 1 + b_ax], fd)
+            alg = (
+                P[:, 1 + b_ax] * fd_first(f, P, 1 + a_ax, steps[:, 1 + a_ax])
+                - P[:, 1 + a_ax] * fd_first(f, P, 1 + b_ax, steps[:, 1 + b_ax])
+            )
             worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
-    return [
-        {
-            "check": "operators/group-vs-algebra",
-            "points": points,
-            "max_residual": worst,
-            "tolerance": tol.group_match,
-            "status": _status(worst, tol.group_match),
-        }
-    ]
+    return [_check("operators/group-vs-algebra", worst, tol.group_match, points=points)]
 
 
 def run_verification(

@@ -1,14 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Tolerances are pinned here exactly as stated.  Criteria 3-6, 8 and 9 call
-the sweeps of singular_weyl.verify, so the CLI ``verify`` subcommand
-exercises the same code paths; criterion 7 keeps its own loop because it
-also checks the denominator bound and the direction-vector shifts.
+Tolerances are pinned here exactly as stated.  Criteria 3-9 call the sweeps
+of singular_weyl.verify, so the CLI ``verify`` subcommand exercises the same
+code paths.
 """
 
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +17,13 @@ from singular_weyl import (
     composition_series,
     decompose,
     is_admissible,
-    recover_E_coefficients,
 )
-from singular_weyl.operators import heisenberg_direction_vectors
-from singular_weyl.structure import ktype_lattice, structure_case
+from singular_weyl.structure import structure_case
 from singular_weyl.verify import (
-    sample_compact_points,
     sweep_contiguous,
     sweep_group_algebra,
     sweep_harmonicity,
+    sweep_heisenberg,
     sweep_ladder,
     sweep_pde_kernel,
     sweep_periodicity,
@@ -136,62 +132,38 @@ def test_criterion_6_ladder_closed_forms(capsys):
 
 
 def test_criterion_7_heisenberg_action(capsys):
-    # fd(E_j) decomposes into the four predicted directions; recovered
-    # coefficients rational with denominator <= 4(k+2l+n/2)(k+2l+n/2-1);
-    # eigenvalue shifts +-(2l+2k+n-2) and +-2l; WARN diff vs printed table
+    # fd(E_j) decomposes into the four predicted directions with rational
+    # coefficients (denominator <= 4(k+2l+n/2)(k+2l+n/2-1)) matching the
+    # shipped table; eigenvalue shifts +-(2l+2k+n-2) and +-2l; WARN diff vs
+    # printed table
     start = time.time()
     rng = np.random.default_rng(20244)
-    worst_lsq = 0.0
-    worst_rational = 0.0
-    denominators_ok = True
-    shifts_ok = True
-    printed_diffs = 0
-    count = 0
-    for n in (1, 2, 3, 4):
-        lattice = ktype_lattice(_acceptance_params(n, 0.5j), 30, 10)
-        P = sample_compact_points(n, 40, rng)
-        for F in lattice:
-            lam = F.lam.value
-            edge = 2 * F.l + 2 * F.k + n - 2
-            bound = 4 * (Fraction(F.k + 2 * F.l) + Fraction(n, 2)) * (
-                Fraction(F.k + 2 * F.l) + Fraction(n, 2) - 1
-            )
-            for j in range(1, n + 1):
-                for sign in (1, -1):
-                    rec = recover_E_coefficients(F, j, sign, P)
-                    count += 1
-                    worst_lsq = max(worst_lsq, rec.lsq_residual)
-                    worst_rational = max(
-                        worst_rational, max(rec.rational_errors.values(), default=0.0)
-                    )
-                    for frac in rec.rationals.values():
-                        if frac.denominator > abs(bound.numerator):
-                            denominators_ok = False
-                    if not rec.matches_printed:
-                        printed_diffs += 1
-                    # eigenvalue shifts of the recovered directions
-                    for label, vec in heisenberg_direction_vectors(F, j, sign):
-                        shift = vec.lam.value - lam
-                        if vec.l != F.l:
-                            if abs(shift) != edge:
-                                shifts_ok = False
-                        elif shift != 0 and abs(shift) != 2 * F.l:
-                            shifts_ok = False
-    elapsed = time.time() - start
-    ok = (
-        worst_lsq <= 1e-8
-        and denominators_ok
-        and shifts_ok
-        and printed_diffs > 0
-        and elapsed < 90.0
+    checks = [
+        c
+        for n in (1, 2, 3, 4)
+        for c in sweep_heisenberg(_acceptance_params(n, 0.5j), 30, 10, 40, rng)
+    ]
+    lsq = [c for c in checks if c["check"] == "operators/heisenberg-lsq"]
+    worst_lsq = max(c["max_residual"] for c in lsq)
+    count = sum(c["recoveries"] for c in lsq)
+    exact = {
+        name: all(c["status"] == "PASS" for c in checks if c["check"] == f"operators/{name}")
+        for name in ("heisenberg-rational-coefficients", "heisenberg-shipped-match",
+                     "eigenvalue-shifts")
+    }
+    printed_diffs = sum(
+        c["count"] for c in checks if c["check"] == "operators/printed-coefficient-diff"
     )
+    elapsed = time.time() - start
+    ok = worst_lsq <= 1e-8 and all(exact.values()) and printed_diffs > 0 and elapsed < 90.0
     report(capsys, 7, "Heisenberg action oracle",
-           ok, f"{count} recoveries, lsq {worst_lsq:.2e} <= 1e-8, denominators bounded: "
-               f"{denominators_ok}, shifts exact: {shifts_ok}, printed-table WARN diffs: "
+           ok, f"{count} recoveries, lsq {worst_lsq:.2e} <= 1e-8, rational coefficients: "
+               f"{exact['heisenberg-rational-coefficients']}, shipped table: "
+               f"{exact['heisenberg-shipped-match']}, shifts exact: "
+               f"{exact['eigenvalue-shifts']}, printed-table WARN diffs: "
                f"{printed_diffs}, {elapsed:.1f}s < 90s", elapsed)
     assert worst_lsq <= 1e-8
-    assert denominators_ok
-    assert shifts_ok
+    assert all(exact.values()), exact
     assert printed_diffs > 0  # the documented WARN-level diff is produced
     assert elapsed < 90.0
 

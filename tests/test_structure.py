@@ -17,6 +17,7 @@ from singular_weyl import (
     make_ktype,
     pair_eigenvalue,
 )
+from singular_weyl.operators import heisenberg_direction_vectors
 from singular_weyl.structure import structure_case
 
 GOLDEN = json.loads(
@@ -180,10 +181,12 @@ class TestLadderGraph:
 
     def test_e_edge_coefficients_match_apply_E(self):
         # both read the E_MOVES table: the graph's E edges out of a node are
-        # the closed-form E_1 terms on its representative harmonic
+        # the closed-form E_1 terms on its representative harmonic, and every
+        # E_j direction lies in heisenberg_targets
         for n, q, s in ((3, 1, 0.5j), (4, 0, -0.25), (2, 2, 0.5j), (1, 1, 0.5j)):
             params = ParameterSet(n=n, q=q, s=s)
             graph = ladder_graph(params, 30, (-8, 8))
+            covered = set()
             for node in graph.nodes:
                 if node.k < 0:
                     continue
@@ -197,6 +200,16 @@ class TestLadderGraph:
                     }
                     closed = {(T.m, T.l, T.k): c for c, T in apply_E(F, 1, sign).terms}
                     assert edges == closed, (n, source, sign)
+                if (node.l, node.k) in covered:
+                    continue
+                # the eigenvalue-shift check of sweep_heisenberg runs over the
+                # targets; they must cover every E_j direction
+                covered.add((node.l, node.k))
+                targets = {(l2, k2) for l2, k2, _ in heisenberg_targets(n, node.l, node.k)}
+                for j in range(1, n + 1):
+                    for sign in (1, -1):
+                        for _, vec in heisenberg_direction_vectors(F, j, sign):
+                            assert (vec.l, vec.k) in targets, (n, source, j, sign)
 
     def test_dangling_edges_marked(self):
         params = ParameterSet(n=3, q=1, s=0.5j)
