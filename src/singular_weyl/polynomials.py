@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -29,8 +31,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # arithmetic on Fractions already yields Fractions; wrap only the rest
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -44,7 +47,8 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        im = self.im + other.im if other.im else self.im
+        return GaussianRational(self.re + other.re, im)
 
     __radd__ = __add__
 
@@ -58,7 +62,11 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return GaussianRational(self.re * other, self.im * other)
         other = GaussianRational.coerce(other)
+        if not self.im and not other.im:
+            return GaussianRational(self.re * other.re, self.im)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -84,10 +92,13 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real value equals the int/Fraction it came from, so hash like it
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
@@ -168,12 +179,9 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, GR_ZERO) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return Polynomial(self.nvars, terms)
+            acc = terms.get(exps)
+            terms[exps] = coeff if acc is None else acc + coeff
+        return Polynomial(self.nvars, terms)  # drops the terms that cancelled
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -183,13 +191,10 @@ class Polynomial:
         terms: dict[Exponents, GaussianRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps, GR_ZERO) + c1 * c2
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        return Polynomial(self.nvars, terms)
+                exps = tuple(map(add, e1, e2))
+                acc = terms.get(exps)
+                terms[exps] = c1 * c2 if acc is None else acc + c1 * c2
+        return Polynomial(self.nvars, terms)  # drops the terms that cancelled
 
     def scale(self, value) -> "Polynomial":
         value = GaussianRational.coerce(value)
@@ -220,12 +225,9 @@ class Polynomial:
             new = list(exps)
             new[index] = e - 1
             key = tuple(new)
-            acc = terms.get(key, GR_ZERO) + coeff * e
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return Polynomial(self.nvars, terms)
+            acc = terms.get(key)
+            terms[key] = coeff * e if acc is None else acc + coeff * e
+        return Polynomial(self.nvars, terms)  # drops the terms that cancelled
 
     # -- queries ---------------------------------------------------------
 
@@ -323,11 +325,20 @@ class Polynomial:
 
 
 def laplacian(p: Polynomial) -> Polynomial:
-    """Sum of second partials, with exact coefficients."""
-    out = Polynomial(p.nvars)
-    for j in range(p.nvars):
-        out = out + p.partial(j).partial(j)
-    return out
+    """Sum of second partials, with exact coefficients.
+
+    One pass: each monomial adds e(e-1) times its coefficient to the
+    monomial lowered by two in each variable of exponent e >= 2.
+    """
+    terms: dict[Exponents, GaussianRational] = {}
+    for exps, coeff in p.terms.items():
+        for j, e in enumerate(exps):
+            if e >= 2:
+                low = exps[:j] + (e - 2,) + exps[j + 1:]
+                acc = terms.get(low)
+                term = coeff * (e * (e - 1))
+                terms[low] = term if acc is None else acc + term
+    return Polynomial(p.nvars, terms)  # drops the terms that cancelled
 
 
 def euler(p: Polynomial) -> Polynomial:
@@ -351,6 +362,12 @@ class HarmonicPolynomial:
     cancel catastrophically at high degree); the expanded form remains the
     exact-arithmetic source of truth.  ``power`` marks polynomials that are
     literally (y1 + i y2)^power (conjugated for power < 0).
+
+    Harmonicity is proved exactly, once, when the object is built.  The
+    results of ``decompose_yj`` and ``scaled_partial_harmonic`` on it are
+    computed once and cached on the object, so repeated calls return the
+    same shared objects; callers must not mutate ``poly.terms``.  The cache
+    stays out of equality, hashing and repr.
     """
 
     poly: Polynomial
@@ -358,6 +375,9 @@ class HarmonicPolynomial:
     weight: int | None = None
     evaluator: "Callable | None" = field(default=None, compare=False, repr=False)
     power: int | None = field(default=None, compare=False)
+    # keyed by the call, never by value: equal polynomials may differ in
+    # power/evaluator, which decide the evaluator of the derived harmonics
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.poly.is_zero():
@@ -523,8 +543,16 @@ def harmonic_representative(n: int, k: int) -> HarmonicPolynomial:
     """One cheap harmonic of degree |k|: (y1 + i y2)^k for n >= 2, y^k for n = 1.
 
     Used by verification sweeps that need a single basis vector per K-type
-    without computing the full Laplacian kernel.
+    without computing the full Laplacian kernel.  Every call with the same
+    (n, k) returns the same shared instance, built and proved harmonic once
+    per process, together with the ``decompose_yj`` results cached on it;
+    callers must not mutate its ``poly.terms``.
     """
+    return _representative(n, k)
+
+
+@lru_cache(maxsize=None)
+def _representative(n: int, k: int) -> HarmonicPolynomial:
     if n == 1:
         if k not in (0, 1):
             raise ValueError("n = 1 supports only k in {0, 1}")
@@ -557,7 +585,18 @@ def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fra
     polynomial identity, h_plus harmonic of degree k+1 (possibly zero) and
     c = c_const(k, n).  When h carries a stable power-form evaluator, one is
     attached to h_plus as well.
+
+    The result is computed once per (h, j) and cached on h: a repeated call
+    returns the same tuple, and h_plus is proved harmonic only when first
+    built.  Callers must not mutate ``h_plus.poly.terms``.
     """
+    key = ("yj", j)
+    if key not in h._derived:
+        h._derived[key] = _decompose_yj(h, j)
+    return h._derived[key]
+
+
+def _decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fraction]:
     n = h.nvars
     k = h.degree
     c = c_const(k, n)
@@ -590,8 +629,17 @@ def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fra
 def scaled_partial_harmonic(h: HarmonicPolynomial, j: int, scale: Fraction) -> HarmonicPolynomial | None:
     """The harmonic ``scale * d_j h`` of degree k-1, or None when zero.
 
-    Propagates a stable power-form evaluator when h has one.
+    Propagates a stable power-form evaluator when h has one.  Like
+    ``decompose_yj``, the result is computed once per (h, j, scale) and
+    cached on h.
     """
+    key = ("d", j, scale)
+    if key not in h._derived:
+        h._derived[key] = _scaled_partial_harmonic(h, j, scale)
+    return h._derived[key]
+
+
+def _scaled_partial_harmonic(h: HarmonicPolynomial, j: int, scale: Fraction) -> HarmonicPolynomial | None:
     d_poly = h.poly.partial(j).scale(scale)
     if d_poly.is_zero():
         return None

@@ -34,6 +34,13 @@ class TestGaussianRational:
         for value in (GaussianRational(3), GaussianRational(Fraction(2, 7), Fraction(-1, 3))):
             assert GaussianRational.from_json(value.to_json()) == value
 
+    @pytest.mark.parametrize("value", [3, -2, Fraction(1, 2), Fraction(-7, 3)])
+    def test_hash_agrees_with_equality_on_reals(self, value):
+        assert GaussianRational(value) == value
+        assert hash(GaussianRational(value)) == hash(value)
+        assert len({GaussianRational(value), value}) == 1
+        assert hash(GaussianRational(value, 1)) != hash(GaussianRational(value))
+
 
 class TestPolynomial:
     def test_laplacian_examples(self):
@@ -43,6 +50,32 @@ class TestPolynomial:
         assert laplacian(rho2) == Polynomial.constant(3, 6)
         p = Polynomial(3, {(2, 1, 0): 1})  # y1^2 y2
         assert laplacian(p) == Polynomial(3, {(0, 1, 0): 2})
+
+        def by_definition(p):
+            out = Polynomial(p.nvars)
+            for j in range(p.nvars):
+                out = out + p.partial(j).partial(j)
+            return out
+
+        unit = GaussianRational(1, Fraction(1, 2))
+        for n in range(1, 6):
+            rng = np.random.default_rng(100 + n)
+            # complex-rational coefficients on monomials of mixed degree
+            p = Polynomial(n, {
+                tuple(int(e) for e in rng.integers(0, 5, size=n)):
+                    GaussianRational(Fraction(int(a), int(b)), Fraction(int(c), int(d)))
+                for a, b, c, d in rng.integers(1, 9, size=(12, 4))
+            })
+            assert not laplacian(p).is_zero() and laplacian(p) == by_definition(p)
+            if n == 1:
+                q = Polynomial(1, {(3,): unit})
+                assert laplacian(q) == by_definition(q) == Polynomial(1, {(1,): unit * 6})
+                continue
+            # (1 + i/2) (y1^2 - y_n^2): the two terms cancel in one monomial
+            up = (2,) + (0,) * (n - 1)
+            down = (0,) * (n - 1) + (2,)
+            q = Polynomial(n, {up: unit, down: -unit})
+            assert by_definition(q).is_zero() and laplacian(q).is_zero()
 
     def test_euler_examples(self):
         assert euler(Polynomial.constant(2, 1)).is_zero()
@@ -161,6 +194,29 @@ class TestDecomposeYj:
                         assert not nonzero
                     else:
                         assert nonzero
+
+    def test_result_cached_per_object(self):
+        h = harmonic_representative(3, 2)
+        assert h is harmonic_representative(3, 2)
+        rho2 = Polynomial.radius_squared(3)
+        for j in range(3):
+            first = decompose_yj(h, j)
+            assert decompose_yj(h, j) is first
+            h_plus, c = first
+            assert Polynomial.variable(3, j) * h.poly == h_plus.poly + rho2.scale(c) * h.poly.partial(j)
+            assert scaled_partial_harmonic(h, j, c) is scaled_partial_harmonic(h, j, c)
+
+    def test_cache_not_keyed_by_value(self):
+        # equal by value, but without the power form: its h_plus must not
+        # inherit the representative's stable evaluator
+        rep = harmonic_representative(3, 2)
+        plain = HarmonicPolynomial(rep.poly, 2)
+        assert plain == rep and plain.power is None and rep.power == 2
+        assert decompose_yj(rep, 0)[0].evaluator is not None
+        assert decompose_yj(plain, 0)[0].evaluator is None
+        assert decompose_yj(rep, 0)[0].evaluator is not None
+        assert scaled_partial_harmonic(rep, 0, Fraction(1)).evaluator is not None
+        assert scaled_partial_harmonic(plain, 0, Fraction(1)).evaluator is None
 
     def test_n1_vanishing(self):
         h = HarmonicPolynomial(Polynomial.variable(1, 0), 1)
