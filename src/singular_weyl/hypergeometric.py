@@ -87,6 +87,12 @@ def _series(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives:
     return sums
 
 
+def _check_order(order: int) -> None:
+    """The Kummer branch differentiates e^z G(-z) for orders 0..2 only."""
+    if not 0 <= order <= 2:
+        raise ValueError(f"derivative order {order} is outside 0..2")
+
+
 def _eval(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives: int = 0):
     """1F1 (and z-derivatives) with the Kummer transform on Re(z) < 0."""
     if _bad_denominator(b):
@@ -108,8 +114,6 @@ def _eval(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives: i
             out[1][neg] = ez * (sums[0] - sums[1])
         if derivatives >= 2:
             out[2][neg] = ez * (sums[0] - 2 * sums[1] + sums[2])
-        if derivatives >= 3:
-            raise NotImplementedError("at most two series derivatives supported")
     return out
 
 
@@ -129,8 +133,9 @@ def hyp1f1_with_derivatives(a, b, z, order: int = 2, tol: Tolerances = DEFAULT_T
     """(F, F', ..., F^(order)) by termwise differentiation of the series.
 
     Independent of the contiguous shift formula, so it can sit on the
-    oracle side of identity checks.
+    oracle side of identity checks.  ``order`` is 0, 1 or 2.
     """
+    _check_order(order)
     z_arr = np.asarray(z, dtype=np.complex128)
     scalar = z_arr.ndim == 0
     sums = _eval(complex(a), complex(b), z_arr.reshape(-1), tol, order)
@@ -194,7 +199,9 @@ def _series_precise(a, b, z, derivatives: int, max_terms: int):
 
 
 def hyp1f1_precise(a, b, z, derivatives: int = 0, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Scalar 1F1 (and z-derivatives) summed in extended precision."""
+    """Scalar 1F1 (and z-derivatives, ``derivatives`` 0..2) summed in
+    extended precision."""
+    _check_order(derivatives)
     if _bad_denominator(complex(b)):
         raise ValueError(f"b = {b} is a non-positive integer; 1F1 undefined")
     a, b, z = complex(a), complex(b), complex(z)

@@ -62,17 +62,8 @@ def _e_units(s: complex) -> dict[str, complex]:
 # ---------------------------------------------------------------------------
 
 
-def _displace(P: np.ndarray, axis: int, offsets: Sequence[float], h: np.ndarray) -> np.ndarray:
-    """Stack copies of P displaced along one axis; (K*N, D)."""
-    stacks = []
-    for c in offsets:
-        Q = P.copy()
-        Q[:, axis] = Q[:, axis] + c * h
-        stacks.append(Q)
-    return np.concatenate(stacks, axis=0)
-
-
-# sample offsets, in units of h, of the first-derivative stencil at steps h and h/2
+# sample offsets, in units of h, of the first-derivative stencil at steps h and
+# h/2; the second-derivative stencil reads the same samples plus f(P)
 _FIRST_OFFSETS = (-2.0, -1.0, 1.0, 2.0, -0.5, 0.5)
 
 
@@ -85,23 +76,47 @@ def _first_richardson(vals, h):
     return (16 * d_h2 - d_h) / 15
 
 
+def _second_richardson(f0, vals, h):
+    """Richardson-extrapolated 4th-order second derivative from f(P) and the
+    values at ``_FIRST_OFFSETS`` times h."""
+    m2, m1, p1, p2, m_half, p_half = vals
+    d_h = (-m2 + 16 * m1 - 30 * f0 + 16 * p1 - p2) / (12 * h**2)
+    d_h2 = (-m1 + 16 * m_half - 30 * f0 + 16 * p_half - p1) / (3 * h**2)
+    return (16 * d_h2 - d_h) / 15
+
+
+def _partials(f: SpaceTimeFunction, P: np.ndarray, h: np.ndarray, first=(), second=()):
+    """(f(P), {axis: first partial}, {axis: second partial}) from one f.batch call.
+
+    h has the shape of P: a step per point and axis.  The batch stacks P,
+    then one ``_FIRST_OFFSETS`` block per axis of ``first`` and then of
+    ``second``.
+    """
+    axes = (*first, *second)
+    K = len(_FIRST_OFFSETS)
+    stacked = np.repeat(P[None], 1 + K * len(axes), axis=0)
+    for i, a in enumerate(axes):
+        stacked[1 + K * i : 1 + K * (i + 1), :, a] += np.multiply.outer(_FIRST_OFFSETS, h[:, a])
+    vals = f.batch(stacked.reshape(-1, P.shape[1])).reshape(len(stacked), P.shape[0])
+    f0 = vals[0]
+    blocks = vals[1:].reshape(len(axes), K, P.shape[0])
+    d1 = {a: _first_richardson(v, h[:, a]) for a, v in zip(first, blocks)}
+    d2 = {a: _second_richardson(f0, v, h[:, a]) for a, v in zip(second, blocks[len(first):])}
+    return f0, d1, d2
+
+
 def fd_first(f: SpaceTimeFunction, P: np.ndarray, axis: int, h) -> np.ndarray:
-    """First partial along ``axis`` at the rows of P."""
+    """First partial along ``axis`` at the rows of P; h is one step or one per row."""
     P = np.asarray(P, dtype=float)
-    h = np.broadcast_to(np.asarray(h, dtype=float), (P.shape[0],))
-    vals = f.batch(_displace(P, axis, _FIRST_OFFSETS, h)).reshape(len(_FIRST_OFFSETS), -1)
-    return _first_richardson(vals, h)
+    h = np.broadcast_to(np.asarray(h, dtype=float)[..., None], P.shape)
+    return _partials(f, P, h, first=(axis,))[1][axis]
 
 
 def fd_second(f: SpaceTimeFunction, P: np.ndarray, axis: int, h) -> np.ndarray:
-    """Second partial along ``axis`` at the rows of P."""
+    """Second partial along ``axis`` at the rows of P; h is one step or one per row."""
     P = np.asarray(P, dtype=float)
-    h = np.broadcast_to(np.asarray(h, dtype=float), (P.shape[0],))
-    offsets = [0.0, -2.0, -1.0, 1.0, 2.0, -0.5, 0.5]
-    vals = f.batch(_displace(P, axis, offsets, h)).reshape(len(offsets), -1)
-    d_h = (-vals[1] + 16 * vals[2] - 30 * vals[0] + 16 * vals[3] - vals[4]) / (12 * h**2)
-    d_h2 = (-vals[2] + 16 * vals[5] - 30 * vals[0] + 16 * vals[6] - vals[3]) / (3 * h**2)
-    return (16 * d_h2 - d_h) / 15
+    h = np.broadcast_to(np.asarray(h, dtype=float)[..., None], P.shape)
+    return _partials(f, P, h, second=(axis,))[2][axis]
 
 
 def default_steps(P: np.ndarray, fd: FDConfig = DEFAULT_FD) -> np.ndarray:
@@ -212,7 +227,9 @@ def fd_apply(
 
     P has shape (N, 1+n) with theta or t in column 0; a single point of
     shape (1+n,) is also accepted.  ``steps`` overrides the default
-    per-point, per-axis step array.
+    per-point, per-axis step array.  f is evaluated in one ``f.batch`` call
+    per application: P first, then one ``_FIRST_OFFSETS`` block of displaced
+    copies of P per differentiated axis.
     """
     P = np.asarray(P, dtype=float)
     single = P.ndim == 1
@@ -226,61 +243,71 @@ def fd_apply(
     t = P[:, 0]
     x = P[:, 1:]
     rho2 = (x**2).sum(axis=1)
-    f0 = f.batch(P)
+    kind = spec.kind
+    space = tuple(range(1, 1 + n))
 
-    if spec.kind == "kappa":
-        out = 1j * fd_first(f, P, 0, h[:, 0])
-    elif spec.kind in ("eta_plus", "eta_minus"):
-        sign = 1 if spec.kind == "eta_plus" else -1
-        euler = np.zeros_like(f0)
-        for j in range(n):
-            euler += x[:, j] * fd_first(f, P, 1 + j, h[:, 1 + j])
-        dtheta = fd_first(f, P, 0, h[:, 0])
+    # the axes each kind differentiates once and twice
+    first, second = (0,), ()
+    if kind in ("eta_plus", "eta_minus", "sl2"):
+        first = space + (0,)
+    elif kind in ("e_plus", "e_minus"):
+        first = (spec.j,)  # 1-based j is the column index in P
+    elif kind in ("omega", "pde"):
+        second = space
+    elif kind == "heisenberg":
+        u, v, w = spec.heis_coeffs
+        first = tuple(1 + j for j in range(n) if u[j] != 0 or v[j] != 0)
+    elif kind != "kappa":
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if kind == "pde" and np.any(np.sqrt(rho2) < 10 * np.max(h[:, 1:], axis=1)):
+        raise SingularityError("point too close to x = 0 for the potential term")
+    f0, d1, d2 = _partials(f, P, h, first, second)
+    lap = sum(d2.values())
+
+    if kind == "kappa":
+        out = 1j * d1[0]
+    elif kind in ("eta_plus", "eta_minus"):
+        sign = 1 if kind == "eta_plus" else -1
+        euler = sum(x[:, j - 1] * d1[j] for j in space)
         out = 0.5 * np.exp(-sign * 2j * t) * (
-            -euler - sign * 1j * dtheta - (n / 2 + sign * 2j * s * rho2) * f0
+            -euler - sign * 1j * d1[0] - (n / 2 + sign * 2j * s * rho2) * f0
         )
-    elif spec.kind in ("e_plus", "e_minus"):
-        sign = 1 if spec.kind == "e_plus" else -1
-        ax = spec.j  # 1-based j is the column index in P
-        dj = fd_first(f, P, ax, h[:, ax])
-        out = np.exp(-sign * 1j * t) * (sign * 1j * dj - 2 * s * x[:, ax - 1] * f0)
-    elif spec.kind == "omega":
-        lap = np.zeros_like(f0)
-        for j in range(n):
-            lap += fd_second(f, P, 1 + j, h[:, 1 + j])
-        dtheta = fd_first(f, P, 0, h[:, 0])
-        out = rho2 * (4 * s * dtheta + 4 * s**2 * rho2 * f0 + lap)
-    elif spec.kind == "sl2":
+    elif kind in ("e_plus", "e_minus"):
+        sign = 1 if kind == "e_plus" else -1
+        out = np.exp(-sign * 1j * t) * (sign * 1j * d1[spec.j] - 2 * s * x[:, spec.j - 1] * f0)
+    elif kind == "omega":
+        out = rho2 * (4 * s * d1[0] + 4 * s**2 * rho2 * f0 + lap)
+    elif kind == "sl2":
         alpha, beta, gamma = spec.sl2_coeffs
         r = -n / 2
-        euler = np.zeros_like(f0)
-        for j in range(n):
-            euler += x[:, j] * fd_first(f, P, 1 + j, h[:, 1 + j])
-        dt = fd_first(f, P, 0, h[:, 0])
+        euler = sum(x[:, j - 1] * d1[j] for j in space)
         out = (
             (gamma * t - alpha) * euler
-            + (gamma * t**2 - 2 * alpha * t - beta) * dt
+            + (gamma * t**2 - 2 * alpha * t - beta) * d1[0]
             + (r * alpha - gamma * s * rho2 - r * gamma * t) * f0
         )
-    elif spec.kind == "heisenberg":
-        u, v, w = spec.heis_coeffs
+    elif kind == "heisenberg":
         out = s * (w - 2 * (np.asarray(v)[None, :] * x).sum(axis=1)) * f0
-        for j in range(n):
-            if u[j] != 0 or v[j] != 0:
-                dj = fd_first(f, P, 1 + j, h[:, 1 + j])
-                out += (-u[j] + t * v[j]) * dj
-    elif spec.kind == "pde":
-        guard = 10 * np.max(h[:, 1:], axis=1)
-        if np.any(np.sqrt(rho2) < guard):
-            raise SingularityError("point too close to x = 0 for the potential term")
-        lap = np.zeros_like(f0)
-        for j in range(n):
-            lap += fd_second(f, P, 1 + j, h[:, 1 + j])
-        dt = fd_first(f, P, 0, h[:, 0])
-        out = 4 * s * dt + lap - 2 * spec.lam / rho2 * f0
+        for ax, d in d1.items():
+            out += (-u[ax - 1] + t * v[ax - 1]) * d
     else:
-        raise ValueError(f"unknown operator kind {spec.kind!r}")
+        out = 4 * s * d1[0] + lap - 2 * spec.lam / rho2 * f0
     return out[0] if single else out
+
+
+def _fd_apply_and_f0(
+    spec: OperatorSpec, f: SpaceTimeFunction, P: np.ndarray, steps: np.ndarray, fd: FDConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fd_apply`` together with f at the rows of P, read off block 0 of its
+    one ``f.batch`` call."""
+    block0 = []
+
+    def batch(pts: np.ndarray) -> np.ndarray:
+        vals = f.batch(pts)
+        block0.append(vals[: P.shape[0]])
+        return vals
+
+    return fd_apply(spec, SpaceTimeFunction(f.n, batch), P, steps, fd), block0[0]
 
 
 def pde_residual_noncompact(
@@ -499,11 +526,11 @@ def recover_E_coefficients(
     P = np.asarray(points, dtype=float)
     spec = OperatorSpec.heisenberg_ladder(F.params, j, sign)
     steps = ktype_steps(F, P, "compact", fd)
-    rhs = fd_apply(spec, F.compact_function(tol), P, steps=steps, fd=fd)
+    rhs, f0 = _fd_apply_and_f0(spec, F.compact_function(tol), P, steps, fd)
     dirs = heisenberg_direction_vectors(F, j, sign)
     labels = [label for label, _ in dirs]
     A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:], tol) for _, vec in dirs], axis=1)
-    scale_f = max(1.0, float(np.max(np.abs(F.eval_compact(P[:, 0], P[:, 1:], tol)))))
+    scale_f = max(1.0, float(np.max(np.abs(f0))))
     if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
         # the operator annihilates F: the projection target is pure noise
         coeffs = np.zeros(len(dirs), dtype=complex)

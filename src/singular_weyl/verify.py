@@ -27,6 +27,7 @@ from .ktypes import make_ktype, periodicity_residual, to_noncompact
 from .operators import (
     GroupElement,
     OperatorSpec,
+    _fd_apply_and_f0,
     apply_eta,
     apply_kappa,
     eta_coefficient,
@@ -34,7 +35,6 @@ from .operators import (
     fd_first,
     group_parameter_derivative,
     ktype_steps,
-    pde_residual_noncompact,
     recover_E_coefficients,
 )
 from .polynomials import (
@@ -179,8 +179,9 @@ def sweep_pde_kernel(
     for F in lattice:
         f = to_noncompact(F, tol)
         steps = ktype_steps(F, P, "noncompact", fd)
-        res = pde_residual_noncompact(f, float(F.lam.value), params.s, P, steps=steps, fd=fd)
-        scale = np.maximum(1.0, np.abs(f.batch(P)))
+        spec = OperatorSpec.pde(params, float(F.lam.value))
+        res, f0 = _fd_apply_and_f0(spec, f, P, steps, fd)
+        scale = np.maximum(1.0, np.abs(f0))
         rel = float(np.max(np.abs(res) / scale))
         if rel > worst:
             worst, worst_index = rel, (F.m, F.l, F.k)

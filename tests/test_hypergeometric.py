@@ -137,3 +137,37 @@ def test_precise_agrees_with_double(rng):
         assert abs(hyp1f1_precise(a, b, z) - hyp1f1(a, b, z)) <= 1e-11 * max(
             1.0, abs(hyp1f1(a, b, z))
         )
+
+
+@pytest.mark.parametrize("order", [3, -1])
+@pytest.mark.parametrize("z", [0.3, -0.3])
+def test_derivative_order_out_of_range_raises_before_summing(order, z, monkeypatch):
+    # both branches (direct and Kummer) of both entry points, with the
+    # series replaced so that any summation would fail the test
+    from singular_weyl import hypergeometric
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("series summed before the order was checked")
+
+    monkeypatch.setattr(hypergeometric, "_series", no_sum)
+    monkeypatch.setattr(hypergeometric, "_series_precise", no_sum)
+    with pytest.raises(ValueError):
+        hyp1f1_with_derivatives(1.5, 2.5, z, order=order)
+    with pytest.raises(ValueError):
+        hyp1f1_with_derivatives(1.5, 2.5, np.array([z, -z]), order=order)
+    with pytest.raises(ValueError):
+        hyp1f1_precise(1.5, 2.5, z, derivatives=order)
+
+
+@pytest.mark.parametrize("z", [0.3, -0.3, 0.0])
+def test_derivative_orders_in_range(z):
+    full = hyp1f1_with_derivatives(1.5, 2.5, z, order=2)
+    full_precise = hyp1f1_precise(1.5, 2.5, z, derivatives=2)
+    assert len(full) == len(full_precise) == 3
+    for order in (0, 1):
+        # the stopping rule reads only the value sum, so lower orders are
+        # exact prefixes of order 2
+        assert hyp1f1_with_derivatives(1.5, 2.5, z, order=order) == full[: order + 1]
+    assert hyp1f1_precise(1.5, 2.5, z, derivatives=1) == full_precise[:2]
+    assert hyp1f1_precise(1.5, 2.5, z) == full_precise[0]
+    assert hyp1f1_with_derivatives(1.5, 2.5, z, order=0)[0] == hyp1f1(1.5, 2.5, z)

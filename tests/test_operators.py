@@ -25,6 +25,7 @@ from singular_weyl.operators import (
     SingularityError,
     eta_coefficient,
     fd_first,
+    fd_second,
     ktype_steps,
     printed_E_coefficients,
     shipped_E_coefficients,
@@ -422,8 +423,144 @@ class TestFdInfrastructure:
         d_x = fd_first(g, P, 1, 1e-3)
         assert np.allclose(d_x, -0.4 * g.batch(P), rtol=1e-10)
 
+    def test_second_derivative_of_exponential(self):
+        g = SpaceTimeFunction(
+            1, lambda pts: np.exp(1.3j * pts[:, 0] - 0.4 * pts[:, 1])
+        )
+        P = np.array([[0.3, 0.7], [-0.5, 1.1]])
+        # at h = 1e-3 roundoff (eps/h^2) alone is ~1e-9; at 3e-2 the errors
+        # are 1.5e-12 along t and 6.5e-12 along x
+        d_tt = fd_second(g, P, 0, 3e-2)
+        np.testing.assert_allclose(d_tt, (1.3j) ** 2 * g.batch(P), rtol=1e-10, atol=0)
+        d_xx = fd_second(g, P, 1, 3e-2)
+        np.testing.assert_allclose(d_xx, 0.16 * g.batch(P), rtol=1e-10, atol=0)
+
     def test_kind_specific_arity(self, params3):
         with pytest.raises(ValueError):
             OperatorSpec.heisenberg_ladder(params3, 5, 1)
         with pytest.raises(ValueError):
             OperatorSpec.heisenberg(params3, [1, 2], [1, 2, 3], 0)
+
+
+def _quadratic_exponential(n):
+    """exp of a complex quadratic in (t, x): each row is evaluated on its own,
+    so its values do not depend on the batch it is part of."""
+    c = np.linspace(0.2, 0.9, 2 + 2 * n)
+
+    def batch(pts):
+        t, x = pts[:, 0], pts[:, 1:]
+        quad = (
+            c[0] * 1j * t - c[1] * t**2 + 0.3j * t * x[:, 0]
+            + x @ (c[2 : 2 + n] - 0.5j) - (x**2) @ (c[2 + n :] + 0.1j)
+        )
+        return np.exp(quad)
+
+    return SpaceTimeFunction(n, batch)
+
+
+def _composed_fd_apply(spec, f, P, h):
+    """fd_apply written, as before the single batch, as per-axis fd_first and
+    fd_second calls; the arithmetic is the same operation for operation."""
+    n, s, kind = spec.n, spec.s, spec.kind
+    t, x = P[:, 0], P[:, 1:]
+    rho2 = (x**2).sum(axis=1)
+    f0 = f.batch(P)
+
+    def d1(ax):
+        return fd_first(f, P, ax, h[:, ax])
+
+    def euler():
+        out = np.zeros_like(f0)
+        for j in range(n):
+            out += x[:, j] * d1(1 + j)
+        return out
+
+    def lap():
+        out = np.zeros_like(f0)
+        for j in range(n):
+            out += fd_second(f, P, 1 + j, h[:, 1 + j])
+        return out
+
+    if kind == "kappa":
+        return 1j * d1(0)
+    if kind in ("eta_plus", "eta_minus"):
+        sign = 1 if kind == "eta_plus" else -1
+        e = euler()
+        return 0.5 * np.exp(-sign * 2j * t) * (
+            -e - sign * 1j * d1(0) - (n / 2 + sign * 2j * s * rho2) * f0
+        )
+    if kind in ("e_plus", "e_minus"):
+        sign = 1 if kind == "e_plus" else -1
+        return np.exp(-sign * 1j * t) * (sign * 1j * d1(spec.j) - 2 * s * x[:, spec.j - 1] * f0)
+    if kind == "omega":
+        lp = lap()
+        return rho2 * (4 * s * d1(0) + 4 * s**2 * rho2 * f0 + lp)
+    if kind == "sl2":
+        alpha, beta, gamma = spec.sl2_coeffs
+        r = -n / 2
+        e = euler()
+        return (
+            (gamma * t - alpha) * e
+            + (gamma * t**2 - 2 * alpha * t - beta) * d1(0)
+            + (r * alpha - gamma * s * rho2 - r * gamma * t) * f0
+        )
+    if kind == "heisenberg":
+        u, v, w = spec.heis_coeffs
+        out = s * (w - 2 * (np.asarray(v)[None, :] * x).sum(axis=1)) * f0
+        for j in range(n):
+            if u[j] != 0 or v[j] != 0:
+                out += (-u[j] + t * v[j]) * d1(1 + j)
+        return out
+    assert kind == "pde"
+    lp = lap()
+    return 4 * s * d1(0) + lp - 2 * spec.lam / rho2 * f0
+
+
+class TestFdSingleBatch:
+    """fd_apply evaluates f once per application: P, then one block of six
+    displaced copies of P per differentiated axis."""
+
+    N = 10
+
+    @pytest.fixture
+    def setup(self, rng):
+        params = ParameterSet(n=3, q=1, s=0.5j)
+        P = noncompact_points(3, rng, self.N)
+        h = 2e-3 * (1 + np.abs(P))
+        # (spec, number of differentiated axes)
+        specs = [
+            (OperatorSpec.kappa(params), 1),
+            (OperatorSpec.eta(params, +1), 4),
+            (OperatorSpec.eta(params, -1), 4),
+            (OperatorSpec.heisenberg_ladder(params, 2, +1), 1),
+            (OperatorSpec.heisenberg_ladder(params, 3, -1), 1),
+            (OperatorSpec.omega(params), 4),
+            (OperatorSpec.sl2(params, 0.3, -0.7j, 1.1), 4),
+            # u_2 = v_2 = 0: axis 2 is not differentiated
+            (OperatorSpec.heisenberg(params, [0.4, 0, -0.3], [0, 0, 0.5], 0.8), 2),
+            (OperatorSpec.heisenberg(params, [0, 0, 0], [0, 0, 0], 1.0), 0),
+            (OperatorSpec.pde(params, 7.0), 4),
+        ]
+        return _quadratic_exponential(3), P, h, specs
+
+    def test_one_batch_call_per_application(self, setup):
+        f, P, h, specs = setup
+        assert {spec.kind for spec, _ in specs} == {
+            "kappa", "eta_plus", "eta_minus", "e_plus", "e_minus",
+            "omega", "sl2", "heisenberg", "pde",
+        }
+        for spec, axes in specs:
+            rows = []
+
+            def batch(pts, rows=rows):
+                rows.append(pts.shape[0])
+                return f.batch(pts)
+
+            fd_apply(spec, SpaceTimeFunction(f.n, batch), P, steps=h)
+            assert rows == [(1 + 6 * axes) * self.N], spec.kind
+
+    def test_matches_per_axis_composition(self, setup):
+        f, P, h, specs = setup
+        for spec, _ in specs:
+            expected = _composed_fd_apply(spec, f, P, h)
+            assert np.array_equal(fd_apply(spec, f, P, steps=h), expected), spec.kind
