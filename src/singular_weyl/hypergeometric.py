@@ -3,8 +3,15 @@
 Evaluation is by direct power series with term-ratio stopping.  For
 Re(z) < 0 the series suffers cancellation, so Kummer's transformation
 1F1(a,b,z) = e^z 1F1(b-a,b,-z) routes every evaluation through a
-non-cancelling sum.  Desk-scale arguments only (|z| = 2|s|rho^2 stays
-small); there is no asymptotic regime and no second-kind function.
+non-cancelling sum.  One series kernel serves two precisions: ``hyp1f1``
+sums in complex128 and ``hyp1f1_precise`` in extended precision
+(``numpy.clongdouble``).  Both take a, b and z that broadcast.
+
+Desk-scale arguments only (|z| = 2|s|rho^2 stays small); there is no
+asymptotic regime and no second-kind function.  Results at large |Im z| are
+not certified: at a = 2.25, b = 3.5 the relative error of ``hyp1f1`` against
+a 30-digit reference is 1.2e-9 at z = 20i, 1.5e-6 at z = -5+30i and 3.7 at
+z = 40i, and each value is returned without an error.
 
 The contiguous-relation residuals used as numeric identities are collected
 in ``contiguous_residual``.  Two of them required correction against the
@@ -25,11 +32,21 @@ class SeriesError(ArithmeticError):
     """The power series failed to converge within the term budget."""
 
 
-def _bad_denominator(b: complex) -> bool:
-    b = complex(b)
-    if b.imag != 0:
-        return False
-    return b.real <= 0 and b.real == int(b.real)
+def _param(x):
+    """A scalar parameter as Python complex, an array one as complex128."""
+    if isinstance(x, (int, float, complex)) or np.ndim(x) == 0:
+        return complex(x)
+    return np.asarray(x, dtype=np.complex128)
+
+
+def _check_b(b) -> None:
+    """1F1 is undefined when b is a non-positive integer."""
+    b = _param(b)
+    bad = (b.imag == 0) & (b.real <= 0) & (b.real % 1 == 0)
+    if np.any(bad):
+        raise ValueError(
+            f"b = {complex(np.asarray(b)[bad][0])} is a non-positive integer; 1F1 undefined"
+        )
 
 
 def pochhammer(a, j: int):
@@ -45,15 +62,29 @@ def pochhammer(a, j: int):
     return out
 
 
-def _series(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives: int):
-    """Raw Taylor sum of 1F1 and its first ``derivatives`` z-derivatives.
+# The contiguous-relation certificates need residuals at 1e-10 of the largest
+# term.  In double precision the series roundoff is eps * (largest partial
+# term), and for |a|, |b| <= 20, |z| <= 10 the term/result amplification can
+# reach ~1e6, which eats the budget.  Summing in 80-bit longdouble keeps the
+# certificates honest on x86.
 
-    Stops when three consecutive terms fall below series_rtol * |partial sum|
-    for every entry of z.  Caller handles the Re(z) < 0 transformation.
+_LD_STOP = float(np.finfo(np.longdouble).eps) * 8
+
+
+def _series(a, b, z: np.ndarray, tol: Tolerances, derivatives: int):
+    """Raw Taylor sums of 1F1 and its first ``derivatives`` z-derivatives.
+
+    a, b and z broadcast, and z's dtype is the working precision: complex128
+    stops at ``tol.series_rtol``, clongdouble at ``_LD_STOP``.  The sums stop
+    when three consecutive terms fall below that threshold times |partial
+    sum| for every entry.  Caller handles the Re(z) < 0 transformation.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    term = np.ones_like(z)
-    sums = [np.ones_like(z)] + [np.zeros_like(z) for _ in range(derivatives)]
+    if z.dtype == np.complex128:
+        stop = tol.series_rtol
+    else:
+        a, b, stop = np.asarray(a, z.dtype), np.asarray(b, z.dtype), _LD_STOP
+    term = np.ones(np.broadcast(a, b, z).shape, z.dtype)
+    sums = [term] + [np.zeros_like(term) for _ in range(derivatives)]
     quiet = 0
     for j in range(1, tol.series_max_terms + 1):
         term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
@@ -66,7 +97,7 @@ def _series(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives:
                 break
             with np.errstate(divide="ignore", invalid="ignore"):
                 sums[p] = sums[p] + np.where(z != 0, fac * term / z**p, 0.0)
-        if np.all(np.abs(term) <= tol.series_rtol * (np.abs(sums[0]) + 1e-300)):
+        if np.all(np.abs(term) <= stop * (np.abs(sums[0]) + 1e-300)):
             quiet += 1
             if quiet >= 3:
                 break
@@ -79,11 +110,10 @@ def _series(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives:
         )
     # derivative sums above miss the z = 0 entries; fix them exactly
     if derivatives >= 1 and np.any(z == 0):
-        at0 = z == 0
-        coef = 1.0 + 0j
+        coef = 1
         for p in range(1, derivatives + 1):
             coef = coef * (a + (p - 1)) / (b + (p - 1))
-            sums[p] = np.where(at0, coef, sums[p])
+            sums[p] = np.where(z == 0, coef, sums[p])
     return sums
 
 
@@ -93,129 +123,77 @@ def _check_order(order: int) -> None:
         raise ValueError(f"derivative order {order} is outside 0..2")
 
 
-def _eval(a: complex, b: complex, z: np.ndarray, tol: Tolerances, derivatives: int = 0):
-    """1F1 (and z-derivatives) with the Kummer transform on Re(z) < 0."""
-    if _bad_denominator(b):
-        raise ValueError(f"b = {b} is a non-positive integer; 1F1 undefined")
-    z = np.asarray(z, dtype=np.complex128)
+def _eval(a, b, z, dtype, tol: Tolerances, derivatives: int = 0):
+    """1F1 (and z-derivatives) in the precision ``dtype``, with the Kummer
+    transform on Re(z) < 0.
+
+    Scalar a and b stay Python complex, so the float path sums exactly as a
+    scalar-parameter series; b - a is formed in complex128 in both
+    precisions.  Returns a tuple of complex128 arrays, or of complex values
+    when a, b and z are all scalars.
+    """
+    _check_order(derivatives)
+    a, b, z = _param(a), _param(b), np.asarray(z, dtype)
+    _check_b(b)
+    shape = np.broadcast(a, b, z).shape
+    a, b = (np.broadcast_to(x, shape).ravel() if isinstance(x, np.ndarray) else x for x in (a, b))
+    z = (z if z.shape == shape else np.broadcast_to(z, shape)).reshape(-1)
     out = [np.empty_like(z) for _ in range(derivatives + 1)]
     neg = z.real < 0
+
+    def take(x, mask):
+        return x[mask] if isinstance(x, np.ndarray) else x
+
     if np.any(~neg):
-        sums = _series(a, b, z[~neg], tol, derivatives)
+        sums = _series(take(a, ~neg), take(b, ~neg), z[~neg], tol, derivatives)
         for p in range(derivatives + 1):
             out[p][~neg] = sums[p]
     if np.any(neg):
-        w = -z[neg]
-        sums = _series(b - a, b, w, tol, derivatives)
-        ez = np.exp(-w)
+        a_neg, b_neg = take(a, neg), take(b, neg)
+        sums = _series(b_neg - a_neg, b_neg, -z[neg], tol, derivatives)
+        ez = np.exp(z[neg])
         # F(z) = e^z G(-z): differentiate the product termwise
         out[0][neg] = ez * sums[0]
         if derivatives >= 1:
             out[1][neg] = ez * (sums[0] - sums[1])
         if derivatives >= 2:
             out[2][neg] = ez * (sums[0] - 2 * sums[1] + sums[2])
-    return out
+    if not shape:
+        return tuple(complex(v[0]) for v in out)
+    return tuple(v.astype(np.complex128, copy=False).reshape(shape) for v in out)
 
 
 def hyp1f1(a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
-    """1F1(a, b, z) for complex parameters and argument.
+    """1F1(a, b, z) for complex parameters and argument, summed in complex128.
 
-    ``z`` may be a scalar or an ndarray.  Raises ValueError when b is a
-    non-positive integer and SeriesError when the term budget is exhausted.
+    a, b and z may be scalars or ndarrays that broadcast; the result is a
+    complex for all-scalar input and a complex128 array otherwise.  Raises
+    ValueError when b is a non-positive integer and SeriesError when the
+    term budget is exhausted.  Not certified at large |Im z| (see the module
+    docstring for measured errors).
     """
-    z_arr = np.asarray(z, dtype=np.complex128)
-    scalar = z_arr.ndim == 0
-    result = _eval(complex(a), complex(b), z_arr.reshape(-1), tol, 0)[0]
-    return complex(result[0]) if scalar else result.reshape(z_arr.shape)
-
-
-def hyp1f1_with_derivatives(a, b, z, order: int = 2, tol: Tolerances = DEFAULT_TOLERANCES):
-    """(F, F', ..., F^(order)) by termwise differentiation of the series.
-
-    Independent of the contiguous shift formula, so it can sit on the
-    oracle side of identity checks.  ``order`` is 0, 1 or 2.
-    """
-    _check_order(order)
-    z_arr = np.asarray(z, dtype=np.complex128)
-    scalar = z_arr.ndim == 0
-    sums = _eval(complex(a), complex(b), z_arr.reshape(-1), tol, order)
-    if scalar:
-        return tuple(complex(s[0]) for s in sums)
-    return tuple(s.reshape(z_arr.shape) for s in sums)
+    return _eval(a, b, z, np.complex128, tol)[0]
 
 
 def hyp1f1_derivative(a, b, z, order: int = 1, tol: Tolerances = DEFAULT_TOLERANCES):
     """d^order/dz^order 1F1(a,b,z) = (a)_order/(b)_order 1F1(a+order, b+order, z)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if _bad_denominator(complex(b) + order):
-        raise ValueError(f"b + order = {complex(b) + order} is a non-positive integer")
+    # a valid b keeps (b)_order nonzero and b + order valid
+    _check_b(b)
     factor = pochhammer(complex(a), order) / pochhammer(complex(b), order)
     return factor * hyp1f1(complex(a) + order, complex(b) + order, z, tol)
 
 
-# -- extended-precision scalar path ------------------------------------------
-#
-# The contiguous-relation certificates need residuals at 1e-10 of the largest
-# term.  In double precision the series roundoff is eps * (largest partial
-# term), and for |a|, |b| <= 20, |z| <= 10 the term/result amplification can
-# reach ~1e6, which eats the budget.  Summing in 80-bit longdouble keeps the
-# certificates honest on x86; the stopping rule is unchanged.
-
-_LD_STOP = float(np.finfo(np.longdouble).eps) * 8
-
-
-def _series_precise(a, b, z, derivatives: int, max_terms: int):
-    a = np.clongdouble(a)
-    b = np.clongdouble(b)
-    z = np.clongdouble(z)
-    term = np.clongdouble(1.0)
-    sums = [np.clongdouble(1.0)] + [np.clongdouble(0.0) for _ in range(derivatives)]
-    quiet = 0
-    for j in range(1, max_terms + 1):
-        term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
-        sums[0] = sums[0] + term
-        fac = 1.0
-        for p in range(1, derivatives + 1):
-            fac *= j - p + 1
-            if fac <= 0:
-                break
-            if z != 0:
-                sums[p] = sums[p] + fac * term / z**p
-        if abs(term) <= _LD_STOP * (abs(sums[0]) + 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise SeriesError(f"extended-precision 1F1 series did not converge (a={a}, b={b}, z={z})")
-    if derivatives >= 1 and z == 0:
-        coef = np.clongdouble(1.0)
-        for p in range(1, derivatives + 1):
-            coef = coef * (a + (p - 1)) / (b + (p - 1))
-            sums[p] = coef
-    return sums
-
-
 def hyp1f1_precise(a, b, z, derivatives: int = 0, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Scalar 1F1 (and z-derivatives, ``derivatives`` 0..2) summed in
-    extended precision."""
-    _check_order(derivatives)
-    if _bad_denominator(complex(b)):
-        raise ValueError(f"b = {b} is a non-positive integer; 1F1 undefined")
-    a, b, z = complex(a), complex(b), complex(z)
-    if z.real < 0:
-        sums = _series_precise(b - a, b, -z, derivatives, tol.series_max_terms)
-        ez = np.exp(np.clongdouble(z))
-        out = [ez * sums[0]]
-        if derivatives >= 1:
-            out.append(ez * (sums[0] - sums[1]))
-        if derivatives >= 2:
-            out.append(ez * (sums[0] - 2 * sums[1] + sums[2]))
-    else:
-        out = _series_precise(a, b, z, derivatives, tol.series_max_terms)
-    values = tuple(complex(v) for v in out)
+    """1F1 (and z-derivatives, ``derivatives`` 0..2) summed in extended
+    precision and rounded to complex128.
+
+    a, b and z broadcast like ``hyp1f1``; scalar input gives complex values.
+    The derivatives are termwise sums, independent of the contiguous shift
+    formula, so they can sit on the oracle side of identity checks.
+    """
+    values = _eval(a, b, z, np.clongdouble, tol, derivatives)
     return values[0] if derivatives == 0 else values
 
 
@@ -286,10 +264,12 @@ RELATIONS: dict[str, Callable] = {
 
 def contiguous_terms(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
     """The additive terms of the named relation, each 1F1 summed in extended
-    precision; they must sum to zero."""
+    precision; they must sum to zero.  a, b and z broadcast, and the terms
+    are taken elementwise as arrays of at least one dimension, so a scalar
+    sample gets the same arithmetic as the same sample inside a batch."""
     if relation not in RELATIONS:
         raise KeyError(f"unknown relation {relation!r}; choose from {sorted(RELATIONS)}")
-    a, b, z = complex(a), complex(b), complex(z)
+    a, b, z = (np.atleast_1d(np.asarray(x, dtype=np.complex128)) for x in (a, b, z))
 
     def F(aa, bb, zz, derivative=False):
         if derivative:
@@ -299,15 +279,19 @@ def contiguous_terms(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCE
     return RELATIONS[relation](F, a, b, z)
 
 
-def contiguous_residual(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+def contiguous_residual(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
     """LHS - RHS of the named contiguous relation, evaluated via the series."""
-    return complex(sum(contiguous_terms(relation, a, b, z, tol)))
+    return contiguous_residual_scaled(relation, a, b, z, tol)[0]
 
 
-def contiguous_residual_scaled(
-    relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[complex, float]:
-    """Residual together with the magnitude of the largest participating term."""
+def contiguous_residual_scaled(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Residual together with the magnitude of the largest participating term.
+
+    A (complex, float) pair for scalar input, a pair of arrays otherwise.
+    """
     terms = contiguous_terms(relation, a, b, z, tol)
-    scale = max(abs(complex(t)) for t in terms)
-    return complex(sum(terms)), max(scale, 1e-30)
+    res = sum(terms)
+    scale = np.maximum(np.abs(terms).max(axis=0), 1e-30)
+    if not np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(z)):
+        return complex(res[0]), float(scale[0])
+    return res, scale

@@ -99,13 +99,19 @@ def sweep_contiguous(
         if dist < 0.1:
             continue
         pts.append((a, b, z))
+    a, b, z = np.array(pts, dtype=np.complex128).reshape(-1, 3).T
     checks = []
     for name in RELATIONS:
-        worst = 0.0
-        for a, b, z in pts:
-            res, scale = contiguous_residual_scaled(name, a, b, z, tol)
-            worst = max(worst, abs(res) / scale)
-        checks.append(_check(f"contiguous/{name}", worst, tol.contiguous, points=len(pts)))
+        res, scale = contiguous_residual_scaled(name, a, b, z, tol)
+        ratio = np.abs(res) / scale
+        worst_point = None
+        if ratio.size:
+            i = int(np.argmax(ratio))
+            worst_point = [[float(v.real), float(v.imag)] for v in (a[i], b[i], z[i])]
+        checks.append(_check(
+            f"contiguous/{name}", float(ratio.max(initial=0.0)), tol.contiguous,
+            points=len(pts), worst_point=worst_point,
+        ))
     return checks
 
 

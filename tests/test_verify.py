@@ -1,6 +1,6 @@
 import pytest
 
-from singular_weyl import ParameterSet
+from singular_weyl import ParameterSet, contiguous_residual_scaled
 from singular_weyl.verify import (
     run_verification,
     sweep_contiguous,
@@ -35,6 +35,31 @@ def test_sweeps_standalone():
     assert all(c["status"] == "PASS" for c in sweep_harmonicity(3, 3))
     params = ParameterSet(n=1, q=1, s=0.5j)
     assert all(c["status"] == "PASS" for c in sweep_periodicity(params, lam_max=6, m_max=6))
+
+
+def test_contiguous_reports_worst_point():
+    checks = {c["check"]: c for c in sweep_contiguous(1000, 277865585)}
+    uno = checks["contiguous/Uno"]
+    assert uno["worst_point"] == [
+        [pytest.approx(13.221, abs=1e-3), pytest.approx(11.730, abs=1e-3)],
+        [pytest.approx(3.6407, abs=1e-4), pytest.approx(-7.2141, abs=1e-4)],
+        [pytest.approx(1.8384, abs=1e-4), pytest.approx(7.0289, abs=1e-4)],
+    ]
+    # one scalar call at each reported point reproduces the reported
+    # residual; the batch-wide stopping rule may move the last bits (U4 here)
+    for name, check in checks.items():
+        a, b, z = (complex(*p) for p in check["worst_point"])
+        res, scale = contiguous_residual_scaled(name.split("/")[1], a, b, z)
+        assert abs(res) / scale == pytest.approx(check["max_residual"], rel=1e-12)
+        if name == "contiguous/Uno":
+            assert abs(res) / scale == check["max_residual"]
+
+
+@pytest.mark.xfail(strict=True, reason="series cancellation: the largest term is 2.1e5 and "
+                   "the sum 1.3e-4, so extended precision keeps about ten digits")
+def test_contiguous_certificate_holds_on_a_hard_seed():
+    checks = sweep_contiguous(1000, 277865585)
+    assert all(c["status"] == "PASS" for c in checks), checks
 
 
 def test_heisenberg_sweep_reports_lowering_diff():
