@@ -59,10 +59,9 @@ def parse_complex(text: str) -> complex:
 
 
 def _resolve_s(args) -> complex:
-    if getattr(args, "s", None):
+    if args.s:
         return parse_complex(args.s)
-    preset = getattr(args, "preset", None) or "schrodinger"
-    return S_PRESETS[preset]
+    return S_PRESETS[args.preset or "schrodinger"]
 
 
 def _resolve_seed(args) -> int:
@@ -221,34 +220,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True):
+    def common(p, formats):
         p.add_argument("--n", type=int, required=True, help="spatial dimension")
-        if with_q:
-            p.add_argument("--q", type=int, default=0, help="character residue mod 4")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+
+    def parameters(p):
+        p.add_argument("--q", type=int, default=0, help="character residue mod 4")
         p.add_argument("--s", type=str, default=None, help="complex s, 're+imi' syntax")
         p.add_argument(
             "--preset", choices=sorted(S_PRESETS), default=None,
             help="s preset (schrodinger: i/2, heat: -1/4)",
         )
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--format", choices=("json", "csv", "dot", "text"), default="json")
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("admissible", help="admissible eigenvalues and pairs")
-    common(p, with_q=False)
+    common(p, ("json", "csv", "text"))
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=None)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("ktypes", help="serialize K-type basis vectors")
-    common(p)
+    common(p, ())
+    parameters(p)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=12)
     p.add_argument("--m-max", dest="m_max", type=int, default=12)
     p.set_defaults(func=cmd_ktypes)
 
     p = sub.add_parser("verify", help="run the invariant suite and emit a report")
-    common(p)
+    common(p, ())
+    parameters(p)
+    p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=30)
     p.add_argument("--m-max", dest="m_max", type=int, default=14)
     for name in ("pde-residual", "ladder-match", "contiguous", "periodicity", "group-match"):
@@ -258,12 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("structure", help="composition series and decomposition")
-    common(p)
+    common(p, ("json", "text"))
+    parameters(p)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("plot-data", help="figure data export (levels/lattice/heisenberg)")
-    common(p)
+    common(p, ("json", "dot"))
+    parameters(p)
     p.add_argument("--figure", choices=("levels", "lattice", "heisenberg"), required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=30)

@@ -21,7 +21,7 @@ from .admissibility import (
     radial_pairs,
     weight_residue,
 )
-from .operators import E_MOVES, shipped_E_coefficients
+from .operators import E_MOVES, eta_index_coefficient, shipped_E_coefficients
 from .ktypes import KTypeVector, make_ktype
 from .polynomials import harmonic_representative
 
@@ -277,7 +277,7 @@ def ladder_graph(
     for (m, l, k), node in sorted(nodes.items()):
         # eta ladder: m -> m +- 4 within the same (l, k)
         for sign in (+1, -1):
-            coeff = Fraction(-(sign * m + 4 * l + 2 * k + n), 4)
+            coeff = eta_index_coefficient(n, m, l, k, sign)
             if coeff == 0:
                 continue
             target = (m + 4 * sign, l, k)

@@ -27,12 +27,10 @@ from .ktypes import make_ktype, periodicity_residual, to_noncompact
 from .operators import (
     GroupElement,
     OperatorSpec,
-    _fd_apply_and_f0,
     apply_eta,
     apply_kappa,
     eta_coefficient,
     fd_apply,
-    fd_first,
     group_parameter_derivative,
     ktype_steps,
     recover_E_coefficients,
@@ -185,8 +183,8 @@ def sweep_pde_kernel(
     for F in lattice:
         f = to_noncompact(F, tol)
         steps = ktype_steps(F, P, "noncompact", fd)
-        spec = OperatorSpec.pde(params, float(F.lam.value))
-        res, f0 = _fd_apply_and_f0(spec, f, P, steps, fd)
+        specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(F.lam.value)))
+        f0, res = fd_apply(specs, f, P, steps, fd)
         scale = np.maximum(1.0, np.abs(f0))
         rel = float(np.max(np.abs(res) / scale))
         if rel > worst:
@@ -220,21 +218,19 @@ def sweep_ladder(
     P = sample_compact_points(params.n, points, rng)
     worst = 0.0
     kills_ok = True
+    specs = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
+    specs += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
     for F in lattice:
-        fc = F.compact_function(tol)
         steps = ktype_steps(F, P, "compact", fd)
-        scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:], tol)))
-        closed = apply_kappa(F).eval_compact(P[:, 0], P[:, 1:], tol)
-        oracle = fd_apply(OperatorSpec.kappa(params), fc, P, steps=steps, fd=fd)
-        worst = max(worst, float(np.max(np.abs(closed - oracle) / scale)))
-        boundary = 2 * F.k + 4 * F.l + params.n
-        for sign in (1, -1):
-            combo = apply_eta(F, sign)
+        f0, *oracles = fd_apply(specs, F.compact_function(tol), P, steps, fd)
+        scale = np.maximum(1.0, np.abs(f0))
+        combos = (apply_kappa(F), apply_eta(F, 1), apply_eta(F, -1))
+        for combo, oracle in zip(combos, oracles):
             closed = combo.eval_compact(P[:, 0], P[:, 1:], tol)
-            oracle = fd_apply(OperatorSpec.eta(params, sign), fc, P, steps=steps, fd=fd)
             worst = max(worst, float(np.max(np.abs(closed - oracle) / scale)))
+        for sign, combo in zip((1, -1), combos[1:]):
             killed = eta_coefficient(F, sign) == 0
-            at_boundary = F.m == -sign * boundary
+            at_boundary = F.is_highest_weight if sign > 0 else F.is_lowest_weight
             if killed != at_boundary or killed != combo.is_empty():
                 kills_ok = False
     return [
@@ -278,19 +274,15 @@ def sweep_heisenberg(
                     shift_ok = False
             elif shift != 0 and abs(shift) != 2 * F.l:
                 shift_ok = False
-        for j in range(1, params.n + 1):
-            for sign in (1, -1):
-                rec = recover_E_coefficients(F, j, sign, P, tol, fd)
-                recoveries += 1
-                worst_lsq = max(worst_lsq, rec.lsq_residual)
-                worst_rational = max(
-                    worst_rational, max(rec.rational_errors.values(), default=0.0)
-                )
-                if not rec.matches_shipped:
-                    shipped_ok = False
-                    details.append(rec.to_json())
-                if not rec.matches_printed:
-                    printed_diffs += 1
+        for rec in recover_E_coefficients(F, P, tol, fd).values():
+            recoveries += 1
+            worst_lsq = max(worst_lsq, rec.lsq_residual)
+            worst_rational = max(worst_rational, max(rec.rational_errors.values(), default=0.0))
+            if not rec.matches_shipped:
+                shipped_ok = False
+                details.append(rec.to_json())
+            if not rec.matches_printed:
+                printed_diffs += 1
     checks = [
         _check(
             "operators/heisenberg-lsq", worst_lsq, tol.lsq_residual,
@@ -339,32 +331,31 @@ def sweep_group_algebra(
     f = to_noncompact(F, tol)
     P = sample_noncompact_points(n, points, rng)
     steps = ktype_steps(F, P, "noncompact", fd)
-    scale = np.maximum(1.0, np.abs(f.batch(P)))
-    worst = 0.0
 
-    sl2_families = [
-        ("h", GroupElement.sl2_diag, (1, 0, 0)),
-        ("e+", GroupElement.sl2_upper, (0, 1, 0)),
-        ("e-", GroupElement.sl2_lower, (0, 0, 1)),
+    zero = np.zeros(n)
+    heis = [(u, zero, 0.0) for u in np.eye(n)] + [(zero, v, 0.0) for v in np.eye(n)]
+    flows = [
+        (GroupElement.sl2_diag, OperatorSpec.sl2(params, 1, 0, 0)),
+        (GroupElement.sl2_upper, OperatorSpec.sl2(params, 0, 1, 0)),
+        (GroupElement.sl2_lower, OperatorSpec.sl2(params, 0, 0, 1)),
+    ] + [
+        (
+            lambda tau, _u=u, _v=v, _w=w: GroupElement.heisenberg(tau * _u, tau * _v, tau * _w),
+            OperatorSpec.heisenberg(params, u, v, w),
+        )
+        for u, v, w in heis + [(zero, zero, 1.0)]
     ]
-    for name, family, (al, be, ga) in sl2_families:
+    specs = [OperatorSpec.identity(params)] + [spec for _, spec in flows]
+    f0, *algebra = fd_apply(specs, f, P, steps, fd)
+    scale = np.maximum(1.0, np.abs(f0))
+    worst = 0.0
+    for (family, _), alg in zip(flows, algebra):
         flow = group_parameter_derivative(family, f, P, params.s, fd=fd)
-        alg = fd_apply(OperatorSpec.sl2(params, al, be, ga), f, P, steps=steps, fd=fd)
         worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
-    basis = np.eye(n)
-    heis_families = []
-    for i in range(n):
-        heis_families.append((basis[i], np.zeros(n), 0.0))
-        heis_families.append((np.zeros(n), basis[i], 0.0))
-    heis_families.append((np.zeros(n), np.zeros(n), 1.0))
-    for u, v, w in heis_families:
-        family = lambda tau, _u=u, _v=v, _w=w: GroupElement.heisenberg(tau * _u, tau * _v, tau * _w)
-        flow = group_parameter_derivative(family, f, P, params.s, fd=fd)
-        alg = fd_apply(OperatorSpec.heisenberg(params, u, v, w), f, P, steps=steps, fd=fd)
-        worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
-
-    # O(n) rotations: derivative of f(t, R(-tau) x) is (x_b d_a - x_a d_b) f
+    # O(n) rotations: derivative of f(t, R(-tau) x) is (x_b d_a - x_a d_b) f,
+    # and the Heisenberg row with u = e_a is -d_a f
+    minus_d = algebra[3 : 3 + n]
     for a_ax in range(n):
         for b_ax in range(a_ax + 1, n):
             def rot(tau, _a=a_ax, _b=b_ax):
@@ -375,10 +366,7 @@ def sweep_group_algebra(
                 return GroupElement.orthogonal(R)
 
             flow = group_parameter_derivative(rot, f, P, params.s, fd=fd)
-            alg = (
-                P[:, 1 + b_ax] * fd_first(f, P, 1 + a_ax, steps[:, 1 + a_ax])
-                - P[:, 1 + a_ax] * fd_first(f, P, 1 + b_ax, steps[:, 1 + b_ax])
-            )
+            alg = P[:, 1 + a_ax] * minus_d[b_ax] - P[:, 1 + b_ax] * minus_d[a_ax]
             worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
     return [_check("operators/group-vs-algebra", worst, tol.group_match, points=points)]

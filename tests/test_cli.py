@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,49 @@ class TestPlotDataCommand:
         assert out.returncode == 0, out.stderr
         data = json.loads(out.stdout)
         assert any(n["l"] == 0 and n["k"] == 0 for n in data["nodes"])
+
+
+class TestOptionsOnlyWhereRead:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ktypes", "--n", "3", "--seed", "1"),
+            ("verify", "--n", "2", "--format", "csv"),
+            ("admissible", "--n", "3", "--lambda", "75", "--s", "0+0.5i"),
+            ("admissible", "--n", "3", "--lambda", "75", "--format", "dot"),
+            ("structure", "--n", "3", "--q", "3", "--format", "csv"),
+            ("plot-data", "--figure", "lattice", "--n", "3", "--format", "text"),
+        ],
+    )
+    def test_unread_option_or_format_exit_2(self, args):
+        out = run_cli(*args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenReports:
+    """``verify`` stdout against reports written by an earlier version.
+
+    A change that keeps every residual keeps these bytes.  The residuals are
+    floating-point results, so the last bits can differ on another CPU,
+    numpy build or BLAS; on such a host regenerate the files from a trusted
+    commit before comparing.
+    """
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("verify_n2_q0_schrodinger.json", ("--n", "2", "--q", "0", "--preset", "schrodinger")),
+            ("verify_n3_q2_heat.json", ("--n", "3", "--q", "2", "--preset", "heat")),
+        ],
+    )
+    def test_stdout_matches_golden(self, name, args):
+        out = run_cli("verify", *args, "--lambda-max", "6", "--m-max", "4", "--seed", "99")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.encode() == (GOLDEN / name).read_bytes()
 
 
 class TestDeterminism:

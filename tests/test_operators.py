@@ -23,9 +23,8 @@ from singular_weyl import (
 from singular_weyl.ktypes import SpaceTimeFunction
 from singular_weyl.operators import (
     SingularityError,
+    _partials,
     eta_coefficient,
-    fd_first,
-    fd_second,
     ktype_steps,
     printed_E_coefficients,
     shipped_E_coefficients,
@@ -205,6 +204,7 @@ class TestApplyE:
         P = compact_points(2, rng)
         steps = ktype_steps(F, P, "compact")
         fc = F.compact_function()
+        recs = recover_E_coefficients(F, P)
         for sign in (1, -1):
             lc = apply_E(F, 1, sign)
             expect = -params.s * (sign * 4 + 2)
@@ -219,7 +219,7 @@ class TestApplyE:
             )
             scale = np.maximum(1, np.abs(F.eval_compact(P[:, 0], P[:, 1:])))
             assert np.max(np.abs(closed - oracle) / scale) <= 1e-8
-            rec = recover_E_coefficients(F, 1, sign, P)
+            rec = recs[1, sign]
             assert rec.lsq_residual <= 1e-8 and rec.matches_shipped
 
     def test_negative_k_not_supported(self):
@@ -240,7 +240,10 @@ class TestERecovery:
         params = ParameterSet(n=3, q=1, s=0.5j)
         F = make_ktype(params, 3, 1, 1, harmonic_representative(3, 1))
         P = compact_points(3, rng, 40)
-        rec = recover_E_coefficients(F, 1, -1, P)
+        recs = recover_E_coefficients(F, P)
+        assert list(recs) == [(1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)]
+        rec = recs[1, -1]
+        assert (rec.j, rec.sign) == (1, -1)
         assert rec.lsq_residual <= 1e-8
         assert rec.matches_shipped
         assert not rec.matches_printed
@@ -249,15 +252,16 @@ class TestERecovery:
         params = ParameterSet(n=3, q=1, s=0.5j)
         F = make_ktype(params, 3, 1, 1, harmonic_representative(3, 1))
         P = compact_points(3, rng, 40)
-        rec = recover_E_coefficients(F, 1, +1, P)
+        rec = recover_E_coefficients(F, P)[1, +1]
         assert rec.matches_shipped and rec.matches_printed
 
     def test_rational_recovery_with_bounded_denominator(self, rng):
         params = ParameterSet(n=4, q=0, s=-0.25)
         F = make_ktype(params, 2, 1, 1, harmonic_representative(4, 1))
         P = compact_points(4, rng, 40)
+        recs = recover_E_coefficients(F, P)
         for sign in (1, -1):
-            rec = recover_E_coefficients(F, 2, sign, P)
+            rec = recs[2, sign]
             table = shipped_E_coefficients(4, F.m, F.l, F.k, sign)
             for label, frac in rec.rationals.items():
                 assert frac == getattr(table, label)
@@ -378,6 +382,41 @@ class TestGroupAction:
         scale = np.maximum(1, np.abs(f.batch(P)))
         assert np.max(np.abs(flow - alg) / scale) <= 1e-5
 
+    @pytest.mark.parametrize("kind", ["sl2", "heisenberg", "orthogonal"])
+    def test_flow_derivative_is_one_batch(self, kind, rng):
+        # the six flows are evaluated in one f.batch call; the values equal
+        # six separate evaluations of g(tau) . f through the same Richardson
+        # formula (f is evaluated row by row, so batching cannot change it)
+        f = _quadratic_exponential(3)
+        P = noncompact_points(3, rng, 8)
+        u = np.array([0.4, 0.1, -0.3])
+        v = np.array([-0.2, 0.5, 0.3])
+        families = {
+            "sl2": GroupElement.sl2_lower,
+            "heisenberg": lambda tau: GroupElement.heisenberg(tau * u, tau * v, 0.8 * tau),
+            "orthogonal": lambda tau: GroupElement.orthogonal(
+                np.array([[np.cos(tau), -np.sin(tau), 0], [np.sin(tau), np.cos(tau), 0], [0, 0, 1]])
+            ),
+        }
+        family = families[kind]
+        calls = []
+
+        def batch(pts):
+            calls.append(pts.shape[0])
+            return f.batch(pts)
+
+        flow = group_parameter_derivative(family, SpaceTimeFunction(3, batch), P, 0.5j)
+        assert calls == [6 * len(P)]
+
+        h = 1e-3
+        m2, m1, p1, p2, m_half, p_half = (
+            group_action_noncompact(family(c * h), f, 0.5j).batch(P)
+            for c in (-2.0, -1.0, 1.0, 2.0, -0.5, 0.5)
+        )
+        d_h = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+        d_h2 = (m1 - 8 * m_half + 8 * p_half - p1) / (6 * h)
+        assert np.array_equal(flow, (16 * d_h2 - d_h) / 15)
+
     def test_heisenberg_flow_derivative(self, F311, params3, rng):
         f = to_noncompact(F311)
         P = noncompact_points(3, rng)
@@ -418,10 +457,9 @@ class TestFdInfrastructure:
             1, lambda pts: np.exp(1.3j * pts[:, 0] - 0.4 * pts[:, 1])
         )
         P = np.array([[0.3, 0.7], [-0.5, 1.1]])
-        d_t = fd_first(g, P, 0, 1e-3)
-        assert np.allclose(d_t, 1.3j * g.batch(P), rtol=1e-10)
-        d_x = fd_first(g, P, 1, 1e-3)
-        assert np.allclose(d_x, -0.4 * g.batch(P), rtol=1e-10)
+        _, d1, _ = _partials(g, P, np.full(P.shape, 1e-3), first=(0, 1))
+        assert np.allclose(d1[0], 1.3j * g.batch(P), rtol=1e-10)
+        assert np.allclose(d1[1], -0.4 * g.batch(P), rtol=1e-10)
 
     def test_second_derivative_of_exponential(self):
         g = SpaceTimeFunction(
@@ -430,10 +468,9 @@ class TestFdInfrastructure:
         P = np.array([[0.3, 0.7], [-0.5, 1.1]])
         # at h = 1e-3 roundoff (eps/h^2) alone is ~1e-9; at 3e-2 the errors
         # are 1.5e-12 along t and 6.5e-12 along x
-        d_tt = fd_second(g, P, 0, 3e-2)
-        np.testing.assert_allclose(d_tt, (1.3j) ** 2 * g.batch(P), rtol=1e-10, atol=0)
-        d_xx = fd_second(g, P, 1, 3e-2)
-        np.testing.assert_allclose(d_xx, 0.16 * g.batch(P), rtol=1e-10, atol=0)
+        _, _, d2 = _partials(g, P, np.full(P.shape, 3e-2), second=(0, 1))
+        np.testing.assert_allclose(d2[0], (1.3j) ** 2 * g.batch(P), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(d2[1], 0.16 * g.batch(P), rtol=1e-10, atol=0)
 
     def test_kind_specific_arity(self, params3):
         with pytest.raises(ValueError):
@@ -459,15 +496,15 @@ def _quadratic_exponential(n):
 
 
 def _composed_fd_apply(spec, f, P, h):
-    """fd_apply written, as before the single batch, as per-axis fd_first and
-    fd_second calls; the arithmetic is the same operation for operation."""
+    """fd_apply written, as before the single batch, as one stencil call per
+    partial; the arithmetic is the same operation for operation."""
     n, s, kind = spec.n, spec.s, spec.kind
     t, x = P[:, 0], P[:, 1:]
     rho2 = (x**2).sum(axis=1)
     f0 = f.batch(P)
 
     def d1(ax):
-        return fd_first(f, P, ax, h[:, ax])
+        return _partials(f, P, h, first=(ax,))[1][ax]
 
     def euler():
         out = np.zeros_like(f0)
@@ -478,9 +515,11 @@ def _composed_fd_apply(spec, f, P, h):
     def lap():
         out = np.zeros_like(f0)
         for j in range(n):
-            out += fd_second(f, P, 1 + j, h[:, 1 + j])
+            out += _partials(f, P, h, second=(1 + j,))[2][1 + j]
         return out
 
+    if kind == "identity":
+        return f0
     if kind == "kappa":
         return 1j * d1(0)
     if kind in ("eta_plus", "eta_minus"):
@@ -529,6 +568,7 @@ class TestFdSingleBatch:
         h = 2e-3 * (1 + np.abs(P))
         # (spec, number of differentiated axes)
         specs = [
+            (OperatorSpec.identity(params), 0),
             (OperatorSpec.kappa(params), 1),
             (OperatorSpec.eta(params, +1), 4),
             (OperatorSpec.eta(params, -1), 4),
@@ -546,10 +586,14 @@ class TestFdSingleBatch:
     def test_one_batch_call_per_application(self, setup):
         f, P, h, specs = setup
         assert {spec.kind for spec, _ in specs} == {
-            "kappa", "eta_plus", "eta_minus", "e_plus", "e_minus",
+            "identity", "kappa", "eta_plus", "eta_minus", "e_plus", "e_minus",
             "omega", "sl2", "heisenberg", "pde",
         }
-        for spec, axes in specs:
+        sequence = [spec for spec, _ in specs]
+        # the sequence differentiates t and the three x axes; an axis that one
+        # operator differentiates once and another twice (eta, sl2 against
+        # omega, pde) shares one block
+        for spec, axes in [*specs, (sequence, 4)]:
             rows = []
 
             def batch(pts, rows=rows):
@@ -557,7 +601,20 @@ class TestFdSingleBatch:
                 return f.batch(pts)
 
             fd_apply(spec, SpaceTimeFunction(f.n, batch), P, steps=h)
-            assert rows == [(1 + 6 * axes) * self.N], spec.kind
+            assert rows == [(1 + 6 * axes) * self.N], spec
+
+    def test_sequence_rows_match_per_spec_calls(self, setup):
+        f, P, h, specs = setup
+        sequence = [spec for spec, _ in specs]
+        table = fd_apply(sequence, f, P, steps=h)
+        assert table.shape == (len(sequence), self.N)
+        assert np.array_equal(table[0], f.batch(P))
+        for spec, row in zip(sequence, table):
+            assert np.array_equal(row, fd_apply(spec, f, P, steps=h)), spec.kind
+        # one point in, one value per operator out
+        single = fd_apply(sequence, f, P[3], steps=h[3])
+        assert single.shape == (len(sequence),)
+        assert np.array_equal(single, table[:, 3])
 
     def test_matches_per_axis_composition(self, setup):
         f, P, h, specs = setup
