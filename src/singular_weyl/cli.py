@@ -2,7 +2,8 @@
 
 Subcommands: admissible, ktypes, verify, structure, plot-data.
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
-3 I/O error.  SINGULAR_WEYL_SEED overrides --seed.
+3 I/O error.  SINGULAR_WEYL_SEED overrides --seed.  ``verify`` checks at the
+fixed bounds of ``config.DEFAULT_TOLERANCES``; no option changes them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .admissibility import (
     enumerate_admissible,
     is_admissible,
 )
-from .config import DEFAULT_TOLERANCES
 from .structure import (
     composition_series,
     decompose,
@@ -72,13 +72,13 @@ def _resolve_seed(args) -> int:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write text, ending in a newline, to path or (None or '-') stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _json(data) -> str:
@@ -89,23 +89,16 @@ def cmd_admissible(args) -> int:
     n = args.n
     if args.lam is not None:
         lam = args.lam
-        if not is_admissible(n, lam) or lam == 0:
-            if args.format == "json":
-                _emit(_json({"n": n, "lambda": lam, "admissible": False, "pairs": []}), args.output)
-            else:
-                _emit(f"lambda = {lam} is not admissible for n = {n}", args.output)
-            return 0
-        pairs = admissible_pairs(n, lam)
+        admissible = is_admissible(n, lam) and lam != 0
+        pairs = [list(p) for p in admissible_pairs(n, lam)] if admissible else []
         if args.format == "json":
-            _emit(
-                _json({"n": n, "lambda": lam, "admissible": True, "pairs": [list(p) for p in pairs]}),
-                args.output,
-            )
+            _emit(_json({"n": n, "lambda": lam, "admissible": admissible, "pairs": pairs}), args.output)
         elif args.format == "csv":
-            rows = ["l,k"] + [f"{l},{k}" for l, k in pairs]
-            _emit("\n".join(rows), args.output)
-        else:
+            _emit("\n".join(["l,k"] + [f"{l},{k}" for l, k in pairs]), args.output)
+        elif admissible:
             _emit("\n".join(f"({l}, {k})" for l, k in pairs), args.output)
+        else:
+            _emit(f"lambda = {lam} is not admissible for n = {n}", args.output)
         return 0
     lam_max = args.lam_max if args.lam_max is not None else 50
     values = [int(ev) for ev in enumerate_admissible(n, lam_max)]
@@ -135,21 +128,7 @@ def cmd_ktypes(args) -> int:
 
 def cmd_verify(args) -> int:
     params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
-    tol = DEFAULT_TOLERANCES
-    overrides = {}
-    for name in ("pde_residual", "ladder_match", "contiguous", "periodicity", "group_match"):
-        value = getattr(args, f"tol_{name}", None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        tol = tol.override(**overrides)
-    report = run_verification(
-        params,
-        lam_max=args.lam_max,
-        m_max=args.m_max,
-        seed=_resolve_seed(args),
-        tol=tol,
-    )
+    report = run_verification(params, args.lam_max, args.m_max, _resolve_seed(args))
     _emit(_json(report), args.output)
     if not report["ok"]:
         failures = [c["check"] for c in report["checks"] if c["status"] == "FAIL"]
@@ -254,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=30)
     p.add_argument("--m-max", dest="m_max", type=int, default=14)
-    for name in ("pde-residual", "ladder-match", "contiguous", "periodicity", "group-match"):
-        p.add_argument(
-            f"--tol-{name}", dest=f"tol_{name.replace('-', '_')}", type=float, default=None
-        )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("structure", help="composition series and decomposition")

@@ -4,8 +4,9 @@ Evaluation is by direct power series with term-ratio stopping.  For
 Re(z) < 0 the series suffers cancellation, so Kummer's transformation
 1F1(a,b,z) = e^z 1F1(b-a,b,-z) routes every evaluation through a
 non-cancelling sum.  One series kernel serves two precisions: ``hyp1f1``
-sums in complex128 and ``hyp1f1_precise`` in extended precision
-(``numpy.clongdouble``).  Both take a, b and z that broadcast.
+sums in complex128 to the fixed ``config.DEFAULT_TOLERANCES.series_rtol``
+and ``hyp1f1_precise`` in extended precision (``numpy.clongdouble``).  Both
+take a, b and z that broadcast.
 
 Desk-scale arguments only (|z| = 2|s|rho^2 stays small); there is no
 asymptotic regime and no second-kind function.  Results at large |Im z| are
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 
 
 class SeriesError(ArithmeticError):
@@ -71,7 +72,7 @@ def pochhammer(a, j: int):
 _LD_STOP = float(np.finfo(np.longdouble).eps) * 8
 
 
-def _series(a, b, z: np.ndarray, tol: Tolerances, derivatives: int):
+def _series(a, b, z: np.ndarray, derivatives: int):
     """Raw Taylor sums of 1F1 and its first ``derivatives`` z-derivatives.
 
     a, b and z broadcast, and z's dtype is the working precision: complex128
@@ -79,6 +80,7 @@ def _series(a, b, z: np.ndarray, tol: Tolerances, derivatives: int):
     when three consecutive terms fall below that threshold times |partial
     sum| for every entry.  Caller handles the Re(z) < 0 transformation.
     """
+    tol = DEFAULT_TOLERANCES
     if z.dtype == np.complex128:
         stop = tol.series_rtol
     else:
@@ -123,7 +125,7 @@ def _check_order(order: int) -> None:
         raise ValueError(f"derivative order {order} is outside 0..2")
 
 
-def _eval(a, b, z, dtype, tol: Tolerances, derivatives: int = 0):
+def _eval(a, b, z, dtype, derivatives: int = 0):
     """1F1 (and z-derivatives) in the precision ``dtype``, with the Kummer
     transform on Re(z) < 0.
 
@@ -145,12 +147,12 @@ def _eval(a, b, z, dtype, tol: Tolerances, derivatives: int = 0):
         return x[mask] if isinstance(x, np.ndarray) else x
 
     if np.any(~neg):
-        sums = _series(take(a, ~neg), take(b, ~neg), z[~neg], tol, derivatives)
+        sums = _series(take(a, ~neg), take(b, ~neg), z[~neg], derivatives)
         for p in range(derivatives + 1):
             out[p][~neg] = sums[p]
     if np.any(neg):
         a_neg, b_neg = take(a, neg), take(b, neg)
-        sums = _series(b_neg - a_neg, b_neg, -z[neg], tol, derivatives)
+        sums = _series(b_neg - a_neg, b_neg, -z[neg], derivatives)
         ez = np.exp(z[neg])
         # F(z) = e^z G(-z): differentiate the product termwise
         out[0][neg] = ez * sums[0]
@@ -163,7 +165,7 @@ def _eval(a, b, z, dtype, tol: Tolerances, derivatives: int = 0):
     return tuple(v.astype(np.complex128, copy=False).reshape(shape) for v in out)
 
 
-def hyp1f1(a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
+def hyp1f1(a, b, z):
     """1F1(a, b, z) for complex parameters and argument, summed in complex128.
 
     a, b and z may be scalars or ndarrays that broadcast; the result is a
@@ -172,20 +174,20 @@ def hyp1f1(a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
     term budget is exhausted.  Not certified at large |Im z| (see the module
     docstring for measured errors).
     """
-    return _eval(a, b, z, np.complex128, tol)[0]
+    return _eval(a, b, z, np.complex128)[0]
 
 
-def hyp1f1_derivative(a, b, z, order: int = 1, tol: Tolerances = DEFAULT_TOLERANCES):
+def hyp1f1_derivative(a, b, z, order: int = 1):
     """d^order/dz^order 1F1(a,b,z) = (a)_order/(b)_order 1F1(a+order, b+order, z)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     # a valid b keeps (b)_order nonzero and b + order valid
     _check_b(b)
     factor = pochhammer(complex(a), order) / pochhammer(complex(b), order)
-    return factor * hyp1f1(complex(a) + order, complex(b) + order, z, tol)
+    return factor * hyp1f1(complex(a) + order, complex(b) + order, z)
 
 
-def hyp1f1_precise(a, b, z, derivatives: int = 0, tol: Tolerances = DEFAULT_TOLERANCES):
+def hyp1f1_precise(a, b, z, derivatives: int = 0):
     """1F1 (and z-derivatives, ``derivatives`` 0..2) summed in extended
     precision and rounded to complex128.
 
@@ -193,7 +195,7 @@ def hyp1f1_precise(a, b, z, derivatives: int = 0, tol: Tolerances = DEFAULT_TOLE
     The derivatives are termwise sums, independent of the contiguous shift
     formula, so they can sit on the oracle side of identity checks.
     """
-    values = _eval(a, b, z, np.clongdouble, tol, derivatives)
+    values = _eval(a, b, z, np.clongdouble, derivatives)
     return values[0] if derivatives == 0 else values
 
 
@@ -262,7 +264,7 @@ RELATIONS: dict[str, Callable] = {
 }
 
 
-def contiguous_terms(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
+def contiguous_terms(relation: str, a, b, z):
     """The additive terms of the named relation, each 1F1 summed in extended
     precision; they must sum to zero.  a, b and z broadcast, and the terms
     are taken elementwise as arrays of at least one dimension, so a scalar
@@ -273,23 +275,23 @@ def contiguous_terms(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCE
 
     def F(aa, bb, zz, derivative=False):
         if derivative:
-            return hyp1f1_precise(aa, bb, zz, derivatives=1, tol=tol)[1]
-        return hyp1f1_precise(aa, bb, zz, tol=tol)
+            return hyp1f1_precise(aa, bb, zz, derivatives=1)[1]
+        return hyp1f1_precise(aa, bb, zz)
 
     return RELATIONS[relation](F, a, b, z)
 
 
-def contiguous_residual(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
+def contiguous_residual(relation: str, a, b, z):
     """LHS - RHS of the named contiguous relation, evaluated via the series."""
-    return contiguous_residual_scaled(relation, a, b, z, tol)[0]
+    return contiguous_residual_scaled(relation, a, b, z)[0]
 
 
-def contiguous_residual_scaled(relation: str, a, b, z, tol: Tolerances = DEFAULT_TOLERANCES):
+def contiguous_residual_scaled(relation: str, a, b, z):
     """Residual together with the magnitude of the largest participating term.
 
     A (complex, float) pair for scalar input, a pair of arrays otherwise.
     """
-    terms = contiguous_terms(relation, a, b, z, tol)
+    terms = contiguous_terms(relation, a, b, z)
     res = sum(terms)
     scale = np.maximum(np.abs(terms).max(axis=0), 1e-30)
     if not np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(z)):

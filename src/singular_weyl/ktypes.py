@@ -29,7 +29,6 @@ from .admissibility import (
     is_admissible,
     pair_eigenvalue,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .hypergeometric import hyp1f1
 from .polynomials import HarmonicPolynomial
 
@@ -105,7 +104,7 @@ class KTypeVector:
         """Signed-k circular harmonics (n = 2, k < 0) are index-level only."""
         return self.params.n == 2 and self.k < 0
 
-    def eval_compact(self, theta, y, tol: Tolerances = DEFAULT_TOLERANCES):
+    def eval_compact(self, theta, y):
         theta_arr = np.asarray(theta, dtype=float)
         y_arr = np.asarray(y, dtype=float)
         single = y_arr.ndim == 1
@@ -116,7 +115,7 @@ class KTypeVector:
             theta_arr = np.broadcast_to(theta_arr, (y_arr.shape[0],))
         s = self.params.s
         rho2 = (y_arr**2).sum(axis=1)
-        hyp = hyp1f1(float(self.a), float(self.b), 2j * s * rho2, tol)
+        hyp = hyp1f1(float(self.a), float(self.b), 2j * s * rho2)
         out = (
             np.exp(-0.5j * self.m * theta_arr)
             * np.exp(-1j * s * rho2)
@@ -126,16 +125,16 @@ class KTypeVector:
         )
         return complex(out[0]) if single else out
 
-    def compact_function(self, tol: Tolerances = DEFAULT_TOLERANCES) -> SpaceTimeFunction:
+    def compact_function(self) -> SpaceTimeFunction:
         n = self.params.n
 
         def batch(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
-            return self.eval_compact(pts[:, 0], pts[:, 1:], tol)
+            return self.eval_compact(pts[:, 0], pts[:, 1:])
 
         return SpaceTimeFunction(n, batch)
 
-    def radial_profile(self, rho, tol: Tolerances = DEFAULT_TOLERANCES):
+    def radial_profile(self, rho):
         """psi(rho) = e^{-is rho^2} rho^{2l} 1F1(a, b, 2is rho^2)."""
         rho = np.asarray(rho, dtype=float)
         s = self.params.s
@@ -143,7 +142,7 @@ class KTypeVector:
         return (
             np.exp(-1j * s * rho2)
             * rho2 ** self.l
-            * hyp1f1(float(self.a), float(self.b), 2j * s * rho2, tol)
+            * hyp1f1(float(self.a), float(self.b), 2j * s * rho2)
         )
 
     def to_json(self) -> dict:
@@ -193,14 +192,14 @@ def make_ktype(
     return KTypeVector(params, KTypeIndex(m, l, k), h, lam)
 
 
-def to_noncompact(F: KTypeVector | "LinearCombination", tol: Tolerances = DEFAULT_TOLERANCES) -> SpaceTimeFunction:
+def to_noncompact(F: KTypeVector | "LinearCombination") -> SpaceTimeFunction:
     """Image of F under the picture isomorphism, as a function of (t, x).
 
     f(t,x) = (1+t^2)^{-n/4} e^{s t |x|^2 / (1+t^2)} F(arctan t, x (1+t^2)^{-1/2});
     smooth across all of R^{1,n}.
     """
     if isinstance(F, LinearCombination):
-        parts = [(c, to_noncompact(vec, tol)) for c, vec in F.terms]
+        parts = [(c, to_noncompact(vec)) for c, vec in F.terms]
         n = F.n
 
         def batch_sum(pts: np.ndarray) -> np.ndarray:
@@ -223,7 +222,7 @@ def to_noncompact(F: KTypeVector | "LinearCombination", tol: Tolerances = DEFAUL
         nx2 = (x**2).sum(axis=1)
         theta = np.arctan(t)
         y = x / np.sqrt(opt2)[:, None]
-        return opt2 ** (-n / 4.0) * np.exp(s * t * nx2 / opt2) * F.eval_compact(theta, y, tol)
+        return opt2 ** (-n / 4.0) * np.exp(s * t * nx2 / opt2) * F.eval_compact(theta, y)
 
     return SpaceTimeFunction(n, batch)
 
@@ -255,13 +254,12 @@ def compact_of_noncompact(f: SpaceTimeFunction, theta, y, s: complex):
     return complex(out[0]) if single else out
 
 
-def periodicity_residual(F: KTypeVector, theta, y, j: int, tol: Tolerances = DEFAULT_TOLERANCES):
+def periodicity_residual(F: KTypeVector, theta, y, j: int):
     """F(theta + j pi, (-1)^j y) - i^{-jq} F(theta, y); zero for valid K-types."""
     y_arr = np.asarray(y, dtype=float)
     phase = 1j ** ((-j * F.params.q) % 4)
-    return F.eval_compact(theta + j * np.pi, (-1) ** j * y_arr, tol) - phase * F.eval_compact(
-        theta, y_arr, tol
-    )
+    shifted = F.eval_compact(theta + j * np.pi, (-1) ** j * y_arr)
+    return shifted - phase * F.eval_compact(theta, y_arr)
 
 
 class LinearCombination:
@@ -302,13 +300,13 @@ class LinearCombination:
     def scale(self, value: complex) -> "LinearCombination":
         return LinearCombination([(c * value, v) for c, v in self.terms])
 
-    def eval_compact(self, theta, y, tol: Tolerances = DEFAULT_TOLERANCES):
+    def eval_compact(self, theta, y):
         if not self.terms:
             y_arr = np.asarray(y, dtype=float)
             return 0j if y_arr.ndim == 1 else np.zeros(y_arr.shape[0], dtype=complex)
         out = None
         for c, v in self.terms:
-            val = c * v.eval_compact(theta, y, tol)
+            val = c * v.eval_compact(theta, y)
             out = val if out is None else out + val
         return out
 

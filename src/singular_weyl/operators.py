@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .admissibility import ParameterSet
-from .config import DEFAULT_FD, DEFAULT_TOLERANCES, FDConfig, Tolerances
+from .config import DEFAULT_FD, DEFAULT_TOLERANCES
 from .ktypes import KTypeVector, LinearCombination, SpaceTimeFunction, make_ktype
 from .polynomials import HarmonicPolynomial, decompose_yj, scaled_partial_harmonic
 
@@ -108,15 +108,13 @@ def _partials(f: SpaceTimeFunction, P: np.ndarray, h: np.ndarray, first=(), seco
     return f0, d1, d2
 
 
-def default_steps(P: np.ndarray, fd: FDConfig = DEFAULT_FD) -> np.ndarray:
+def default_steps(P: np.ndarray) -> np.ndarray:
     """base_step scaled by coordinate magnitude, per point and axis."""
     P = np.asarray(P, dtype=float)
-    return fd.base_step * np.maximum(1.0, np.abs(P))
+    return DEFAULT_FD.base_step * np.maximum(1.0, np.abs(P))
 
 
-def ktype_steps(
-    F: KTypeVector, P: np.ndarray, picture: str, fd: FDConfig = DEFAULT_FD
-) -> np.ndarray:
+def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
     """Steps adapted to the oscillation rate of a specific K-type.
 
     Balances the h^6 truncation term against roundoff for functions whose
@@ -144,7 +142,7 @@ def ktype_steps(
         out[:, 1:] = (alpha / omega_x)[:, None]
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    return np.clip(out, fd.min_step, fd.base_step * 10)
+    return np.clip(out, DEFAULT_FD.min_step, DEFAULT_FD.base_step * 10)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,6 @@ def fd_apply(
     f: SpaceTimeFunction,
     P: np.ndarray,
     steps: np.ndarray | None = None,
-    fd: FDConfig = DEFAULT_FD,
 ) -> np.ndarray:
     """Apply one operator, or each of a sequence of operators, to f at the
     rows of P by central differences.
@@ -294,7 +291,7 @@ def fd_apply(
         P = P[None, :]
     if any(P.shape[1] != 1 + sp.n for sp in specs):
         raise ValueError(f"points must have {1 + specs[0].n} columns")
-    h = default_steps(P, fd) if steps is None else np.broadcast_to(steps, P.shape)
+    h = default_steps(P) if steps is None else np.broadcast_to(steps, P.shape)
     axes = [_differentiated_axes(sp) for sp in specs]
     if any(sp.kind == "pde" for sp in specs):
         if np.any(np.sqrt((P[:, 1:] ** 2).sum(axis=1)) < 10 * np.max(h[:, 1:], axis=1)):
@@ -309,17 +306,12 @@ def fd_apply(
 
 
 def pde_residual_noncompact(
-    f: SpaceTimeFunction,
-    lam,
-    s: complex,
-    P: np.ndarray,
-    steps: np.ndarray | None = None,
-    fd: FDConfig = DEFAULT_FD,
+    f: SpaceTimeFunction, lam, s: complex, P: np.ndarray, steps: np.ndarray | None = None
 ) -> np.ndarray:
     """(4s d_t + Delta_n - 2 lambda/|x|^2) f at P; zero on the solution space."""
     n = f.n
     params = ParameterSet(n=n, q=0, s=s)
-    return fd_apply(OperatorSpec.pde(params, lam), f, P, steps=steps, fd=fd)
+    return fd_apply(OperatorSpec.pde(params, lam), f, P, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +504,7 @@ class ERecovery:
         }
 
 
-def recover_E_coefficients(
-    F: KTypeVector,
-    points: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fd: FDConfig = DEFAULT_FD,
-) -> dict[tuple[int, int], ERecovery]:
+def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int, int], ERecovery]:
     """Least-squares projections of the finite-difference E_j^{+-}
     applications, keyed by (j, sign) for j = 1..n and sign = +1, -1.
 
@@ -529,8 +516,7 @@ def recover_E_coefficients(
     keys = [(j, sign) for j in range(1, F.params.n + 1) for sign in (1, -1)]
     specs = [OperatorSpec.identity(F.params)]
     specs += [OperatorSpec.heisenberg_ladder(F.params, j, sign) for j, sign in keys]
-    steps = ktype_steps(F, P, "compact", fd)
-    f0, *rows = fd_apply(specs, F.compact_function(tol), P, steps, fd)
+    f0, *rows = fd_apply(specs, F.compact_function(), P, ktype_steps(F, P, "compact"))
     scale_f = max(1.0, float(np.max(np.abs(f0))))
     s = F.params.s
     n = F.params.n
@@ -539,7 +525,7 @@ def recover_E_coefficients(
     for (j, sign), rhs in zip(keys, rows):
         dirs = heisenberg_direction_vectors(F, j, sign)
         labels = [label for label, _ in dirs]
-        A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:], tol) for _, vec in dirs], axis=1)
+        A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:]) for _, vec in dirs], axis=1)
         if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
             # the operator annihilates F: the projection target is pure noise
             coeffs = np.zeros(len(dirs), dtype=complex)
@@ -567,9 +553,9 @@ def recover_E_coefficients(
             recovered[label] = c
             ship = shipped[label] = shipped_values[label]
             prin = printed[label] = printed_values[label]
-            if abs(c - ship) > tol.coeff_match * max(1.0, abs(ship)):
+            if abs(c - ship) > DEFAULT_TOLERANCES.coeff_match * max(1.0, abs(ship)):
                 ok_shipped = False
-            if abs(c - prin) > tol.coeff_match * max(1.0, abs(prin)):
+            if abs(c - prin) > DEFAULT_TOLERANCES.coeff_match * max(1.0, abs(prin)):
                 ok_printed = False
             ratio = c / units[label]
             frac = Fraction(ratio.real).limit_denominator(denominator_bound)
@@ -702,12 +688,11 @@ def group_parameter_derivative(
     f: SpaceTimeFunction,
     P: np.ndarray,
     s: complex,
-    fd: FDConfig = DEFAULT_FD,
 ) -> np.ndarray:
     """d/dtau (family(tau) . f)(P) at tau = 0, 4th order plus Richardson;
     f is evaluated at the transformed points of all six flows in one batch."""
     P = np.asarray(P, dtype=float)
-    h = fd.group_step
+    h = DEFAULT_FD.group_step
     mapped = [_group_map(family(c * h), f.n, s)(P) for c in _FIRST_OFFSETS]
     vals = f.batch(np.concatenate([inner for inner, _ in mapped])).reshape(len(mapped), -1)
     return _first_richardson([m * v for (_, m), v in zip(mapped, vals)], h)

@@ -105,8 +105,7 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
     use the radial indexing of the K-type machinery.
     """
     n = params.n
-    low = (params.q - n) % 4 == 0
-    high = (params.q + n) % 4 == 0
+    case = structure_case(params)
     out = []
     for l, k in radial_pairs(n, lam):
         out.append(
@@ -116,9 +115,9 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
                 lam=Fraction(pair_eigenvalue(n, l, k)),
                 weight_residue=weight_residue(params, k),
                 boundary_weight=2 * k + 4 * l + n,
-                has_lowest=low,
-                has_highest=high,
-                irreducible=not (low or high),
+                has_lowest=case in (2, 4),
+                has_highest=case in (3, 4),
+                irreducible=case == 1,
                 experimental=(n == 2 and k < 0),
             )
         )
@@ -311,7 +310,7 @@ def ladder_graph(
     return LadderGraph(params, [nodes[key] for key in sorted(nodes)], edges)
 
 
-def level_curves_csv(n: int, lam_max, samples: int = 200, l_max: float | None = None) -> str:
+def level_curves_csv(n: int, lam_max, samples: int = 200) -> str:
     """CSV rows (lambda, l, k_real) sampling k = lambda/(2l) - l + 1 - n/2.
 
     One block of rows per admissible lambda <= lam_max over a real l grid;
@@ -322,7 +321,7 @@ def level_curves_csv(n: int, lam_max, samples: int = 200, l_max: float | None = 
     writer.writerow(["lambda", "l", "k"])
     for ev in enumerate_admissible(n, lam_max):
         lam = ev.value
-        top = l_max if l_max is not None else float((-(n - 2) + (((n - 2) ** 2 + 8 * lam) ** 0.5)) / 4 + 1)
+        top = float((-(n - 2) + (((n - 2) ** 2 + 8 * lam) ** 0.5)) / 4 + 1)
         for i in range(1, samples + 1):
             l = top * i / samples
             k = float(lam) / (2 * l) - l + 1 - n / 2

@@ -11,6 +11,9 @@ and builds every PASS/FAIL record through ``_check``.
 expected coefficient differences against the published Heisenberg-ladder
 table are reported as WARN, never FAIL.
 
+Every sweep reads its bounds from ``config.DEFAULT_TOLERANCES`` when it
+runs; none takes a tolerance or stencil parameter.
+
 Every sweep's ``seed`` is an int or a ``np.random.Generator``.  It goes
 through ``np.random.default_rng``, which returns a Generator unchanged, so
 callers can draw the sample points of several sweeps from one stream.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .admissibility import ParameterSet, enumerate_admissible, radial_pairs
-from .config import DEFAULT_FD, DEFAULT_TOLERANCES, FDConfig, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .hypergeometric import contiguous_residual_scaled, RELATIONS
 from .ktypes import make_ktype, periodicity_residual, to_noncompact
 from .operators import (
@@ -80,7 +83,6 @@ def sample_noncompact_points(n: int, count: int, rng: np.random.Generator) -> np
 def sweep_contiguous(
     samples: int = 1000,
     seed: int | np.random.Generator = 20240,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[dict]:
     """Residuals of all seven contiguous relations on seeded random samples.
 
@@ -100,14 +102,14 @@ def sweep_contiguous(
     a, b, z = np.array(pts, dtype=np.complex128).reshape(-1, 3).T
     checks = []
     for name in RELATIONS:
-        res, scale = contiguous_residual_scaled(name, a, b, z, tol)
+        res, scale = contiguous_residual_scaled(name, a, b, z)
         ratio = np.abs(res) / scale
         worst_point = None
         if ratio.size:
             i = int(np.argmax(ratio))
             worst_point = [[float(v.real), float(v.imag)] for v in (a[i], b[i], z[i])]
         checks.append(_check(
-            f"contiguous/{name}", float(ratio.max(initial=0.0)), tol.contiguous,
+            f"contiguous/{name}", float(ratio.max(initial=0.0)), DEFAULT_TOLERANCES.contiguous,
             points=len(pts), worst_point=worst_point,
         ))
     return checks
@@ -148,7 +150,6 @@ def sweep_periodicity(
     m_max: int = 14,
     points: int = 20,
     seed: int | np.random.Generator = 20241,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[dict]:
     """Compact-picture periodicity for every constructed K-type, j in 1..4."""
     rng = np.random.default_rng(seed)
@@ -156,10 +157,11 @@ def sweep_periodicity(
     P = sample_compact_points(params.n, points, rng)
     worst = 0.0
     for F in lattice:
-        scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:], tol)))
+        scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:])))
         for j in (1, 2, 3, 4):
-            res = periodicity_residual(F, P[:, 0], P[:, 1:], j, tol)
+            res = periodicity_residual(F, P[:, 0], P[:, 1:], j)
             worst = max(worst, float(np.max(np.abs(res) / scale)))
+    tol = DEFAULT_TOLERANCES
     return [
         _check("ktypes/periodicity", worst, tol.periodicity, ktypes=len(lattice), points=points)
     ]
@@ -171,8 +173,6 @@ def sweep_pde_kernel(
     m_max: int = 30,
     points: int = 50,
     seed: int | np.random.Generator = 20242,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Non-compact PDE residual of every lattice K-type at seeded points."""
     rng = np.random.default_rng(seed)
@@ -181,17 +181,15 @@ def sweep_pde_kernel(
     worst = 0.0
     worst_index = None
     for F in lattice:
-        f = to_noncompact(F, tol)
-        steps = ktype_steps(F, P, "noncompact", fd)
         specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(F.lam.value)))
-        f0, res = fd_apply(specs, f, P, steps, fd)
+        f0, res = fd_apply(specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact"))
         scale = np.maximum(1.0, np.abs(f0))
         rel = float(np.max(np.abs(res) / scale))
         if rel > worst:
             worst, worst_index = rel, (F.m, F.l, F.k)
     return [
         _check(
-            "operators/pde-kernel", worst, tol.pde_residual,
+            "operators/pde-kernel", worst, DEFAULT_TOLERANCES.pde_residual,
             ktypes=len(lattice),
             points=points,
             worst_index=list(worst_index) if worst_index else None,
@@ -205,8 +203,6 @@ def sweep_ladder(
     m_max: int = 30,
     points: int = 20,
     seed: int | np.random.Generator = 20243,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """kappa and eta closed forms against the finite-difference oracle.
 
@@ -221,12 +217,11 @@ def sweep_ladder(
     specs = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
     specs += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
     for F in lattice:
-        steps = ktype_steps(F, P, "compact", fd)
-        f0, *oracles = fd_apply(specs, F.compact_function(tol), P, steps, fd)
+        f0, *oracles = fd_apply(specs, F.compact_function(), P, ktype_steps(F, P, "compact"))
         scale = np.maximum(1.0, np.abs(f0))
         combos = (apply_kappa(F), apply_eta(F, 1), apply_eta(F, -1))
         for combo, oracle in zip(combos, oracles):
-            closed = combo.eval_compact(P[:, 0], P[:, 1:], tol)
+            closed = combo.eval_compact(P[:, 0], P[:, 1:])
             worst = max(worst, float(np.max(np.abs(closed - oracle) / scale)))
         for sign, combo in zip((1, -1), combos[1:]):
             killed = eta_coefficient(F, sign) == 0
@@ -235,7 +230,7 @@ def sweep_ladder(
                 kills_ok = False
     return [
         _check(
-            "operators/ladder-closed-form", worst, tol.ladder_match,
+            "operators/ladder-closed-form", worst, DEFAULT_TOLERANCES.ladder_match,
             ktypes=len(lattice), points=points,
         ),
         _exact("operators/eta-boundary-kills", kills_ok),
@@ -248,8 +243,6 @@ def sweep_heisenberg(
     m_max: int = 10,
     points: int = 40,
     seed: int | np.random.Generator = 20244,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Least-squares recovery of the E_j coefficients, with the WARN diff
     against the published table and the eigenvalue-shift bookkeeping."""
@@ -274,7 +267,7 @@ def sweep_heisenberg(
                     shift_ok = False
             elif shift != 0 and abs(shift) != 2 * F.l:
                 shift_ok = False
-        for rec in recover_E_coefficients(F, P, tol, fd).values():
+        for rec in recover_E_coefficients(F, P).values():
             recoveries += 1
             worst_lsq = max(worst_lsq, rec.lsq_residual)
             worst_rational = max(worst_rational, max(rec.rational_errors.values(), default=0.0))
@@ -283,6 +276,7 @@ def sweep_heisenberg(
                 details.append(rec.to_json())
             if not rec.matches_printed:
                 printed_diffs += 1
+    tol = DEFAULT_TOLERANCES
     checks = [
         _check(
             "operators/heisenberg-lsq", worst_lsq, tol.lsq_residual,
@@ -314,8 +308,6 @@ def sweep_group_algebra(
     params: ParameterSet,
     points: int = 20,
     seed: int | np.random.Generator = 20245,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fd: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Derivative at identity of each one-parameter flow vs the algebra action."""
     rng = np.random.default_rng(seed)
@@ -328,9 +320,9 @@ def sweep_group_algebra(
     l, k = radial_pairs(n, lam_small.value)[0]
     m = (params.q + 2 * k) % 4
     F = make_ktype(params, m, l, k, harmonic_representative(n, k))
-    f = to_noncompact(F, tol)
+    f = to_noncompact(F)
     P = sample_noncompact_points(n, points, rng)
-    steps = ktype_steps(F, P, "noncompact", fd)
+    steps = ktype_steps(F, P, "noncompact")
 
     zero = np.zeros(n)
     heis = [(u, zero, 0.0) for u in np.eye(n)] + [(zero, v, 0.0) for v in np.eye(n)]
@@ -346,11 +338,11 @@ def sweep_group_algebra(
         for u, v, w in heis + [(zero, zero, 1.0)]
     ]
     specs = [OperatorSpec.identity(params)] + [spec for _, spec in flows]
-    f0, *algebra = fd_apply(specs, f, P, steps, fd)
+    f0, *algebra = fd_apply(specs, f, P, steps)
     scale = np.maximum(1.0, np.abs(f0))
     worst = 0.0
     for (family, _), alg in zip(flows, algebra):
-        flow = group_parameter_derivative(family, f, P, params.s, fd=fd)
+        flow = group_parameter_derivative(family, f, P, params.s)
         worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
     # O(n) rotations: derivative of f(t, R(-tau) x) is (x_b d_a - x_a d_b) f,
@@ -365,37 +357,28 @@ def sweep_group_algebra(
                 R[_b, _a] = np.sin(tau)
                 return GroupElement.orthogonal(R)
 
-            flow = group_parameter_derivative(rot, f, P, params.s, fd=fd)
+            flow = group_parameter_derivative(rot, f, P, params.s)
             alg = P[:, 1 + a_ax] * minus_d[b_ax] - P[:, 1 + b_ax] * minus_d[a_ax]
             worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
 
+    tol = DEFAULT_TOLERANCES
     return [_check("operators/group-vs-algebra", worst, tol.group_match, points=points)]
 
 
-def run_verification(
-    params: ParameterSet,
-    lam_max=30,
-    m_max: int = 14,
-    seed: int = 2024,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fd: FDConfig = DEFAULT_FD,
-    contiguous_samples: int = 200,
-    pde_points: int = 20,
-    heisenberg_m_max: int = 10,
-) -> dict:
+def run_verification(params: ParameterSet, lam_max=30, m_max: int = 14, seed: int = 2024) -> dict:
     """The full invariant suite for one parameter set.
 
     Returns a report dict with per-check entries and a summary; ``ok`` is
     true when no check FAILed (WARNs expected for the published-table diff).
     """
     checks: list[dict] = []
-    checks += sweep_contiguous(contiguous_samples, seed, tol)
+    checks += sweep_contiguous(200, seed)
     checks += sweep_harmonicity(min(params.n + 1, 4), 4)
-    checks += sweep_periodicity(params, lam_max, m_max, 20, seed + 1, tol)
-    checks += sweep_pde_kernel(params, lam_max, m_max, pde_points, seed + 2, tol, fd)
-    checks += sweep_ladder(params, lam_max, m_max, 20, seed + 3, tol, fd)
-    checks += sweep_heisenberg(params, min(lam_max, 30), heisenberg_m_max, 40, seed + 4, tol, fd)
-    checks += sweep_group_algebra(params, 20, seed + 5, tol, fd)
+    checks += sweep_periodicity(params, lam_max, m_max, 20, seed + 1)
+    checks += sweep_pde_kernel(params, lam_max, m_max, 20, seed + 2)
+    checks += sweep_ladder(params, lam_max, m_max, 20, seed + 3)
+    checks += sweep_heisenberg(params, min(lam_max, 30), 10, 40, seed + 4)
+    checks += sweep_group_algebra(params, 20, seed + 5)
     counts = {"PASS": 0, "FAIL": 0, "WARN": 0}
     for c in checks:
         counts[c["status"]] += 1

@@ -1,5 +1,6 @@
 """CLI contract tests: subcommands, exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from singular_weyl import cli, config, verify
 from singular_weyl.cli import parse_complex
 
 
@@ -66,6 +68,17 @@ class TestAdmissibleCommand:
     def test_csv_format(self):
         out = run_cli("admissible", "--n", "3", "--lambda", "75", "--format", "csv")
         assert out.stdout.splitlines()[0] == "l,k"
+
+    def test_inadmissible_csv_is_header_only(self):
+        out = run_cli("admissible", "--n", "2", "--lambda", "3", "--format", "csv")
+        assert out.returncode == 0
+        assert out.stdout == "l,k\n"
+
+    def test_output_file_matches_stdout(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        args = ("admissible", "--n", "3", "--lambda", "75")
+        assert run_cli(*args, "-o", str(path)).returncode == 0
+        assert path.read_bytes() == run_cli(*args).stdout.encode()
 
 
 class TestKtypesCommand:
@@ -142,13 +155,14 @@ class TestVerifyCommand:
         assert out.returncode == 0
         assert json.loads(report_path.read_text())["params"]["seed"] == 777
 
-    def test_tolerance_override_can_force_failure(self):
-        out = run_cli(
-            "verify", "--n", "2", "--q", "0", "--lambda-max", "4", "--m-max", "4",
-            "--tol-pde-residual", "1e-30",
-        )
-        assert out.returncode == 1
-        assert "pde-kernel" in out.stderr
+    def test_tolerance_override_can_force_failure(self, monkeypatch, capsys):
+        # no CLI option loosens or tightens a bound; the record is patched in-process
+        monkeypatch.delenv("SINGULAR_WEYL_SEED", raising=False)
+        tight = dataclasses.replace(config.DEFAULT_TOLERANCES, pde_residual=1e-30)
+        monkeypatch.setattr(verify, "DEFAULT_TOLERANCES", tight)
+        rc = cli.main(["verify", "--n", "2", "--q", "0", "--lambda-max", "4", "--m-max", "4"])
+        assert rc == 1
+        assert "pde-kernel" in capsys.readouterr().err
 
 
 class TestPlotDataCommand:
@@ -200,6 +214,7 @@ class TestOptionsOnlyWhereRead:
             ("admissible", "--n", "3", "--lambda", "75", "--format", "dot"),
             ("structure", "--n", "3", "--q", "3", "--format", "csv"),
             ("plot-data", "--figure", "lattice", "--n", "3", "--format", "text"),
+            ("verify", "--n", "2", "--tol-pde-residual", "1e-30"),
         ],
     )
     def test_unread_option_or_format_exit_2(self, args):

@@ -12,7 +12,7 @@ from singular_weyl.verify import (
 
 def test_report_schema_and_warn():
     params = ParameterSet(n=2, q=0, s=0.5j)
-    report = run_verification(params, lam_max=6, m_max=4, contiguous_samples=50, pde_points=10)
+    report = run_verification(params, lam_max=6, m_max=4)
     assert report["ok"]
     assert {"params", "checks", "summary", "ok"} <= set(report)
     statuses = {c["check"]: c["status"] for c in report["checks"]}
@@ -25,8 +25,8 @@ def test_report_schema_and_warn():
 
 def test_deterministic_for_fixed_seed():
     params = ParameterSet(n=2, q=1, s=-0.25)
-    first = run_verification(params, lam_max=4, m_max=4, seed=5, contiguous_samples=20, pde_points=5)
-    second = run_verification(params, lam_max=4, m_max=4, seed=5, contiguous_samples=20, pde_points=5)
+    first = run_verification(params, lam_max=4, m_max=4, seed=5)
+    second = run_verification(params, lam_max=4, m_max=4, seed=5)
     assert first == second
 
 
