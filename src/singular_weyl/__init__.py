@@ -14,23 +14,18 @@ from .admissibility import (
     ParameterSet,
     S_PRESETS,
     admissible_pairs,
-    eigenvalue_of_pair,
     enumerate_admissible,
     is_admissible,
     pair_eigenvalue,
     radial_pairs,
     triangular_to_radial,
-    radial_to_triangular,
     weight_residue,
 )
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES, FDConfig, Tolerances
 from .hypergeometric import (
     SeriesError,
-    contiguous_residual,
     contiguous_residual_scaled,
     hyp1f1,
-    hyp1f1_derivative,
-    pochhammer,
 )
 from .ktypes import (
     CongruenceError,
@@ -51,7 +46,6 @@ from .operators import (
     fd_apply,
     group_action_noncompact,
     group_parameter_derivative,
-    pde_residual_noncompact,
     recover_E_coefficients,
 )
 from .polynomials import (

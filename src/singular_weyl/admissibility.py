@@ -13,6 +13,7 @@ are related by l_triangular = 2*l_radial + k (see ``triangular_to_radial``).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -26,8 +27,8 @@ class AdmissibilityError(ValueError):
 class ParameterSet:
     """Representation parameters (n, q, s); r is pinned to -n/2.
 
-    n >= 1 is the spatial dimension, q a residue mod 4, s a nonzero complex
-    scalar (s = i/2 gives the Schrodinger equation, s = -1/4 the heat
+    n >= 1 is the spatial dimension, q a residue mod 4, s a nonzero finite
+    complex scalar (s = i/2 gives the Schrodinger equation, s = -1/4 the heat
     equation).
     """
 
@@ -43,6 +44,8 @@ class ParameterSet:
         if self.s == 0:
             raise ValueError("s must be nonzero")
         object.__setattr__(self, "s", complex(self.s))
+        if not cmath.isfinite(self.s):
+            raise ValueError("s must be finite")
 
     @property
     def r(self) -> Fraction:
@@ -103,22 +106,6 @@ def pair_eigenvalue(n: int, l: int, k: int) -> int:
         raise ValueError("l must be >= 0")
     _check_k_range(n, k)
     return l * (2 * l + 2 * k + n - 2)
-
-
-def eigenvalue_of_pair(n: int, l: int, k: int) -> Eigenvalue:
-    """Eigenvalue of an index pair.
-
-    Returns l(2l+2k+n-2) for n >= 2.  For n = 1 the pair is a triangular
-    pair (l, 0) and the eigenvalue is l(l-1)/2.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1; l = 0 belongs to the lambda = 0 family")
-    if n == 1:
-        if k != 0:
-            raise AdmissibilityError("for n = 1 pairs are (l, 0)")
-        return Eigenvalue(1, Fraction(l * (l - 1), 2))
-    _check_k_range(n, k)
-    return Eigenvalue(n, Fraction(pair_eigenvalue(n, l, k)))
 
 
 def _check_k_range(n: int, k: int):
@@ -233,13 +220,6 @@ def triangular_to_radial(l_triangular: int) -> tuple[int, int]:
     if l_triangular < 0:
         raise ValueError("index must be >= 0")
     return l_triangular // 2, l_triangular % 2
-
-
-def radial_to_triangular(l: int, k: int) -> int:
-    """Inverse of ``triangular_to_radial``."""
-    if k not in (0, 1):
-        raise AdmissibilityError("for n = 1, k must be 0 or 1")
-    return 2 * l + k
 
 
 def radial_pairs(n: int, lam) -> list[tuple[int, int]]:

@@ -169,7 +169,26 @@ def cmd_structure(args) -> int:
     return 0
 
 
+# (flag, dest, default) of the options only the graph figures read; the
+# plot-data parser defaults them to None so that levels can reject each one.
+_GRAPH_OPTIONS = (
+    ("--format", "format", "json"),
+    ("--q", "q", 0),
+    ("--s", "s", None),
+    ("--preset", "preset", None),
+    ("--lambda", "lam", None),
+    ("--m-min", "m_min", 0),
+    ("--m-max", "m_max", 20),
+)
+
+
 def cmd_plotdata(args) -> int:
+    given = [flag for flag, dest, _ in _GRAPH_OPTIONS if getattr(args, dest) is not None]
+    if args.figure == "levels" and given:
+        raise ValueError(f"--figure levels does not read {', '.join(given)}")
+    for _, dest, default in _GRAPH_OPTIONS:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
     if args.figure == "levels":
         _emit(level_curves_csv(params.n, args.lam_max), args.output)
@@ -247,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", choices=("levels", "lattice", "heisenberg"), required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=30)
-    p.add_argument("--m-min", dest="m_min", type=int, default=0)
-    p.add_argument("--m-max", dest="m_max", type=int, default=20)
-    p.set_defaults(func=cmd_plotdata)
+    p.add_argument("--m-min", dest="m_min", type=int, default=None)
+    p.add_argument("--m-max", dest="m_max", type=int, default=None)
+    p.set_defaults(func=cmd_plotdata, format=None, q=None)
 
     return parser
 

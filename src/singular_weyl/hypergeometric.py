@@ -15,9 +15,9 @@ a 30-digit reference is 1.2e-9 at z = 20i, 1.5e-6 at z = -5+30i and 3.7 at
 z = 40i, and each value is returned without an error.
 
 The contiguous-relation residuals used as numeric identities are collected
-in ``contiguous_residual``.  Two of them required correction against the
-series (see ``RELATIONS``): the standard forms are implemented and verified,
-not the misprinted ones.
+in ``contiguous_residual_scaled``.  Two of them required correction against
+the series (see ``RELATIONS``): the standard forms are implemented and
+verified, not the misprinted ones.
 """
 
 from __future__ import annotations
@@ -48,19 +48,6 @@ def _check_b(b) -> None:
         raise ValueError(
             f"b = {complex(np.asarray(b)[bad][0])} is a non-positive integer; 1F1 undefined"
         )
-
-
-def pochhammer(a, j: int):
-    """Rising factorial a(a+1)...(a+j-1); empty product is 1.
-
-    Exact when ``a`` is an int or Fraction, complex otherwise.
-    """
-    if j < 0:
-        raise ValueError("order must be >= 0")
-    out = a * 0 + 1
-    for i in range(j):
-        out = out * (a + i)
-    return out
 
 
 # The contiguous-relation certificates need residuals at 1e-10 of the largest
@@ -177,16 +164,6 @@ def hyp1f1(a, b, z):
     return _eval(a, b, z, np.complex128)[0]
 
 
-def hyp1f1_derivative(a, b, z, order: int = 1):
-    """d^order/dz^order 1F1(a,b,z) = (a)_order/(b)_order 1F1(a+order, b+order, z)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    # a valid b keeps (b)_order nonzero and b + order valid
-    _check_b(b)
-    factor = pochhammer(complex(a), order) / pochhammer(complex(b), order)
-    return factor * hyp1f1(complex(a) + order, complex(b) + order, z)
-
-
 def hyp1f1_precise(a, b, z, derivatives: int = 0):
     """1F1 (and z-derivatives, ``derivatives`` 0..2) summed in extended
     precision and rounded to complex128.
@@ -264,13 +241,19 @@ RELATIONS: dict[str, Callable] = {
 }
 
 
-def contiguous_terms(relation: str, a, b, z):
-    """The additive terms of the named relation, each 1F1 summed in extended
-    precision; they must sum to zero.  a, b and z broadcast, and the terms
-    are taken elementwise as arrays of at least one dimension, so a scalar
-    sample gets the same arithmetic as the same sample inside a batch."""
+def contiguous_residual_scaled(relation: str, a, b, z):
+    """LHS - RHS of the named contiguous relation, together with the
+    magnitude of the largest participating term.
+
+    Each 1F1 is summed in extended precision.  a, b and z broadcast, and the
+    terms are taken elementwise as arrays of at least one dimension, so a
+    scalar sample gets the same arithmetic as the same sample inside a
+    batch.  A (complex, float) pair for scalar input, a pair of arrays
+    otherwise.
+    """
     if relation not in RELATIONS:
         raise KeyError(f"unknown relation {relation!r}; choose from {sorted(RELATIONS)}")
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(z))
     a, b, z = (np.atleast_1d(np.asarray(x, dtype=np.complex128)) for x in (a, b, z))
 
     def F(aa, bb, zz, derivative=False):
@@ -278,22 +261,9 @@ def contiguous_terms(relation: str, a, b, z):
             return hyp1f1_precise(aa, bb, zz, derivatives=1)[1]
         return hyp1f1_precise(aa, bb, zz)
 
-    return RELATIONS[relation](F, a, b, z)
-
-
-def contiguous_residual(relation: str, a, b, z):
-    """LHS - RHS of the named contiguous relation, evaluated via the series."""
-    return contiguous_residual_scaled(relation, a, b, z)[0]
-
-
-def contiguous_residual_scaled(relation: str, a, b, z):
-    """Residual together with the magnitude of the largest participating term.
-
-    A (complex, float) pair for scalar input, a pair of arrays otherwise.
-    """
-    terms = contiguous_terms(relation, a, b, z)
+    terms = RELATIONS[relation](F, a, b, z)
     res = sum(terms)
     scale = np.maximum(np.abs(terms).max(axis=0), 1e-30)
-    if not np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(z)):
+    if not shape:
         return complex(res[0]), float(scale[0])
     return res, scale

@@ -37,6 +37,16 @@ class CongruenceError(ValueError):
     """The weight m violates m = 2k + q (mod 4)."""
 
 
+def _as_batch(t, x):
+    """(t, x) as (N,) and (N, n) float arrays, with ``single`` set when x is
+    one point of shape (n,); a scalar t broadcasts over a batch."""
+    t_arr = np.asarray(t, dtype=float)
+    x_arr = np.asarray(x, dtype=float)
+    if x_arr.ndim == 1:
+        return t_arr.reshape(1), x_arr[None, :], True
+    return np.broadcast_to(t_arr, (x_arr.shape[0],)), x_arr, False
+
+
 @dataclass
 class SpaceTimeFunction:
     """A smooth function of one time-like and n space-like coordinates.
@@ -49,14 +59,7 @@ class SpaceTimeFunction:
     batch: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t, x):
-        t_arr = np.asarray(t, dtype=float)
-        x_arr = np.asarray(x, dtype=float)
-        single = x_arr.ndim == 1
-        if single:
-            x_arr = x_arr[None, :]
-            t_arr = t_arr.reshape(1)
-        else:
-            t_arr = np.broadcast_to(t_arr, (x_arr.shape[0],))
+        t_arr, x_arr, single = _as_batch(t, x)
         pts = np.concatenate([t_arr[:, None], x_arr], axis=1)
         out = self.batch(pts)
         return complex(out[0]) if single else out
@@ -99,20 +102,8 @@ class KTypeVector:
     def is_highest_weight(self) -> bool:
         return self.m == -(2 * self.k + 4 * self.l + self.params.n)
 
-    @property
-    def experimental(self) -> bool:
-        """Signed-k circular harmonics (n = 2, k < 0) are index-level only."""
-        return self.params.n == 2 and self.k < 0
-
     def eval_compact(self, theta, y):
-        theta_arr = np.asarray(theta, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
-        single = y_arr.ndim == 1
-        if single:
-            y_arr = y_arr[None, :]
-            theta_arr = theta_arr.reshape(1)
-        else:
-            theta_arr = np.broadcast_to(theta_arr, (y_arr.shape[0],))
+        theta_arr, y_arr, single = _as_batch(theta, y)
         s = self.params.s
         rho2 = (y_arr**2).sum(axis=1)
         hyp = hyp1f1(float(self.a), float(self.b), 2j * s * rho2)
@@ -133,17 +124,6 @@ class KTypeVector:
             return self.eval_compact(pts[:, 0], pts[:, 1:])
 
         return SpaceTimeFunction(n, batch)
-
-    def radial_profile(self, rho):
-        """psi(rho) = e^{-is rho^2} rho^{2l} 1F1(a, b, 2is rho^2)."""
-        rho = np.asarray(rho, dtype=float)
-        s = self.params.s
-        rho2 = rho**2
-        return (
-            np.exp(-1j * s * rho2)
-            * rho2 ** self.l
-            * hyp1f1(float(self.a), float(self.b), 2j * s * rho2)
-        )
 
     def to_json(self) -> dict:
         return {
@@ -233,14 +213,7 @@ def compact_of_noncompact(f: SpaceTimeFunction, theta, y, s: complex):
     F(theta, y) = (cos theta)^{-n/2} e^{-s |y|^2 tan theta} f(tan theta, y sec theta).
     Raises ValueError at the singular angles cos theta = 0.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    single = y_arr.ndim == 1
-    if single:
-        y_arr = y_arr[None, :]
-        theta_arr = theta_arr.reshape(1)
-    else:
-        theta_arr = np.broadcast_to(theta_arr, (y_arr.shape[0],))
+    theta_arr, y_arr, single = _as_batch(theta, y)
     cos = np.cos(theta_arr)
     if np.any(np.abs(cos) < 1e-12):
         raise ValueError("singular angle: cos theta = 0")
@@ -293,12 +266,6 @@ class LinearCombination:
 
     def is_empty(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        return LinearCombination(self.terms + other.terms)
-
-    def scale(self, value: complex) -> "LinearCombination":
-        return LinearCombination([(c * value, v) for c, v in self.terms])
 
     def eval_compact(self, theta, y):
         if not self.terms:

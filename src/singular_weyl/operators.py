@@ -305,15 +305,6 @@ def fd_apply(
     return out[0] if isinstance(spec, OperatorSpec) else out
 
 
-def pde_residual_noncompact(
-    f: SpaceTimeFunction, lam, s: complex, P: np.ndarray, steps: np.ndarray | None = None
-) -> np.ndarray:
-    """(4s d_t + Delta_n - 2 lambda/|x|^2) f at P; zero on the solution space."""
-    n = f.n
-    params = ParameterSet(n=n, q=0, s=s)
-    return fd_apply(OperatorSpec.pde(params, lam), f, P, steps)
-
-
 # ---------------------------------------------------------------------------
 # closed-form ladder actions
 # ---------------------------------------------------------------------------
@@ -474,7 +465,6 @@ class ERecovery:
     sign: int
     points: int
     lsq_residual: float
-    labels: list[str]
     recovered: dict[str, complex]
     shipped: dict[str, complex]
     printed: dict[str, complex]
@@ -524,7 +514,6 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
     recoveries = {}
     for (j, sign), rhs in zip(keys, rows):
         dirs = heisenberg_direction_vectors(F, j, sign)
-        labels = [label for label, _ in dirs]
         A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:]) for _, vec in dirs], axis=1)
         if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
             # the operator annihilates F: the projection target is pure noise
@@ -548,7 +537,7 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
         rational_errors: dict[str, float] = {}
         ok_shipped = True
         ok_printed = True
-        for label, c in zip(labels, coeffs):
+        for (label, _), c in zip(dirs, coeffs):
             c = complex(c)
             recovered[label] = c
             ship = shipped[label] = shipped_values[label]
@@ -567,7 +556,6 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
             sign=sign,
             points=P.shape[0],
             lsq_residual=float(resid),
-            labels=labels,
             recovered=recovered,
             shipped=shipped,
             printed=printed,

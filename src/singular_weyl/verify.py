@@ -365,7 +365,7 @@ def sweep_group_algebra(
     return [_check("operators/group-vs-algebra", worst, tol.group_match, points=points)]
 
 
-def run_verification(params: ParameterSet, lam_max=30, m_max: int = 14, seed: int = 2024) -> dict:
+def run_verification(params: ParameterSet, lam_max, m_max: int, seed: int) -> dict:
     """The full invariant suite for one parameter set.
 
     Returns a report dict with per-check entries and a summary; ``ok`` is

@@ -7,12 +7,10 @@ from singular_weyl import (
     Eigenvalue,
     ParameterSet,
     admissible_pairs,
-    eigenvalue_of_pair,
     enumerate_admissible,
     is_admissible,
     pair_eigenvalue,
     radial_pairs,
-    radial_to_triangular,
     triangular_to_radial,
     weight_residue,
 )
@@ -21,26 +19,22 @@ from conftest import brute_force_admissible
 
 class TestEigenvalueOfPair:
     def test_paper_point(self):
-        assert int(eigenvalue_of_pair(3, 5, 2)) == 75
+        assert pair_eigenvalue(3, 5, 2) == 75
 
     def test_small_case_in_a3(self):
-        ev = eigenvalue_of_pair(3, 1, 0)
-        assert int(ev) == 3
+        assert pair_eigenvalue(3, 1, 0) == 3
         assert 3 in brute_force_admissible(3, 10)
 
     def test_n1_triangular(self):
-        assert eigenvalue_of_pair(1, 1, 0).value == 0
-        assert eigenvalue_of_pair(1, 3, 0).value == 3
+        # triangular l_t has lambda = l_t(l_t - 1)/2
+        assert pair_eigenvalue(1, *triangular_to_radial(1)) == 0
+        assert pair_eigenvalue(1, *triangular_to_radial(3)) == 3
 
     def test_k_out_of_range(self):
         with pytest.raises(AdmissibilityError):
-            eigenvalue_of_pair(3, 2, -1)
+            pair_eigenvalue(3, 2, -1)
         with pytest.raises(AdmissibilityError):
-            eigenvalue_of_pair(1, 2, 1)
-
-    def test_l_zero_rejected(self):
-        with pytest.raises(ValueError):
-            eigenvalue_of_pair(3, 0, 2)
+            pair_eigenvalue(1, 2, 2)
 
 
 class TestIsAdmissible:
@@ -110,7 +104,7 @@ class TestAdmissiblePairs:
                 ls = [l for l, _ in pairs]
                 assert ls == sorted(ls, reverse=True)
                 for l, k in pairs:
-                    assert eigenvalue_of_pair(n, l, k).value == ev.value
+                    assert pair_eigenvalue(n, l, k) == ev.value
 
     def test_pair_count_matches_divisor_brute_force(self):
         # l ranges over solutions of lambda = l(2l+2k+n-2) with k in range
@@ -137,7 +131,7 @@ class TestRadialIndexing:
     def test_roundtrip(self):
         for l_tri in range(12):
             l, k = triangular_to_radial(l_tri)
-            assert radial_to_triangular(l, k) == l_tri
+            assert 2 * l + k == l_tri
             assert pair_eigenvalue(1, l, k) == l_tri * (l_tri - 1) // 2
 
     def test_radial_pairs_n1(self):
@@ -155,6 +149,11 @@ class TestParameterSet:
     def test_s_nonzero(self):
         with pytest.raises(ValueError):
             ParameterSet(n=2, q=0, s=0)
+
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), complex(float("nan"), 1.0)])
+    def test_s_finite(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            ParameterSet(n=2, q=0, s=s)
 
     def test_q_normalized(self):
         assert ParameterSet(n=2, q=7, s=1.0).q == 3

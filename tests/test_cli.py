@@ -145,6 +145,12 @@ class TestVerifyCommand:
         assert out.returncode == 2
         assert "s must be nonzero" in out.stderr
 
+    def test_nonfinite_s_exit_2(self):
+        out = run_cli("verify", "--n", "2", "--s", "nan")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "s must be finite" in out.stderr
+
     def test_env_seed_override(self, tmp_path):
         report_path = tmp_path / "report.json"
         out = run_cli(
@@ -215,6 +221,15 @@ class TestOptionsOnlyWhereRead:
             ("structure", "--n", "3", "--q", "3", "--format", "csv"),
             ("plot-data", "--figure", "lattice", "--n", "3", "--format", "text"),
             ("verify", "--n", "2", "--tol-pde-residual", "1e-30"),
+            # levels reads --n, --lambda-max and -o only, so even a default value exits 2
+            *[
+                ("plot-data", "--figure", "levels", "--n", "3", *option)
+                for option in [
+                    ("--format", "json"), ("--format", "dot"), ("--q", "0"),
+                    ("--s", "0+0.5i"), ("--preset", "heat"), ("--lambda", "3"),
+                    ("--m-min", "0"), ("--m-max", "20"),
+                ]
+            ],
         ],
     )
     def test_unread_option_or_format_exit_2(self, args):

@@ -205,13 +205,14 @@ class TestPeriodicity:
 
 
 class TestOriginBehavior:
-    def test_rho_k_radial_profile_bounded(self):
+    def test_rho_k_radial_factor_bounded(self):
         params = ParameterSet(n=3, q=0, s=0.5j)
         for l, k in [(1, 2), (2, 1), (3, 0)]:
             m = (params.q + 2 * k) % 4
             F = make_ktype(params, m, l, k, harmonic_representative(3, k))
             rhos = np.array([1e-3, 1e-4, 1e-5])
-            vals = np.abs(F.radial_profile(rhos)) * rhos**k
+            # h(e1) = 1, so |F(0, rho e1)| is the radial factor times rho^k
+            vals = np.abs(F.eval_compact(0.0, rhos[:, None] * np.eye(3)[0]))
             bound = max(1.0, vals[0])
             assert np.all(vals <= bound)
 

@@ -16,7 +16,6 @@ from singular_weyl import (
     group_parameter_derivative,
     harmonic_representative,
     make_ktype,
-    pde_residual_noncompact,
     recover_E_coefficients,
     to_noncompact,
 )
@@ -301,16 +300,17 @@ class TestPdeResidual:
         P = noncompact_points(3, rng)
         f = to_noncompact(F311)
         steps = ktype_steps(F311, P, "noncompact")
-        res = pde_residual_noncompact(f, float(F311.lam.value), params3.s, P, steps=steps)
+        res = fd_apply(OperatorSpec.pde(params3, float(F311.lam.value)), f, P, steps)
         fv = f.batch(P)
         assert np.max(np.abs(res) / np.maximum(1, np.abs(fv))) <= 1e-6
 
     def test_constant_function(self, rng):
         one = SpaceTimeFunction(3, lambda pts: np.ones(pts.shape[0], dtype=complex))
         P = noncompact_points(3, rng, 5)
-        res0 = pde_residual_noncompact(one, 0.0, 0.5j, P)
+        params = ParameterSet(n=3, q=0, s=0.5j)
+        res0 = fd_apply(OperatorSpec.pde(params, 0.0), one, P)
         assert np.max(np.abs(res0)) <= 1e-8
-        res = pde_residual_noncompact(one, 7.0, 0.5j, P)
+        res = fd_apply(OperatorSpec.pde(params, 7.0), one, P)
         expected = -2 * 7.0 / (P[:, 1:] ** 2).sum(axis=1)
         assert np.max(np.abs(res - expected)) <= 1e-8
 
@@ -318,7 +318,7 @@ class TestPdeResidual:
         one = SpaceTimeFunction(2, lambda pts: np.ones(pts.shape[0], dtype=complex))
         P = np.array([[0.1, 1e-5, 0.0]])
         with pytest.raises(SingularityError):
-            pde_residual_noncompact(one, 1.0, 0.5j, P)
+            fd_apply(OperatorSpec.pde(ParameterSet(n=2, q=0, s=0.5j), 1.0), one, P)
 
 
 class TestGroupAction:
