@@ -152,6 +152,8 @@ def is_admissible(n: int, lam) -> bool:
 
 def enumerate_admissible(n: int, lam_max) -> list[Eigenvalue]:
     """Strictly increasing list of non-zero admissible lambda <= lam_max."""
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
     lam_max = Fraction(lam_max)
     if lam_max < 0:
         raise ValueError("lam_max must be >= 0")

@@ -2,7 +2,7 @@
 
 Subcommands: admissible, ktypes, verify, structure, plot-data.
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
-3 I/O error.  SINGULAR_WEYL_SEED overrides --seed.  ``verify`` checks at the
+3 I/O error.  ``verify`` reads its seed from --seed only and checks at the
 fixed bounds of ``config.DEFAULT_TOLERANCES``; no option changes them.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .admissibility import (
@@ -62,13 +61,6 @@ def _resolve_s(args) -> complex:
     if args.s:
         return parse_complex(args.s)
     return S_PRESETS[args.preset or "schrodinger"]
-
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get("SINGULAR_WEYL_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -128,7 +120,7 @@ def cmd_ktypes(args) -> int:
 
 def cmd_verify(args) -> int:
     params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
-    report = run_verification(params, args.lam_max, args.m_max, _resolve_seed(args))
+    report = run_verification(params, args.lam_max, args.m_max, args.seed)
     _emit(_json(report), args.output)
     if not report["ok"]:
         failures = [c["check"] for c in report["checks"] if c["status"] == "FAIL"]

@@ -227,12 +227,22 @@ def compact_of_noncompact(f: SpaceTimeFunction, theta, y, s: complex):
     return complex(out[0]) if single else out
 
 
-def periodicity_residual(F: KTypeVector, theta, y, j: int):
-    """F(theta + j pi, (-1)^j y) - i^{-jq} F(theta, y); zero for valid K-types."""
-    y_arr = np.asarray(y, dtype=float)
-    phase = 1j ** ((-j * F.params.q) % 4)
-    shifted = F.eval_compact(theta + j * np.pi, (-1) ** j * y_arr)
-    return shifted - phase * F.eval_compact(theta, y_arr)
+def periodicity_residual(F: KTypeVector, theta, y):
+    """Residuals of F(theta + j pi, (-1)^j y) = i^{-jq} F(theta, y), and F itself.
+
+    Returns ``(res, f)`` for a batch of N points: ``res[j-1]`` is the
+    residual for shift j = 1..4 (shape (4, N), zero for valid K-types) and
+    ``f = F(theta, y)``.  The shifts keep rho^2, so one ``eval_compact`` call
+    over the five stacked copies j = 0..4 gives every value.
+    """
+    theta_arr, y_arr, _ = _as_batch(theta, y)
+    j = np.arange(5)
+    values = F.eval_compact(
+        (theta_arr + j[:, None] * np.pi).ravel(),
+        (((-1.0) ** j)[:, None, None] * y_arr).reshape(-1, y_arr.shape[1]),
+    ).reshape(5, -1)
+    phases = np.array([1j ** ((-jj * F.params.q) % 4) for jj in range(1, 5)])
+    return values[1:] - phases[:, None] * values[0], values[0]
 
 
 class LinearCombination:

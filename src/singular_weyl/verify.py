@@ -14,9 +14,15 @@ table are reported as WARN, never FAIL.
 Every sweep reads its bounds from ``config.DEFAULT_TOLERANCES`` when it
 runs; none takes a tolerance or stencil parameter.
 
-Every sweep's ``seed`` is an int or a ``np.random.Generator``.  It goes
+Every sweep takes its sizes, point count and ``seed`` from the caller; none
+is defaulted.  ``seed`` is an int or a ``np.random.Generator``.  It goes
 through ``np.random.default_rng``, which returns a Generator unchanged, so
 callers can draw the sample points of several sweeps from one stream.
+
+The periodicity sweep evaluates each K-type once, taking F and its four
+shifted copies from one stacked ``periodicity_residual`` batch; the ladder
+sweep reads the kappa closed form off the identity row of the ``fd_apply``
+table instead of evaluating F again.
 """
 
 from __future__ import annotations
@@ -62,28 +68,22 @@ def _exact(name: str, ok: bool, **detail) -> dict:
     return _check(name, 0.0 if ok else 1.0, 0.0, **detail)
 
 
-def sample_compact_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded (theta, y) samples with rho in [0.2, 2.0], theta in [-1.2, 1.2]."""
-    theta = rng.uniform(-1.2, 1.2, count)
-    dirs = rng.normal(size=(count, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    rho = rng.uniform(0.2, 2.0, count)
-    return np.concatenate([theta[:, None], rho[:, None] * dirs], axis=1)
-
-
-def sample_noncompact_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded (t, x) samples with |x| in [0.3, 2.0], t in [-1.2, 1.2]."""
+def _sample_points(n: int, count: int, rng: np.random.Generator, r_min: float) -> np.ndarray:
+    """Seeded (N, 1+n) samples: column 0 (theta or t) in [-1.2, 1.2], then a
+    uniform direction of norm in [r_min, 2.0]."""
     t = rng.uniform(-1.2, 1.2, count)
     dirs = rng.normal(size=(count, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    nx = rng.uniform(0.3, 2.0, count)
-    return np.concatenate([t[:, None], nx[:, None] * dirs], axis=1)
+    r = rng.uniform(r_min, 2.0, count)
+    return np.concatenate([t[:, None], r[:, None] * dirs], axis=1)
 
 
-def sweep_contiguous(
-    samples: int = 1000,
-    seed: int | np.random.Generator = 20240,
-) -> list[dict]:
+def _relative(diff: np.ndarray, f0: np.ndarray) -> float:
+    """max |diff| / max(1, |f0|), with diff broadcasting against f0."""
+    return float(np.max(np.abs(diff) / np.maximum(1.0, np.abs(f0))))
+
+
+def sweep_contiguous(samples: int, seed: int | np.random.Generator) -> list[dict]:
     """Residuals of all seven contiguous relations on seeded random samples.
 
     a, b complex with |a|, |b| <= 20, b kept 0.1 away from {1, 0, -1, ...}
@@ -115,7 +115,7 @@ def sweep_contiguous(
     return checks
 
 
-def sweep_harmonicity(n_max: int = 5, k_max: int = 6) -> list[dict]:
+def sweep_harmonicity(n_max: int, k_max: int) -> list[dict]:
     """Exact-arithmetic checks: harmonicity, dimensions, decomposition."""
     ok_harm = True
     ok_dim = True
@@ -145,22 +145,16 @@ def sweep_harmonicity(n_max: int = 5, k_max: int = 6) -> list[dict]:
 
 
 def sweep_periodicity(
-    params: ParameterSet,
-    lam_max=30,
-    m_max: int = 14,
-    points: int = 20,
-    seed: int | np.random.Generator = 20241,
+    params: ParameterSet, lam_max, m_max: int, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
     """Compact-picture periodicity for every constructed K-type, j in 1..4."""
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max, include_zero_family=True)
-    P = sample_compact_points(params.n, points, rng)
+    P = _sample_points(params.n, points, rng, r_min=0.2)
     worst = 0.0
     for F in lattice:
-        scale = np.maximum(1.0, np.abs(F.eval_compact(P[:, 0], P[:, 1:])))
-        for j in (1, 2, 3, 4):
-            res = periodicity_residual(F, P[:, 0], P[:, 1:], j)
-            worst = max(worst, float(np.max(np.abs(res) / scale)))
+        res, f0 = periodicity_residual(F, P[:, 0], P[:, 1:])
+        worst = max(worst, _relative(res, f0))
     tol = DEFAULT_TOLERANCES
     return [
         _check("ktypes/periodicity", worst, tol.periodicity, ktypes=len(lattice), points=points)
@@ -168,23 +162,18 @@ def sweep_periodicity(
 
 
 def sweep_pde_kernel(
-    params: ParameterSet,
-    lam_max=60,
-    m_max: int = 30,
-    points: int = 50,
-    seed: int | np.random.Generator = 20242,
+    params: ParameterSet, lam_max, m_max: int, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
     """Non-compact PDE residual of every lattice K-type at seeded points."""
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
-    P = sample_noncompact_points(params.n, points, rng)
+    P = _sample_points(params.n, points, rng, r_min=0.3)
     worst = 0.0
     worst_index = None
     for F in lattice:
         specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(F.lam.value)))
         f0, res = fd_apply(specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact"))
-        scale = np.maximum(1.0, np.abs(f0))
-        rel = float(np.max(np.abs(res) / scale))
+        rel = _relative(res, f0)
         if rel > worst:
             worst, worst_index = rel, (F.m, F.l, F.k)
     return [
@@ -198,11 +187,7 @@ def sweep_pde_kernel(
 
 
 def sweep_ladder(
-    params: ParameterSet,
-    lam_max=60,
-    m_max: int = 30,
-    points: int = 20,
-    seed: int | np.random.Generator = 20243,
+    params: ParameterSet, lam_max, m_max: int, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
     """kappa and eta closed forms against the finite-difference oracle.
 
@@ -211,19 +196,20 @@ def sweep_ladder(
     """
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max, include_zero_family=True)
-    P = sample_compact_points(params.n, points, rng)
+    P = _sample_points(params.n, points, rng, r_min=0.2)
     worst = 0.0
     kills_ok = True
     specs = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
     specs += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
     for F in lattice:
         f0, *oracles = fd_apply(specs, F.compact_function(), P, ktype_steps(F, P, "compact"))
-        scale = np.maximum(1.0, np.abs(f0))
-        combos = (apply_kappa(F), apply_eta(F, 1), apply_eta(F, -1))
-        for combo, oracle in zip(combos, oracles):
-            closed = combo.eval_compact(P[:, 0], P[:, 1:])
-            worst = max(worst, float(np.max(np.abs(closed - oracle) / scale)))
-        for sign, combo in zip((1, -1), combos[1:]):
+        # kappa . F is a multiple of F, so its closed form scales the identity row
+        etas = (apply_eta(F, 1), apply_eta(F, -1))
+        closed = [apply_kappa(F).coefficient(F.m, F.l, F.k) * f0]
+        closed += [combo.eval_compact(P[:, 0], P[:, 1:]) for combo in etas]
+        for value, oracle in zip(closed, oracles):
+            worst = max(worst, _relative(value - oracle, f0))
+        for sign, combo in zip((1, -1), etas):
             killed = eta_coefficient(F, sign) == 0
             at_boundary = F.is_highest_weight if sign > 0 else F.is_lowest_weight
             if killed != at_boundary or killed != combo.is_empty():
@@ -238,17 +224,13 @@ def sweep_ladder(
 
 
 def sweep_heisenberg(
-    params: ParameterSet,
-    lam_max=30,
-    m_max: int = 10,
-    points: int = 40,
-    seed: int | np.random.Generator = 20244,
+    params: ParameterSet, lam_max, m_max: int, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
     """Least-squares recovery of the E_j coefficients, with the WARN diff
     against the published table and the eigenvalue-shift bookkeeping."""
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
-    P = sample_compact_points(params.n, points, rng)
+    P = _sample_points(params.n, points, rng, r_min=0.2)
     worst_lsq = 0.0
     worst_rational = 0.0
     shipped_ok = True
@@ -305,9 +287,7 @@ def sweep_heisenberg(
 
 
 def sweep_group_algebra(
-    params: ParameterSet,
-    points: int = 20,
-    seed: int | np.random.Generator = 20245,
+    params: ParameterSet, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
     """Derivative at identity of each one-parameter flow vs the algebra action."""
     rng = np.random.default_rng(seed)
@@ -321,7 +301,7 @@ def sweep_group_algebra(
     m = (params.q + 2 * k) % 4
     F = make_ktype(params, m, l, k, harmonic_representative(n, k))
     f = to_noncompact(F)
-    P = sample_noncompact_points(n, points, rng)
+    P = _sample_points(n, points, rng, r_min=0.3)
     steps = ktype_steps(F, P, "noncompact")
 
     zero = np.zeros(n)
@@ -339,11 +319,10 @@ def sweep_group_algebra(
     ]
     specs = [OperatorSpec.identity(params)] + [spec for _, spec in flows]
     f0, *algebra = fd_apply(specs, f, P, steps)
-    scale = np.maximum(1.0, np.abs(f0))
     worst = 0.0
     for (family, _), alg in zip(flows, algebra):
         flow = group_parameter_derivative(family, f, P, params.s)
-        worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
+        worst = max(worst, _relative(flow - alg, f0))
 
     # O(n) rotations: derivative of f(t, R(-tau) x) is (x_b d_a - x_a d_b) f,
     # and the Heisenberg row with u = e_a is -d_a f
@@ -359,7 +338,7 @@ def sweep_group_algebra(
 
             flow = group_parameter_derivative(rot, f, P, params.s)
             alg = P[:, 1 + a_ax] * minus_d[b_ax] - P[:, 1 + b_ax] * minus_d[a_ax]
-            worst = max(worst, float(np.max(np.abs(flow - alg) / scale)))
+            worst = max(worst, _relative(flow - alg, f0))
 
     tol = DEFAULT_TOLERANCES
     return [_check("operators/group-vs-algebra", worst, tol.group_match, points=points)]

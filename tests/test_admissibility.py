@@ -73,6 +73,12 @@ class TestEnumerateAdmissible:
         assert [int(e) for e in enumerate_admissible(3, 5)] == [3, 5]
         assert [int(e) for e in enumerate_admissible(1, 3)] == [1, 3]
 
+    def test_rejects_nonpositive_dimension(self):
+        # checked up front, not only through is_admissible inside the loop
+        for n, lam_max in ((0, 0), (-2, 0), (0, 5)):
+            with pytest.raises(ValueError, match="dimension n must be >= 1"):
+                enumerate_admissible(n, lam_max)
+
     def test_strictly_increasing_and_complete(self):
         for n in (2, 3, 5):
             vals = [int(e) for e in enumerate_admissible(n, 200)]

@@ -15,7 +15,6 @@ from singular_weyl.cli import parse_complex
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
-    env.pop("SINGULAR_WEYL_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -73,6 +72,20 @@ class TestAdmissibleCommand:
         out = run_cli("admissible", "--n", "2", "--lambda", "3", "--format", "csv")
         assert out.returncode == 0
         assert out.stdout == "l,k\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--n", "0", "--lambda-max", "0"),
+            ("--n", "-2", "--lambda-max", "0", "--format", "text"),
+            ("--n", "0", "--lambda-max", "5"),
+        ],
+    )
+    def test_nonpositive_dimension_exit_2(self, args):
+        out = run_cli("admissible", *args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "dimension n must be >= 1" in out.stderr
 
     def test_output_file_matches_stdout(self, tmp_path):
         path = tmp_path / "pairs.json"
@@ -151,7 +164,7 @@ class TestVerifyCommand:
         assert out.stdout == ""
         assert "s must be finite" in out.stderr
 
-    def test_env_seed_override(self, tmp_path):
+    def test_seed_comes_from_the_command_line_only(self, tmp_path):
         report_path = tmp_path / "report.json"
         out = run_cli(
             "verify", "--n", "2", "--q", "0", "--lambda-max", "4", "--m-max", "4",
@@ -159,11 +172,10 @@ class TestVerifyCommand:
             env_extra={"SINGULAR_WEYL_SEED": "777"},
         )
         assert out.returncode == 0
-        assert json.loads(report_path.read_text())["params"]["seed"] == 777
+        assert json.loads(report_path.read_text())["params"]["seed"] == 1
 
     def test_tolerance_override_can_force_failure(self, monkeypatch, capsys):
         # no CLI option loosens or tightens a bound; the record is patched in-process
-        monkeypatch.delenv("SINGULAR_WEYL_SEED", raising=False)
         tight = dataclasses.replace(config.DEFAULT_TOLERANCES, pde_residual=1e-30)
         monkeypatch.setattr(verify, "DEFAULT_TOLERANCES", tight)
         rc = cli.main(["verify", "--n", "2", "--q", "0", "--lambda-max", "4", "--m-max", "4"])
@@ -250,15 +262,31 @@ class TestGoldenReports:
     commit before comparing.
     """
 
+    # each row carries its own size and seed; the last two are the
+    # configurations and seeds of the benchmark's `verify` workload
     @pytest.mark.parametrize(
         "name,args",
         [
-            ("verify_n2_q0_schrodinger.json", ("--n", "2", "--q", "0", "--preset", "schrodinger")),
-            ("verify_n3_q2_heat.json", ("--n", "3", "--q", "2", "--preset", "heat")),
+            ("verify_n2_q0_schrodinger.json", (
+                "--n", "2", "--q", "0", "--preset", "schrodinger",
+                "--lambda-max", "6", "--m-max", "4", "--seed", "99",
+            )),
+            ("verify_n3_q2_heat.json", (
+                "--n", "3", "--q", "2", "--preset", "heat",
+                "--lambda-max", "6", "--m-max", "4", "--seed", "99",
+            )),
+            ("verify_n3_q0_schrodinger_lam12.json", (
+                "--n", "3", "--q", "0", "--preset", "schrodinger",
+                "--lambda-max", "12", "--m-max", "6", "--seed", "1483321111",
+            )),
+            ("verify_n4_q2_heat_lam12.json", (
+                "--n", "4", "--q", "2", "--preset", "heat",
+                "--lambda-max", "12", "--m-max", "6", "--seed", "616788990",
+            )),
         ],
     )
     def test_stdout_matches_golden(self, name, args):
-        out = run_cli("verify", *args, "--lambda-max", "6", "--m-max", "4", "--seed", "99")
+        out = run_cli("verify", *args)
         assert out.returncode == 0, out.stderr
         assert out.stdout.encode() == (GOLDEN / name).read_bytes()
 

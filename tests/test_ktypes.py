@@ -10,7 +10,6 @@ from singular_weyl import (
     LinearCombination,
     ParameterSet,
     compact_of_noncompact,
-    harmonic_basis,
     harmonic_representative,
     make_ktype,
     periodicity_residual,
@@ -180,9 +179,13 @@ class TestPeriodicity:
         params = ParameterSet(n=3, q=3, s=0.5j)
         F = make_ktype(params, 1, 1, 1, harmonic_representative(3, 1))
         theta, Y = sample_points
-        res = periodicity_residual(F, theta, Y, j)
-        scale = np.maximum(1, np.abs(F.eval_compact(theta, Y)))
-        assert np.max(np.abs(res) / scale) <= 1e-12
+        res, f = periodicity_residual(F, theta, Y)
+        assert res.shape == (4, len(theta))
+        if j == 0:
+            # the unshifted copy of the stacked batch is F itself, bit for bit
+            assert np.array_equal(f, F.eval_compact(theta, Y))
+        else:
+            assert np.max(np.abs(res[j - 1]) / np.maximum(1, np.abs(f))) <= 1e-12
 
     def test_negative_k_periodicity(self, rng):
         from singular_weyl import circular_harmonic
@@ -191,8 +194,8 @@ class TestPeriodicity:
         F = make_ktype(params, 2, 2, -1, circular_harmonic(-1))
         theta = rng.uniform(-1, 1, 10)
         Y = rng.uniform(-1, 1, (10, 2))
-        res = periodicity_residual(F, theta, Y, 1)
-        assert np.max(np.abs(res)) <= 1e-12
+        res, _ = periodicity_residual(F, theta, Y)
+        assert np.max(np.abs(res[0])) <= 1e-12
 
     def test_broken_congruence_negative_control(self, rng, sample_points):
         # bypass validation: m = 1 with 2k+q = 0 violates the congruence
@@ -200,8 +203,8 @@ class TestPeriodicity:
         h = harmonic_representative(3, 0)
         bad = KTypeVector(params, KTypeIndex(1, 1, 0), h, Eigenvalue(3, Fraction(3)))
         theta, Y = sample_points
-        res = periodicity_residual(bad, theta, Y, 1)
-        assert np.max(np.abs(res)) > 1e-3
+        res, _ = periodicity_residual(bad, theta, Y)
+        assert np.max(np.abs(res[0])) > 1e-3
 
 
 class TestOriginBehavior:

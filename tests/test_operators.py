@@ -5,7 +5,6 @@ import pytest
 
 from singular_weyl import (
     GroupElement,
-    LinearCombination,
     OperatorSpec,
     ParameterSet,
     apply_E,

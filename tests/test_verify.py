@@ -1,11 +1,12 @@
 import pytest
 
-from singular_weyl import ParameterSet, contiguous_residual_scaled
+from singular_weyl import KTypeVector, ParameterSet, contiguous_residual_scaled
 from singular_weyl.verify import (
     run_verification,
     sweep_contiguous,
     sweep_harmonicity,
     sweep_heisenberg,
+    sweep_ladder,
     sweep_periodicity,
 )
 
@@ -31,10 +32,42 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_sweeps_standalone():
-    assert all(c["status"] == "PASS" for c in sweep_contiguous(samples=30))
+    assert all(c["status"] == "PASS" for c in sweep_contiguous(30, 20240))
     assert all(c["status"] == "PASS" for c in sweep_harmonicity(3, 3))
     params = ParameterSet(n=1, q=1, s=0.5j)
-    assert all(c["status"] == "PASS" for c in sweep_periodicity(params, lam_max=6, m_max=6))
+    assert all(c["status"] == "PASS" for c in sweep_periodicity(params, 6, 6, 20, 20241))
+
+
+@pytest.fixture
+def eval_compact_calls(monkeypatch):
+    """Counts KTypeVector.eval_compact calls, closed-form combinations included."""
+    calls = []
+    original = KTypeVector.eval_compact
+
+    def counting(self, theta, y):
+        calls.append((self.m, self.l, self.k))
+        return original(self, theta, y)
+
+    monkeypatch.setattr(KTypeVector, "eval_compact", counting)
+    return calls
+
+
+def test_periodicity_evaluates_each_ktype_once(eval_compact_calls):
+    params = ParameterSet(n=3, q=0, s=0.5j)
+    (check,) = sweep_periodicity(params, 12, 6, 20, 2027)
+    assert check["status"] == "PASS"
+    assert check["ktypes"] == 30
+    assert len(eval_compact_calls) == 30
+    assert len(set(eval_compact_calls)) == 30
+
+
+def test_ladder_reads_kappa_from_the_identity_row(eval_compact_calls):
+    # one fd_apply table per K-type plus the eta closed forms; kappa costs none
+    params = ParameterSet(n=3, q=0, s=0.5j)
+    closed, kills = sweep_ladder(params, 12, 6, 20, 2027)
+    assert closed["status"] == kills["status"] == "PASS"
+    assert closed["ktypes"] == 30
+    assert len(eval_compact_calls) == 90
 
 
 def test_contiguous_reports_worst_point():
@@ -64,7 +97,7 @@ def test_contiguous_certificate_holds_on_a_hard_seed():
 
 def test_heisenberg_sweep_reports_lowering_diff():
     params = ParameterSet(n=3, q=3, s=0.5j)
-    checks = sweep_heisenberg(params, lam_max=10, m_max=6, points=30)
+    checks = sweep_heisenberg(params, 10, 6, 30, 20244)
     by_name = {c["check"]: c for c in checks}
     assert by_name["operators/heisenberg-lsq"]["status"] == "PASS"
     assert by_name["operators/heisenberg-shipped-match"]["status"] == "PASS"
