@@ -158,15 +158,6 @@ def enumerate_admissible(n: int, lam_max) -> list[Eigenvalue]:
     if lam_max < 0:
         raise ValueError("lam_max must be >= 0")
     out: list[Eigenvalue] = []
-    if n == 1:
-        l = 2
-        while True:
-            val = Fraction(l * (l - 1), 2)
-            if val > lam_max:
-                break
-            out.append(Eigenvalue(1, val))
-            l += 1
-        return out
     top = int(lam_max)
     for value in range(1, top + 1):
         if is_admissible(n, value):

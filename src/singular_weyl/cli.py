@@ -19,6 +19,7 @@ from .admissibility import (
     enumerate_admissible,
     is_admissible,
 )
+from .hypergeometric import SeriesError
 from .structure import (
     composition_series,
     decompose,
@@ -29,30 +30,15 @@ from .structure import (
 from .verify import run_verification
 
 def parse_complex(text: str) -> complex:
-    """Parse 're+imi' syntax: '0+0.5i', '-0.25', '1.5i', 'i'."""
+    """Parse 're+imi' syntax: '0+0.5i', '-0.25', '1.5i', 'i'.
+
+    A trailing 'i' stands for Python's 'j'; the rest is ``complex()``'s syntax.
+    """
     text = text.strip().replace(" ", "")
     if text in S_PRESETS:
         return S_PRESETS[text]
-    if not text:
-        raise ValueError("empty complex value")
     try:
-        if text[-1] in "ij":
-            body = text[:-1]
-            # split at the last sign that is not leading and not an exponent sign
-            split = 0
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "eE":
-                    split = pos
-                    break
-            re_part, im_part = body[:split], body[split:]
-            if im_part in ("", "+"):
-                im_val = 1.0
-            elif im_part == "-":
-                im_val = -1.0
-            else:
-                im_val = float(im_part)
-            return complex(float(re_part) if re_part else 0.0, im_val)
-        return complex(float(text), 0.0)
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex value {text!r}") from exc
 
@@ -270,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, SeriesError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

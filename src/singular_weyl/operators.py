@@ -8,9 +8,11 @@ Closed forms implemented here:
 * E_j^{+-} . F_{m,l,k} = a four-term combination over the indices
   (m+-2, l-1, k+1), (m+-2, l, k+1), (m+-2, l, k-1), (m+-2, l+1, k-1)
 
-``E_MOVES`` is the single source of those four moves and of their units;
-the closed form, the least-squares oracle and the ladder graph in
-``structure`` all read it.
+``E_MOVES`` is the single source of those four moves and of their units,
+and ``e_targets`` of which of them stay in the index range; the closed
+form, the least-squares oracle and ``structure`` (targets and ladder graph)
+all read both.  An E table maps each ``E_MOVES`` label to its rational
+part; ``e_values`` multiplies in the units.
 
 The E coefficients shipped here are the oracle-confirmed ones (the source
 statement and proof disagree internally; ``printed_E_coefficients`` keeps
@@ -46,7 +48,7 @@ class SingularityError(ValueError):
 
 
 # E_j^{+-} moves (l, k) by (delta l, delta k); its coefficient on that move is
-# a rational times the unit, i or s.  Keys are the ECoefficients field names.
+# a rational times the unit, i or s.  The E tables are keyed by these labels.
 E_MOVES: dict[str, tuple[int, int, str]] = {
     "down_up": (-1, +1, "i"),
     "same_up": (0, +1, "s"),
@@ -55,9 +57,25 @@ E_MOVES: dict[str, tuple[int, int, str]] = {
 }
 
 
+def e_targets(n: int, l: int, k: int):
+    """Yield (label, l', k') for each ``E_MOVES`` target of (l, k) in range.
+
+    In range means l' >= 0 and k' >= 0, and for n = 1 also k' <= 1.
+    """
+    for label, (dl, dk, _) in E_MOVES.items():
+        l2, k2 = l + dl, k + dk
+        if l2 >= 0 and k2 >= 0 and (n > 1 or k2 <= 1):
+            yield label, l2, k2
+
+
 def _e_units(s: complex) -> dict[str, complex]:
     """Label -> the complex unit of that E_MOVES entry."""
     return {label: 1j if unit == "i" else s for label, (_, _, unit) in E_MOVES.items()}
+
+
+def e_values(table: dict[str, Fraction], s: complex) -> dict[str, complex]:
+    """Label -> unit times rational part of an E table."""
+    return {label: u * complex(table[label]) for label, u in _e_units(s).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +359,6 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
     return LinearCombination([(complex(coeff), target)])
 
 
-@dataclass(frozen=True)
-class ECoefficients:
-    """The rational parts of the four E_j^{+-} coefficients, one per
-    ``E_MOVES`` label, in the scaled direction normalization."""
-
-    down_up: Fraction
-    same_up: Fraction
-    same_down: Fraction
-    up_down: Fraction
-
-    def as_complex(self, s: complex) -> dict[str, complex]:
-        """Label -> unit times rational part."""
-        return {label: u * complex(getattr(self, label)) for label, u in _e_units(s).items()}
-
-
 def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[Fraction, int, int]:
     """(B, edge, ladder) of the E table: B = k + 2l + n/2, edge = 2l + 2k + n - 2
     and ladder = (sign m) + 2k + 4l + n."""
@@ -363,27 +366,27 @@ def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[Fraction,
     return B, 2 * l + 2 * k + n - 2, sign * m + 2 * k + 4 * l + n
 
 
-def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoefficients:
-    """Oracle-confirmed E_j^{+-} coefficients."""
+def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> dict[str, Fraction]:
+    """Oracle-confirmed E_j^{+-} coefficients: label -> rational part."""
     B, edge, ladder = _e_table_terms(n, m, l, k, sign)
     if (l, k, n) == (0, 0, 2):
         # degenerate point of the generic formula (edge = B - 1 = 0): only
         # the (l, k+1) move survives, with coefficient -s * ladder
-        return ECoefficients(
-            down_up=Fraction(0),
-            same_up=-Fraction(ladder),
-            same_down=Fraction(0),
-            up_down=Fraction(0),
-        )
-    return ECoefficients(
-        down_up=Fraction(sign * 2 * l),
-        same_up=-Fraction(edge * ladder, 2) / (B * (B - 1)),
-        same_down=Fraction(sign * edge),
-        up_down=-Fraction(l * ladder) / (B * (B - 1)),
-    )
+        return {
+            "down_up": Fraction(0),
+            "same_up": -Fraction(ladder),
+            "same_down": Fraction(0),
+            "up_down": Fraction(0),
+        }
+    return {
+        "down_up": Fraction(sign * 2 * l),
+        "same_up": -Fraction(edge * ladder, 2) / (B * (B - 1)),
+        "same_down": Fraction(sign * edge),
+        "up_down": -Fraction(l * ladder) / (B * (B - 1)),
+    }
 
 
-def printed_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoefficients:
+def printed_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> dict[str, Fraction]:
     """The published coefficient table, rescaled to the same directions.
 
     For the raising operator it coincides with ``shipped_E_coefficients``;
@@ -393,20 +396,20 @@ def printed_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> ECoeffi
     if sign > 0 or (l, k, n) == (0, 0, 2):
         return shipped_E_coefficients(n, m, l, k, sign)
     B, edge, ladder = _e_table_terms(n, m, l, k, sign)
-    return ECoefficients(
-        down_up=Fraction(-2 * l),
-        same_up=Fraction(edge * ladder, 2) / (B - 1),
-        same_down=Fraction(-edge),
-        up_down=-Fraction(l * ladder, 2) / (B - 1),
-    )
+    return {
+        "down_up": Fraction(-2 * l),
+        "same_up": Fraction(edge * ladder, 2) / (B - 1),
+        "same_down": Fraction(-edge),
+        "up_down": -Fraction(l * ladder, 2) / (B - 1),
+    }
 
 
 def _e_directions(F: KTypeVector, j: int) -> list[tuple[str, int, int, HarmonicPolynomial]]:
-    """Candidate (label, l', k', harmonic) targets of E_j^{+-} on F.
+    """(label, l', k', harmonic) of each ``e_targets`` move of E_j^{+-} on F
+    whose harmonic part is non-zero (a zero one carries no function).
 
     Moves with k' = k+1 carry h_plus, those with k' = k-1 carry c_{k,n} d_j h.
-    Targets with l' < 0 and zero harmonic parts (they carry no function) are
-    dropped.  j is 1-based.
+    j is 1-based.
     """
     if not 1 <= j <= F.params.n:
         raise ValueError(f"coordinate j = {j} out of range 1..{F.params.n}")
@@ -414,13 +417,13 @@ def _e_directions(F: KTypeVector, j: int) -> list[tuple[str, int, int, HarmonicP
         raise NotImplementedError("Heisenberg ladder on signed k < 0 is not supported")
     h_plus, c = decompose_yj(F.h, j - 1)
     harmonic = {
-        +1: None if h_plus.is_zero() else h_plus,
-        -1: scaled_partial_harmonic(F.h, j - 1, c),
+        F.k + 1: None if h_plus.is_zero() else h_plus,
+        F.k - 1: scaled_partial_harmonic(F.h, j - 1, c),
     }
     return [
-        (label, F.l + dl, F.k + dk, harmonic[dk])
-        for label, (dl, dk, _) in E_MOVES.items()
-        if F.l + dl >= 0 and harmonic[dk] is not None
+        (label, l2, k2, harmonic[k2])
+        for label, l2, k2 in e_targets(F.params.n, F.l, F.k)
+        if harmonic[k2] is not None
     ]
 
 
@@ -430,7 +433,7 @@ def apply_E(F: KTypeVector, j: int, sign: int) -> LinearCombination:
     Coefficients are the oracle-confirmed ones; terms whose coefficient or
     harmonic part vanishes are dropped (l = 0 kills the l-changing terms).
     """
-    values = shipped_E_coefficients(F.params.n, F.m, F.l, F.k, sign).as_complex(F.params.s)
+    values = e_values(shipped_E_coefficients(F.params.n, F.m, F.l, F.k, sign), F.params.s)
     terms = []
     for label, l2, k2, harm in _e_directions(F, j):
         coeff = values[label]
@@ -439,16 +442,6 @@ def apply_E(F: KTypeVector, j: int, sign: int) -> LinearCombination:
         target = make_ktype(F.params, F.m + 2 * sign, l2, k2, harm)
         terms.append((coeff, target))
     return LinearCombination(terms)
-
-
-def heisenberg_direction_vectors(
-    F: KTypeVector, j: int, sign: int
-) -> list[tuple[str, KTypeVector]]:
-    """The labeled candidate K-types E_j^{+-} can map F to (unit coefficients)."""
-    return [
-        (label, make_ktype(F.params, F.m + 2 * sign, l2, k2, harm))
-        for label, l2, k2, harm in _e_directions(F, j)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +487,23 @@ class ERecovery:
         }
 
 
+def _matches(recovered: dict[str, complex], table: dict[str, complex]) -> bool:
+    """Every recovered coefficient lies within ``coeff_match * max(1, |table
+    value|)`` of its table value; a NaN coefficient does not."""
+    tol = DEFAULT_TOLERANCES.coeff_match
+    return all(
+        abs(c - table[label]) <= tol * max(1.0, abs(table[label])) for label, c in recovered.items()
+    )
+
+
 def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int, int], ERecovery]:
     """Least-squares projections of the finite-difference E_j^{+-}
     applications, keyed by (j, sign) for j = 1..n and sign = +1, -1.
 
     One ``fd_apply`` call gives f and every E_j^{+-} at the compact-picture
-    points.  Each fit solves min ||A c - rhs|| over its candidate directions,
-    then rationalizes each coefficient against its ``E_MOVES`` unit (i or s).
+    points.  Each fit solves min ||A c - rhs|| over the ``_e_directions``
+    targets, then rationalizes each coefficient against its ``E_MOVES`` unit
+    (i or s) with denominators up to 4 B (B-1), B = ``F.b``.
     """
     P = np.asarray(points, dtype=float)
     keys = [(j, sign) for j in range(1, F.params.n + 1) for sign in (1, -1)]
@@ -511,10 +514,12 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
     s = F.params.s
     n = F.params.n
     units = _e_units(s)
+    denominator_bound = max(1, abs((4 * F.b * (F.b - 1)).numerator))
     recoveries = {}
     for (j, sign), rhs in zip(keys, rows):
-        dirs = heisenberg_direction_vectors(F, j, sign)
-        A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:]) for _, vec in dirs], axis=1)
+        dirs = _e_directions(F, j)
+        columns = [make_ktype(F.params, F.m + 2 * sign, l2, k2, harm) for _, l2, k2, harm in dirs]
+        A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:]) for vec in columns], axis=1)
         if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
             # the operator annihilates F: the projection target is pure noise
             coeffs = np.zeros(len(dirs), dtype=complex)
@@ -523,33 +528,19 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
             coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             resid = np.linalg.norm(A @ coeffs - rhs) / np.linalg.norm(rhs)
 
-        shipped_values = shipped_E_coefficients(n, F.m, F.l, F.k, sign).as_complex(s)
-        printed_values = printed_E_coefficients(n, F.m, F.l, F.k, sign).as_complex(s)
-
-        B, _, _ = _e_table_terms(n, F.m, F.l, F.k, sign)
-        bound_frac = 4 * B * (B - 1)
-        denominator_bound = max(1, abs(bound_frac.numerator))
-
-        recovered: dict[str, complex] = {}
-        shipped: dict[str, complex] = {}
-        printed: dict[str, complex] = {}
-        rationals: dict[str, Fraction] = {}
-        rational_errors: dict[str, float] = {}
-        ok_shipped = True
-        ok_printed = True
-        for (label, _), c in zip(dirs, coeffs):
-            c = complex(c)
-            recovered[label] = c
-            ship = shipped[label] = shipped_values[label]
-            prin = printed[label] = printed_values[label]
-            if abs(c - ship) > DEFAULT_TOLERANCES.coeff_match * max(1.0, abs(ship)):
-                ok_shipped = False
-            if abs(c - prin) > DEFAULT_TOLERANCES.coeff_match * max(1.0, abs(prin)):
-                ok_printed = False
-            ratio = c / units[label]
-            frac = Fraction(ratio.real).limit_denominator(denominator_bound)
-            rationals[label] = frac
-            rational_errors[label] = abs(ratio - complex(frac))
+        recovered = {label: complex(c) for (label, *_), c in zip(dirs, coeffs)}
+        shipped_values = e_values(shipped_E_coefficients(n, F.m, F.l, F.k, sign), s)
+        printed_values = e_values(printed_E_coefficients(n, F.m, F.l, F.k, sign), s)
+        shipped = {label: shipped_values[label] for label in recovered}
+        printed = {label: printed_values[label] for label in recovered}
+        ratios = {label: c / units[label] for label, c in recovered.items()}
+        rationals = {
+            label: Fraction(ratio.real).limit_denominator(denominator_bound)
+            for label, ratio in ratios.items()
+        }
+        rational_errors = {
+            label: abs(ratio - complex(rationals[label])) for label, ratio in ratios.items()
+        }
         recoveries[j, sign] = ERecovery(
             index=(F.m, F.l, F.k),
             j=j,
@@ -562,8 +553,8 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
             rationals=rationals,
             rational_errors=rational_errors,
             denominator_bound=denominator_bound,
-            matches_shipped=ok_shipped,
-            matches_printed=ok_printed,
+            matches_shipped=_matches(recovered, shipped),
+            matches_printed=_matches(recovered, printed),
         )
     return recoveries
 

@@ -5,6 +5,11 @@ Submodules are represented descriptively: each H_{l,k} is a weight string
 m = 2k+q (mod 4) in steps of 4, with a lowest (resp. highest) weight vector
 at m = 2k+4l+n (resp. -(2k+4l+n)) exactly when q = n (resp. q = -n) mod 4.
 The composition chains follow the four-case classification by (q, n) mod 4.
+
+``ktype_lattice`` and ``ladder_graph`` share one weight walk: the radial
+pairs of every admissible lambda <= lambda_max, each with its legal weights
+in a window.  The E edges and ``heisenberg_targets`` take their moves from
+``operators.e_targets``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .admissibility import (
     radial_pairs,
     weight_residue,
 )
-from .operators import E_MOVES, eta_index_coefficient, shipped_E_coefficients
+from .operators import e_targets, e_values, eta_index_coefficient, shipped_E_coefficients
 from .ktypes import KTypeVector, make_ktype
 from .polynomials import harmonic_representative
 
@@ -124,17 +129,6 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
     return out
 
 
-def _e_targets(n: int, l: int, k: int):
-    """Yield (label, l', k') for each ``E_MOVES`` target of (l, k) in range.
-
-    In range means l' >= 0 and k' >= 0, and for n = 1 also k' <= 1.
-    """
-    for label, (dl, dk, _) in E_MOVES.items():
-        l2, k2 = l + dl, k + dk
-        if l2 >= 0 and k2 >= 0 and (n > 1 or k2 <= 1):
-            yield label, l2, k2
-
-
 def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]]:
     """The (l', k', lambda') targets reachable from (l, k) under E_j.
 
@@ -145,8 +139,23 @@ def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]
     if l < 0:
         raise ValueError("l must be >= 0")
     return [
-        (l2, k2, Fraction(pair_eigenvalue(n, l2, k2))) for _, l2, k2 in _e_targets(n, l, k)
+        (l2, k2, Fraction(pair_eigenvalue(n, l2, k2))) for _, l2, k2 in e_targets(n, l, k)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the weight walk shared by the ladder graphs and the K-type lattice
+# ---------------------------------------------------------------------------
+
+
+def _pairs_up_to(n: int, lam_max) -> list[tuple[int, int]]:
+    """The radial pairs of every admissible lambda <= lam_max, by increasing lambda."""
+    return [pair for ev in enumerate_admissible(n, lam_max) for pair in radial_pairs(n, ev.value)]
+
+
+def _weights(params: ParameterSet, k: int, m_lo: int, m_hi: int) -> range:
+    """The legal weights m = 2k + q (mod 4) of k in [m_lo, m_hi]."""
+    return range(m_lo + (weight_residue(params, k) - m_lo) % 4, m_hi + 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +261,9 @@ def ladder_graph(
     if m_lo > m_hi:
         raise ValueError("empty m range")
     if lambdas is None:
-        lam_list = [ev.value for ev in enumerate_admissible(n, lam_max)]
+        pair_set = _pairs_up_to(n, lam_max)
     else:
-        lam_list = [Fraction(v) for v in lambdas]
-    pair_set: list[tuple[int, int]] = []
-    for lam in lam_list:
-        pair_set.extend(radial_pairs(n, lam))
+        pair_set = [pair for lam in lambdas for pair in radial_pairs(n, Fraction(lam))]
     if include_zero_family:
         k_cap = max([abs(k) for _, k in pair_set], default=4) + 1
         zero_ks = range(0, min(k_cap, 2) if n == 1 else k_cap)
@@ -266,9 +272,7 @@ def ladder_graph(
     nodes: dict[tuple[int, int, int], GraphNode] = {}
     for l, k in pair_set:
         lam = Fraction(pair_eigenvalue(n, l, k))
-        residue = weight_residue(params, k)
-        start = m_lo + ((residue - m_lo) % 4)
-        for m in range(start, m_hi + 1, 4):
+        for m in _weights(params, k, m_lo, m_hi):
             nodes[(m, l, k)] = GraphNode(m, l, k, lam)
 
     in_window = set(nodes)
@@ -292,8 +296,8 @@ def ladder_graph(
         if not with_heisenberg or (n == 2 and k < 0):
             continue
         for sign in (+1, -1):
-            values = shipped_E_coefficients(n, m, l, k, sign).as_complex(params.s)
-            for label, l2, k2 in _e_targets(n, l, k):
+            values = e_values(shipped_E_coefficients(n, m, l, k, sign), params.s)
+            for label, l2, k2 in e_targets(n, l, k):
                 coeff = values[label]
                 if coeff == 0:
                     continue
@@ -342,17 +346,13 @@ def ktype_lattice(
     """
     n = params.n
     vectors = []
-    pair_list: list[tuple[int, int]] = []
-    for ev in enumerate_admissible(n, lam_max):
-        pair_list.extend(radial_pairs(n, ev.value))
+    pair_list = _pairs_up_to(n, lam_max)
     if include_zero_family:
         pair_list.extend((0, k) for k in (range(2) if n == 1 else range(3)))
     for l, k in pair_list:
         if n == 2 and k < 0:
             continue
         h = harmonic_representative(n, k)
-        residue = weight_residue(params, k)
-        start = -m_max + ((residue + m_max) % 4)
-        for m in range(start, m_max + 1, 4):
+        for m in _weights(params, k, -m_max, m_max):
             vectors.append(make_ktype(params, m, l, k, h))
     return vectors

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admissibility import ParameterSet, enumerate_admissible, radial_pairs
+from .admissibility import ParameterSet, enumerate_admissible, radial_pairs, weight_residue
 from .config import DEFAULT_TOLERANCES
 from .hypergeometric import contiguous_residual_scaled, RELATIONS
 from .ktypes import make_ktype, periodicity_residual, to_noncompact
@@ -298,7 +298,7 @@ def sweep_group_algebra(
     if lam_small is None:
         raise RuntimeError("no admissible eigenvalue below 20")
     l, k = radial_pairs(n, lam_small.value)[0]
-    m = (params.q + 2 * k) % 4
+    m = weight_residue(params, k)
     F = make_ktype(params, m, l, k, harmonic_representative(n, k))
     f = to_noncompact(F)
     P = _sample_points(n, points, rng, r_min=0.3)

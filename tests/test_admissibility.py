@@ -73,6 +73,12 @@ class TestEnumerateAdmissible:
         assert [int(e) for e in enumerate_admissible(3, 5)] == [3, 5]
         assert [int(e) for e in enumerate_admissible(1, 3)] == [1, 3]
 
+    def test_n1_lists_the_triangular_numbers(self):
+        triangular = [l * (l - 1) // 2 for l in range(2, 101) if l * (l - 1) // 2 <= 5000]
+        assert [int(e) for e in enumerate_admissible(1, 5000)] == triangular
+        assert [e.value for e in enumerate_admissible(1, Fraction(7, 2))] == [1, 3]
+        assert enumerate_admissible(1, 0) == []
+
     def test_rejects_nonpositive_dimension(self):
         # checked up front, not only through is_admissible inside the loop
         for n, lam_max in ((0, 0), (-2, 0), (0, 5)):

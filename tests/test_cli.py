@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,10 +38,18 @@ class TestParseComplex:
             ("1+1i", 1 + 1j),
             ("schrodinger", 0.5j),
             ("heat", -0.25),
+            ("i", 1j),
+            ("-i", -1j),
+            ("1e-3-2e-3i", 0.001 - 0.002j),
+            ("0.5j", 0.5j),
         ],
     )
     def test_forms(self, text, expected):
         assert parse_complex(text) == expected
+
+    def test_pure_imaginary_has_positive_zero_real_part(self):
+        # a "-0.0" real part would change the "s" bytes of every report
+        assert math.copysign(1, parse_complex("-2i").real) == 1
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -163,6 +172,16 @@ class TestVerifyCommand:
         assert out.returncode == 2
         assert out.stdout == ""
         assert "s must be finite" in out.stderr
+
+    @pytest.mark.parametrize("s", ["0+200i", "1e200"])
+    def test_series_error_exit_2(self, s):
+        out = run_cli(
+            "verify", "--n", "2", "--s", s, "--lambda-max", "4", "--m-max", "2", "--seed", "1"
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.splitlines()[-1].startswith("invalid parameters: 1F1 series")
 
     def test_seed_comes_from_the_command_line_only(self, tmp_path):
         report_path = tmp_path / "report.json"
@@ -287,6 +306,35 @@ class TestGoldenReports:
     )
     def test_stdout_matches_golden(self, name, args):
         out = run_cli("verify", *args)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.encode() == (GOLDEN / name).read_bytes()
+
+
+class TestGoldenIndexOutputs:
+    """The E edges, the weight walk and the lambda = 0 family against files
+    written by an earlier version.  Every value in them is exact rational
+    arithmetic, so they do not depend on the host."""
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("heisenberg_n3_q0_lam12.dot", (
+                "plot-data", "--figure", "heisenberg", "--n", "3", "--q", "0",
+                "--lambda-max", "12", "--m-min", "-6", "--m-max", "6", "--format", "dot",
+            )),
+            # includes the n = 2, k < 0 nodes
+            ("lattice_n2_q0_lam12.dot", (
+                "plot-data", "--figure", "lattice", "--n", "2", "--q", "0",
+                "--lambda-max", "12", "--m-min", "-8", "--m-max", "8", "--format", "dot",
+            )),
+            # the README example
+            ("ktypes_n3_q1_lam5.json", (
+                "ktypes", "--n", "3", "--q", "1", "--lambda", "5", "--m-max", "8",
+            )),
+        ],
+    )
+    def test_stdout_matches_golden(self, name, args):
+        out = run_cli(*args)
         assert out.returncode == 0, out.stderr
         assert out.stdout.encode() == (GOLDEN / name).read_bytes()
 

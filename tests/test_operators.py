@@ -19,9 +19,13 @@ from singular_weyl import (
     to_noncompact,
 )
 from singular_weyl.ktypes import SpaceTimeFunction
+from singular_weyl.polynomials import decompose_yj
 from singular_weyl.operators import (
+    E_MOVES,
     SingularityError,
+    _e_directions,
     _partials,
+    e_targets,
     eta_coefficient,
     ktype_steps,
     printed_E_coefficients,
@@ -262,7 +266,7 @@ class TestERecovery:
             rec = recs[2, sign]
             table = shipped_E_coefficients(4, F.m, F.l, F.k, sign)
             for label, frac in rec.rationals.items():
-                assert frac == getattr(table, label)
+                assert frac == table[label]
                 assert rec.rational_errors[label] <= 1e-6
                 B = Fraction(2 * F.l + F.k) + Fraction(4, 2)
                 assert frac.denominator <= (4 * B * (B - 1)).numerator
@@ -274,10 +278,38 @@ class TestERecovery:
             assert up_ship == up_print
             dn_ship = shipped_E_coefficients(3, m, l, k, -1)
             dn_print = printed_E_coefficients(3, m, l, k, -1)
-            assert dn_ship.down_up == dn_print.down_up
-            assert dn_ship.same_down == dn_print.same_down
-            assert dn_ship.same_up != dn_print.same_up
-            assert dn_ship.up_down != dn_print.up_down
+            assert dn_ship["down_up"] == dn_print["down_up"]
+            assert dn_ship["same_down"] == dn_print["same_down"]
+            assert dn_ship["same_up"] != dn_print["same_up"]
+            assert dn_ship["up_down"] != dn_print["up_down"]
+
+    @pytest.mark.parametrize("n,m,l,k", [(3, 3, 1, 1), (4, 2, 1, 1), (2, 0, 0, 0), (1, 1, 0, 0)])
+    def test_tables_are_keyed_by_the_moves_in_order(self, n, m, l, k):
+        for table in (shipped_E_coefficients, printed_E_coefficients):
+            for sign in (1, -1):
+                assert list(table(n, m, l, k, sign)) == list(E_MOVES)
+
+
+class TestEDirections:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_directions_are_the_targets_with_nonzero_harmonic(self, n):
+        # e_targets also drops k' < 0 and, for n = 1, k' > 1; neither removes
+        # a move with a non-zero harmonic (d_j of a constant is zero, and at
+        # n = 1, k = 1 the harmonic part of y * y is y^2 - y^2 = 0)
+        params = ParameterSet(n=n, q=0, s=0.5j)
+        for k in range(2 if n == 1 else 4):
+            for l in (0, 1, 2):
+                F = make_ktype(params, (2 * k) % 4, l, k, harmonic_representative(n, k))
+                for j in range(1, n + 1):
+                    h_plus, c = decompose_yj(F.h, j - 1)
+                    zero = {
+                        k + 1: h_plus.is_zero(),
+                        k - 1: F.h.poly.partial(j - 1).scale(c).is_zero(),
+                    }
+                    kept = [(l2, k2) for _, l2, k2 in e_targets(n, l, k) if not zero[k2]]
+                    moves = [(l + dl, k + dk) for dl, dk, _ in E_MOVES.values()]
+                    assert kept == [(l2, k2) for l2, k2 in moves if l2 >= 0 and not zero[k2]]
+                    assert [(l2, k2) for _, l2, k2, _ in _e_directions(F, j)] == kept
 
 
 class TestOmegaEigenvalue:
