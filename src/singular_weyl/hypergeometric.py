@@ -75,28 +75,31 @@ def _series(a, b, z: np.ndarray, derivatives: int):
     term = np.ones(np.broadcast(a, b, z).shape, z.dtype)
     sums = [term] + [np.zeros_like(term) for _ in range(derivatives)]
     quiet = 0
-    for j in range(1, tol.series_max_terms + 1):
-        term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
-        sums[0] = sums[0] + term
-        # termwise derivative: d^p/dz^p z^j / ... has factor j(j-1)...(j-p+1)/z^p
-        fac = 1.0
-        for p in range(1, derivatives + 1):
-            fac *= j - p + 1
-            if fac <= 0:
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):
+    # a diverging sum overflows to inf/nan before the budget runs out and
+    # SeriesError reports it, so numpy need not warn on the way; the
+    # derivative terms divide by z and are masked where z = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(1, tol.series_max_terms + 1):
+            term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
+            sums[0] = sums[0] + term
+            # termwise derivative: d^p/dz^p z^j / ... has factor j(j-1)...(j-p+1)/z^p
+            fac = 1.0
+            for p in range(1, derivatives + 1):
+                fac *= j - p + 1
+                if fac <= 0:
+                    break
                 sums[p] = sums[p] + np.where(z != 0, fac * term / z**p, 0.0)
-        if np.all(np.abs(term) <= stop * (np.abs(sums[0]) + 1e-300)):
-            quiet += 1
-            if quiet >= 3:
-                break
+            if np.all(np.abs(term) <= stop * (np.abs(sums[0]) + 1e-300)):
+                quiet += 1
+                if quiet >= 3:
+                    break
+            else:
+                quiet = 0
         else:
-            quiet = 0
-    else:
-        raise SeriesError(
-            f"1F1 series did not converge within {tol.series_max_terms} terms "
-            f"(a={a}, b={b}, max|z|={np.max(np.abs(z)):.3g})"
-        )
+            raise SeriesError(
+                f"1F1 series did not converge within {tol.series_max_terms} terms "
+                f"(a={a}, b={b}, max|z|={np.max(np.abs(z)):.3g})"
+            )
     # derivative sums above miss the z = 0 entries; fix them exactly
     if derivatives >= 1 and np.any(z == 0):
         coef = 1

@@ -9,6 +9,12 @@ A basis vector is determined by the parameters (n, q, s), an index triple
 with rho = |y|.  Points are passed as (theta, y) scalars/arrays; batched
 evaluation uses arrays of shape (N, 1+n) with the angle/time in column 0.
 
+``eval_compact_all`` evaluates several vectors at the same points with one
+1F1 call per distinct (a, b, s).  Only identical (a, b) on identical points
+share a call: the series stops a batch when every entry has converged, so
+a value can depend in its last bits on the rest of its batch, and stacking
+other z or (a, b) into one batch would move reported residuals.
+
 For n = 1 the index (l, k) is the radial pair with k in {0, 1}; see
 ``admissibility.triangular_to_radial``.
 """
@@ -103,18 +109,7 @@ class KTypeVector:
         return self.m == -(2 * self.k + 4 * self.l + self.params.n)
 
     def eval_compact(self, theta, y):
-        theta_arr, y_arr, single = _as_batch(theta, y)
-        s = self.params.s
-        rho2 = (y_arr**2).sum(axis=1)
-        hyp = hyp1f1(float(self.a), float(self.b), 2j * s * rho2)
-        out = (
-            np.exp(-0.5j * self.m * theta_arr)
-            * np.exp(-1j * s * rho2)
-            * rho2 ** self.l
-            * self.h(y_arr)
-            * hyp
-        )
-        return complex(out[0]) if single else out
+        return eval_compact_all([self], theta, y)[0]
 
     def compact_function(self) -> SpaceTimeFunction:
         n = self.params.n
@@ -136,6 +131,35 @@ class KTypeVector:
             "lambda": [self.lam.value.numerator, self.lam.value.denominator],
             "h": self.h.poly.to_json(),
         }
+
+
+def eval_compact_all(vectors: Sequence[KTypeVector], theta, y) -> list:
+    """F(theta, y) for each vector F, all at the same points.
+
+    rho^2 is formed once, and vectors that share (a, b, s) share one
+    ``hyp1f1`` call.  That call has the same a, b and z as a call for the
+    vector alone, so each value is bit for bit the one-vector value.
+    Returns a list of complex values for one point, of (N,) arrays for a
+    batch.
+    """
+    theta_arr, y_arr, single = _as_batch(theta, y)
+    rho2 = (y_arr**2).sum(axis=1)
+    hyps = {}
+    out = []
+    for vec in vectors:
+        s = vec.params.s
+        key = (float(vec.a), float(vec.b), s)
+        if key not in hyps:
+            hyps[key] = hyp1f1(key[0], key[1], 2j * s * rho2)
+        value = (
+            np.exp(-0.5j * vec.m * theta_arr)
+            * np.exp(-1j * s * rho2)
+            * rho2 ** vec.l
+            * vec.h(y_arr)
+            * hyps[key]
+        )
+        out.append(complex(value[0]) if single else value)
+    return out
 
 
 def make_ktype(
@@ -281,9 +305,10 @@ class LinearCombination:
         if not self.terms:
             y_arr = np.asarray(y, dtype=float)
             return 0j if y_arr.ndim == 1 else np.zeros(y_arr.shape[0], dtype=complex)
+        values = eval_compact_all([v for _, v in self.terms], theta, y)
         out = None
-        for c, v in self.terms:
-            val = c * v.eval_compact(theta, y)
+        for (c, _), value in zip(self.terms, values):
+            val = c * value
             out = val if out is None else out + val
         return out
 

@@ -39,7 +39,13 @@ import numpy as np
 
 from .admissibility import ParameterSet
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES
-from .ktypes import KTypeVector, LinearCombination, SpaceTimeFunction, make_ktype
+from .ktypes import (
+    KTypeVector,
+    LinearCombination,
+    SpaceTimeFunction,
+    eval_compact_all,
+    make_ktype,
+)
 from .polynomials import HarmonicPolynomial, decompose_yj, scaled_partial_harmonic
 
 
@@ -515,11 +521,27 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
     n = F.params.n
     units = _e_units(s)
     denominator_bound = max(1, abs((4 * F.b * (F.b - 1)).numerator))
+    # the tables depend on the sign only, not on j
+    tables = {
+        sign: (
+            e_values(shipped_E_coefficients(n, F.m, F.l, F.k, sign), s),
+            e_values(printed_E_coefficients(n, F.m, F.l, F.k, sign), s),
+        )
+        for sign in (1, -1)
+    }
+    # every column of every fit in one evaluation, so targets that share
+    # (a', b') share one 1F1 series pass
+    directions = {j: _e_directions(F, j) for j in range(1, n + 1)}
+    columns = [
+        make_ktype(F.params, F.m + 2 * sign, l2, k2, harm)
+        for j, sign in keys
+        for _, l2, k2, harm in directions[j]
+    ]
+    values = iter(eval_compact_all(columns, P[:, 0], P[:, 1:]))
     recoveries = {}
     for (j, sign), rhs in zip(keys, rows):
-        dirs = _e_directions(F, j)
-        columns = [make_ktype(F.params, F.m + 2 * sign, l2, k2, harm) for _, l2, k2, harm in dirs]
-        A = np.stack([vec.eval_compact(P[:, 0], P[:, 1:]) for vec in columns], axis=1)
+        dirs = directions[j]
+        A = np.stack([next(values) for _ in dirs], axis=1)
         if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
             # the operator annihilates F: the projection target is pure noise
             coeffs = np.zeros(len(dirs), dtype=complex)
@@ -529,8 +551,7 @@ def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int
             resid = np.linalg.norm(A @ coeffs - rhs) / np.linalg.norm(rhs)
 
         recovered = {label: complex(c) for (label, *_), c in zip(dirs, coeffs)}
-        shipped_values = e_values(shipped_E_coefficients(n, F.m, F.l, F.k, sign), s)
-        printed_values = e_values(printed_E_coefficients(n, F.m, F.l, F.k, sign), s)
+        shipped_values, printed_values = tables[sign]
         shipped = {label: shipped_values[label] for label in recovered}
         printed = {label: printed_values[label] for label in recovered}
         ratios = {label: c / units[label] for label, c in recovered.items()}

@@ -12,9 +12,13 @@ from singular_weyl import (
     compact_of_noncompact,
     harmonic_representative,
     make_ktype,
+    S_PRESETS,
+    apply_E,
     periodicity_residual,
     to_noncompact,
 )
+from singular_weyl.hypergeometric import hyp1f1
+from singular_weyl.ktypes import eval_compact_all
 from fractions import Fraction
 
 
@@ -119,6 +123,60 @@ class TestEvalCompact:
                 * (y[0] + 1j * y[1]) ** k
             )
             assert abs(F.eval_compact(theta, y) - expected) <= 1e-12 * abs(expected)
+
+
+def separate_eval(F, theta, y):
+    """F(theta, y) with a 1F1 call of its own, in ``eval_compact``'s factor order."""
+    theta, y = np.atleast_1d(theta), np.atleast_2d(y)
+    s = F.params.s
+    rho2 = (y**2).sum(axis=1)
+    return (
+        np.exp(-0.5j * F.m * theta)
+        * np.exp(-1j * s * rho2)
+        * rho2**F.l
+        * F.h(y)
+        * hyp1f1(float(F.a), float(F.b), 2j * s * rho2)
+    )
+
+
+class TestEvalCompactAll:
+    @pytest.fixture(params=sorted(S_PRESETS))
+    def lowered(self, request):
+        """E_1^- of F_{3,1,1}: its same_up and up_down terms share (a, b)."""
+        params = ParameterSet(n=3, q=1, s=S_PRESETS[request.param])
+        F = make_ktype(params, 3, 1, 1, harmonic_representative(3, 1))
+        return F, apply_E(F, 1, -1)
+
+    def test_shared_series_changes_no_bit(self, lowered, sample_points):
+        F, lc = lowered
+        vectors = [F, *(v for _, v in lc.terms), F]
+        assert len({(v.a, v.b) for v in vectors}) < len(vectors) - 1
+        theta, y = sample_points
+        values = eval_compact_all(vectors, theta, y)
+        assert len(values) == len(vectors)
+        for vec, value in zip(vectors, values):
+            assert np.array_equal(value, separate_eval(vec, theta, y))
+            assert np.array_equal(value, vec.eval_compact(theta, y))
+
+    def test_single_point(self, lowered, sample_points):
+        F, lc = lowered
+        vectors = [F, *(v for _, v in lc.terms)]
+        theta, y = sample_points[0][0], sample_points[1][0]
+        values = eval_compact_all(vectors, theta, y)
+        for vec, value in zip(vectors, values):
+            assert isinstance(value, complex)
+            assert value == complex(separate_eval(vec, theta, y)[0])
+
+    def test_linear_combination(self, lowered, sample_points):
+        _, lc = lowered
+        labels = {(v.l, v.k) for _, v in lc.terms}
+        assert {(1, 2), (2, 0)} <= labels  # same_up and up_down
+        theta, y = sample_points
+        expected = None
+        for c, v in lc.terms:
+            val = c * separate_eval(v, theta, y)
+            expected = val if expected is None else expected + val
+        assert np.array_equal(lc.eval_compact(theta, y), expected)
 
 
 class TestPictureTransforms:

@@ -14,6 +14,7 @@ from singular_weyl import (
     group_action_noncompact,
     group_parameter_derivative,
     harmonic_representative,
+    hyp1f1,
     make_ktype,
     recover_E_coefficients,
     to_noncompact,
@@ -249,6 +250,30 @@ class TestERecovery:
         assert rec.lsq_residual <= 1e-8
         assert rec.matches_shipped
         assert not rec.matches_printed
+
+    @pytest.mark.parametrize("s", [0.5j, -0.25])
+    def test_one_series_per_distinct_column_ab(self, rng, monkeypatch, s):
+        import singular_weyl.ktypes as ktypes
+
+        params = ParameterSet(n=3, q=1, s=s)
+        F = make_ktype(params, 3, 1, 1, harmonic_representative(3, 1))
+        P = compact_points(3, rng, 40)
+        seen = []
+
+        def counted(a, b, z):
+            seen.append((a, b))
+            return hyp1f1(a, b, z)
+
+        monkeypatch.setattr(ktypes, "hyp1f1", counted)
+        recover_E_coefficients(F, P)
+        columns = {
+            (Fraction(F.m + 2 * sign + 4 * l2 + 2 * k2 + 3, 4), Fraction(4 * l2 + 2 * k2 + 3, 2))
+            for j in (1, 2, 3)
+            for sign in (1, -1)
+            for _, l2, k2, _ in _e_directions(F, j)
+        }
+        # one call for the finite-difference table, one per distinct column (a', b')
+        assert len(seen) == 1 + len(columns) == 5
 
     def test_raising_matches_both(self, rng):
         params = ParameterSet(n=3, q=1, s=0.5j)

@@ -1,6 +1,6 @@
 import pytest
 
-from singular_weyl import KTypeVector, ParameterSet, contiguous_residual_scaled
+from singular_weyl import ParameterSet, contiguous_residual_scaled, ktypes
 from singular_weyl.verify import (
     run_verification,
     sweep_contiguous,
@@ -40,15 +40,17 @@ def test_sweeps_standalone():
 
 @pytest.fixture
 def eval_compact_calls(monkeypatch):
-    """Counts KTypeVector.eval_compact calls, closed-form combinations included."""
+    """Counts K-type evaluations, closed-form combinations included: every
+    vector passed to the shared evaluator, which ``KTypeVector.eval_compact``
+    and ``LinearCombination.eval_compact`` both call."""
     calls = []
-    original = KTypeVector.eval_compact
+    original = ktypes.eval_compact_all
 
-    def counting(self, theta, y):
-        calls.append((self.m, self.l, self.k))
-        return original(self, theta, y)
+    def counting(vectors, theta, y):
+        calls.extend((v.m, v.l, v.k) for v in vectors)
+        return original(vectors, theta, y)
 
-    monkeypatch.setattr(KTypeVector, "eval_compact", counting)
+    monkeypatch.setattr(ktypes, "eval_compact_all", counting)
     return calls
 
 
