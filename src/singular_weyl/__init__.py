@@ -55,7 +55,6 @@ from .polynomials import (
     c_const,
     circular_harmonic,
     decompose_yj,
-    euler,
     harmonic_basis,
     harmonic_dimension,
     harmonic_representative,

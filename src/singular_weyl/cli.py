@@ -177,9 +177,8 @@ def cmd_plotdata(args) -> int:
         params,
         args.lam_max,
         (args.m_min, args.m_max),
-        include_zero_family=heisenberg,
+        heisenberg,
         lambdas=[args.lam] if args.lam is not None and not heisenberg else None,
-        with_heisenberg=heisenberg,
     )
     _emit(graph.to_dot() if args.format == "dot" else _json(graph.to_json()), args.output)
     return 0

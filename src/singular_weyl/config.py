@@ -48,10 +48,10 @@ class FDConfig:
     """Finite-difference stencil settings.
 
     4th-order central stencils with one Richardson extrapolation level.
-    ``operators`` reads ``DEFAULT_FD``: ``base_step`` scaled by coordinate
-    magnitude (``default_steps``) or divided by the local oscillation rate of
-    the target K-type (``ktype_steps``, clipped to [min_step, 10 base_step]),
-    and ``group_step`` in ``group_parameter_derivative``.
+    ``operators`` reads ``DEFAULT_FD``: ``ktype_steps`` adapts the steps to
+    the local oscillation rate of the target K-type and clips them to
+    [min_step, 10 base_step], and ``group_parameter_derivative`` uses
+    ``group_step``.
     """
 
     base_step: float = 1e-3

@@ -196,25 +196,12 @@ def make_ktype(
     return KTypeVector(params, KTypeIndex(m, l, k), h, lam)
 
 
-def to_noncompact(F: KTypeVector | "LinearCombination") -> SpaceTimeFunction:
+def to_noncompact(F: KTypeVector) -> SpaceTimeFunction:
     """Image of F under the picture isomorphism, as a function of (t, x).
 
     f(t,x) = (1+t^2)^{-n/4} e^{s t |x|^2 / (1+t^2)} F(arctan t, x (1+t^2)^{-1/2});
     smooth across all of R^{1,n}.
     """
-    if isinstance(F, LinearCombination):
-        parts = [(c, to_noncompact(vec)) for c, vec in F.terms]
-        n = F.n
-
-        def batch_sum(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros(pts.shape[0], dtype=np.complex128)
-            for c, f in parts:
-                out += c * f.batch(pts)
-            return out
-
-        return SpaceTimeFunction(n, batch_sum)
-
     n = F.params.n
     s = F.params.s
 
@@ -291,12 +278,6 @@ class LinearCombination:
             else:
                 merged.append((coeff, vec))
         self.terms = [(c, v) for c, v in merged if c != 0]
-
-    @property
-    def n(self) -> int:
-        if not self.terms:
-            raise ValueError("empty combination has no dimension")
-        return self.terms[0][1].params.n
 
     def is_empty(self) -> bool:
         return not self.terms

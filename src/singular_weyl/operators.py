@@ -20,8 +20,9 @@ the published table and ``recover_E_coefficients`` re-derives the truth by
 least squares against the finite-difference application, so any mismatch is
 reported rather than silently adopted).
 
-The oracle has one stencil path: ``fd_apply`` evaluates one operator or a
-sequence of them (``OperatorSpec.identity`` is f itself) from one ``f.batch``.
+The oracle has one stencil path: ``fd_apply`` evaluates a sequence of
+operators (``OperatorSpec.identity`` is f itself) from one ``f.batch``, with
+the steps the caller passes (``ktype_steps`` in every sweep).
 
 Direction normalization for E: targets with k+1 carry the harmonic
 projection h_plus of y_j h, targets with k-1 carry c_{k,n} * d_j h.  With
@@ -130,12 +131,6 @@ def _partials(f: SpaceTimeFunction, P: np.ndarray, h: np.ndarray, first=(), seco
     d1 = {a: _first_richardson(blocks[a], h[:, a]) for a in first}
     d2 = {a: _second_richardson(f0, blocks[a], h[:, a]) for a in second}
     return f0, d1, d2
-
-
-def default_steps(P: np.ndarray) -> np.ndarray:
-    """base_step scaled by coordinate magnitude, per point and axis."""
-    P = np.asarray(P, dtype=float)
-    return DEFAULT_FD.base_step * np.maximum(1.0, np.abs(P))
 
 
 def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
@@ -293,29 +288,21 @@ def _assemble(spec: OperatorSpec, P: np.ndarray, f0, d1, d2) -> np.ndarray:
 
 
 def fd_apply(
-    spec: OperatorSpec | Sequence[OperatorSpec],
-    f: SpaceTimeFunction,
-    P: np.ndarray,
-    steps: np.ndarray | None = None,
+    specs: Sequence[OperatorSpec], f: SpaceTimeFunction, P: np.ndarray, steps: np.ndarray
 ) -> np.ndarray:
-    """Apply one operator, or each of a sequence of operators, to f at the
-    rows of P by central differences.
+    """Apply each of a sequence of operators to f at the rows of P by
+    central differences.
 
-    P has shape (N, 1+n) with theta or t in column 0; a single point of
-    shape (1+n,) is also accepted.  ``steps`` overrides the default
-    per-point, per-axis step array.  One operator gives N values, a sequence
-    gives a (len, N) array.  Either way f is evaluated in one ``f.batch``
-    call: P first, then one ``_FIRST_OFFSETS`` block of displaced copies of
-    P per axis that any of the operators differentiates.
+    P has shape (N, 1+n) with theta or t in column 0, and ``steps`` has the
+    shape of P: a step per point and axis.  Returns a (len(specs), N) array.
+    f is evaluated in one ``f.batch`` call: P first, then one
+    ``_FIRST_OFFSETS`` block of displaced copies of P per axis that any of
+    the operators differentiates.
     """
-    specs = [spec] if isinstance(spec, OperatorSpec) else list(spec)
     P = np.asarray(P, dtype=float)
-    single = P.ndim == 1
-    if single:
-        P = P[None, :]
-    if any(P.shape[1] != 1 + sp.n for sp in specs):
-        raise ValueError(f"points must have {1 + specs[0].n} columns")
-    h = default_steps(P) if steps is None else np.broadcast_to(steps, P.shape)
+    if P.ndim != 2 or any(P.shape[1] != 1 + sp.n for sp in specs):
+        raise ValueError(f"points must be an (N, {1 + specs[0].n}) array")
+    h = np.asarray(steps, dtype=float)
     axes = [_differentiated_axes(sp) for sp in specs]
     if any(sp.kind == "pde" for sp in specs):
         if np.any(np.sqrt((P[:, 1:] ** 2).sum(axis=1)) < 10 * np.max(h[:, 1:], axis=1)):
@@ -323,10 +310,7 @@ def fd_apply(
     first = tuple(dict.fromkeys(a for a1, _ in axes for a in a1))
     second = tuple(dict.fromkeys(a for _, a2 in axes for a in a2))
     f0, d1, d2 = _partials(f, P, h, first, second)
-    out = np.array([_assemble(sp, P, f0, d1, d2) for sp in specs])
-    if single:
-        out = out[:, 0]
-    return out[0] if isinstance(spec, OperatorSpec) else out
+    return np.array([_assemble(sp, P, f0, d1, d2) for sp in specs])
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +324,9 @@ def apply_kappa(F: KTypeVector) -> LinearCombination:
     return LinearCombination([(complex(coeff), F)])
 
 
-def eta_index_coefficient(n: int, m: int, l: int, k: int, sign: int) -> Fraction:
+def eta_coefficient(n: int, m: int, l: int, k: int, sign: int) -> Fraction:
     """Exact eta^{+-} coefficient -((sign m) + 4l + 2k + n)/4 on the index (m, l, k)."""
     return Fraction(-_e_table_terms(n, m, l, k, sign)[2], 4)
-
-
-def eta_coefficient(F: KTypeVector, sign: int) -> Fraction:
-    """Exact ladder coefficient -((sign m) + 4l + 2k + n)/4 of F."""
-    return eta_index_coefficient(F.params.n, F.m, F.l, F.k, sign)
 
 
 def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
@@ -358,7 +337,7 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    coeff = eta_coefficient(F, sign)
+    coeff = eta_coefficient(F.params.n, F.m, F.l, F.k, sign)
     if coeff == 0:
         return LinearCombination()
     target = make_ktype(F.params, F.m + 4 * sign, F.l, F.k, F.h)
@@ -596,10 +575,6 @@ class GroupElement:
     v2: tuple = ()
     w: float = 0.0
     rotation: tuple = ()
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls("sl2")
 
     @classmethod
     def sl2_diag(cls, tau: float) -> "GroupElement":

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -116,12 +116,6 @@ class GaussianRational:
             [self.re.numerator, self.re.denominator],
             [self.im.numerator, self.im.denominator],
         ]
-
-    @classmethod
-    def from_json(cls, data) -> "GaussianRational":
-        if isinstance(data[0], list):
-            return cls(Fraction(data[0][0], data[0][1]), Fraction(data[1][0], data[1][1]))
-        return cls(Fraction(data[0], data[1]))
 
 
 GR_ZERO = GaussianRational(0)
@@ -313,16 +307,6 @@ class Polynomial:
             for exps in sorted(self.terms)
         ]
 
-    @classmethod
-    def from_json(cls, nvars: int, data: Iterable[dict]) -> "Polynomial":
-        return cls(
-            nvars,
-            {
-                tuple(item["exponents"]): GaussianRational.from_json(item["coeff"])
-                for item in data
-            },
-        )
-
 
 def laplacian(p: Polynomial) -> Polynomial:
     """Sum of second partials, with exact coefficients.
@@ -339,14 +323,6 @@ def laplacian(p: Polynomial) -> Polynomial:
                 term = coeff * (e * (e - 1))
                 terms[low] = term if acc is None else acc + term
     return Polynomial(p.nvars, terms)  # drops the terms that cancelled
-
-
-def euler(p: Polynomial) -> Polynomial:
-    """Euler operator sum_j y_j d_j; equals degree * p on homogeneous p."""
-    out = Polynomial(p.nvars)
-    for j in range(p.nvars):
-        out = out + Polynomial.variable(p.nvars, j) * p.partial(j)
-    return out
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .admissibility import (
     radial_pairs,
     weight_residue,
 )
-from .operators import e_targets, e_values, eta_index_coefficient, shipped_E_coefficients
+from .operators import e_targets, e_values, eta_coefficient, shipped_E_coefficients
 from .ktypes import KTypeVector, make_ktype
 from .polynomials import harmonic_representative
 
@@ -244,16 +244,15 @@ def ladder_graph(
     params: ParameterSet,
     lam_max,
     m_range: tuple[int, int],
-    include_zero_family: bool = False,
+    heisenberg: bool,
     lambdas: list | None = None,
-    with_heisenberg: bool = True,
 ) -> LadderGraph:
     """Weight-lattice graph over admissible lambda <= lam_max.
 
     Nodes: indices (m, l, k) with m in m_range and m = 2k+q (mod 4), one per
-    admissible pair of each admissible lambda (plus the l = 0 family when
-    ``include_zero_family``).  Eta edges use the exact ladder coefficients;
-    E edges (optional) use the oracle-confirmed coefficients with zero
+    admissible pair of each admissible lambda.  Eta edges use the exact
+    ladder coefficients.  The ``heisenberg`` graph adds the l = 0 family and
+    the E edges, with the oracle-confirmed coefficients and zero
     coefficients omitted.
     """
     n = params.n
@@ -264,7 +263,7 @@ def ladder_graph(
         pair_set = _pairs_up_to(n, lam_max)
     else:
         pair_set = [pair for lam in lambdas for pair in radial_pairs(n, Fraction(lam))]
-    if include_zero_family:
+    if heisenberg:
         k_cap = max([abs(k) for _, k in pair_set], default=4) + 1
         zero_ks = range(0, min(k_cap, 2) if n == 1 else k_cap)
         pair_set.extend((0, k) for k in zero_ks)
@@ -280,7 +279,7 @@ def ladder_graph(
     for (m, l, k), node in sorted(nodes.items()):
         # eta ladder: m -> m +- 4 within the same (l, k)
         for sign in (+1, -1):
-            coeff = eta_index_coefficient(n, m, l, k, sign)
+            coeff = eta_coefficient(n, m, l, k, sign)
             if coeff == 0:
                 continue
             target = (m + 4 * sign, l, k)
@@ -293,7 +292,7 @@ def ladder_graph(
                     dangling=target not in in_window,
                 )
             )
-        if not with_heisenberg or (n == 2 and k < 0):
+        if not heisenberg or (n == 2 and k < 0):
             continue
         for sign in (+1, -1):
             values = e_values(shipped_E_coefficients(n, m, l, k, sign), params.s)
@@ -314,11 +313,15 @@ def ladder_graph(
     return LadderGraph(params, [nodes[key] for key in sorted(nodes)], edges)
 
 
-def level_curves_csv(n: int, lam_max, samples: int = 200) -> str:
+# rows per admissible lambda in the level-curve CSV
+_LEVEL_SAMPLES = 200
+
+
+def level_curves_csv(n: int, lam_max) -> str:
     """CSV rows (lambda, l, k_real) sampling k = lambda/(2l) - l + 1 - n/2.
 
-    One block of rows per admissible lambda <= lam_max over a real l grid;
-    the data behind the admissible level-curve figure.
+    One block of ``_LEVEL_SAMPLES`` rows per admissible lambda <= lam_max
+    over a real l grid; the data behind the admissible level-curve figure.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -326,8 +329,8 @@ def level_curves_csv(n: int, lam_max, samples: int = 200) -> str:
     for ev in enumerate_admissible(n, lam_max):
         lam = ev.value
         top = float((-(n - 2) + (((n - 2) ** 2 + 8 * lam) ** 0.5)) / 4 + 1)
-        for i in range(1, samples + 1):
-            l = top * i / samples
+        for i in range(1, _LEVEL_SAMPLES + 1):
+            l = top * i / _LEVEL_SAMPLES
             k = float(lam) / (2 * l) - l + 1 - n / 2
             writer.writerow([str(lam), f"{l:.6f}", f"{k:.6f}"])
     return out.getvalue()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admissibility import ParameterSet, enumerate_admissible, radial_pairs, weight_residue
+from .admissibility import ParameterSet, radial_pairs, weight_residue
 from .config import DEFAULT_TOLERANCES
 from .hypergeometric import contiguous_residual_scaled, RELATIONS
 from .ktypes import make_ktype, periodicity_residual, to_noncompact
@@ -210,7 +210,7 @@ def sweep_ladder(
         for value, oracle in zip(closed, oracles):
             worst = max(worst, _relative(value - oracle, f0))
         for sign, combo in zip((1, -1), etas):
-            killed = eta_coefficient(F, sign) == 0
+            killed = eta_coefficient(params.n, F.m, F.l, F.k, sign) == 0
             at_boundary = F.is_highest_weight if sign > 0 else F.is_lowest_weight
             if killed != at_boundary or killed != combo.is_empty():
                 kills_ok = False
@@ -292,12 +292,8 @@ def sweep_group_algebra(
     """Derivative at identity of each one-parameter flow vs the algebra action."""
     rng = np.random.default_rng(seed)
     n = params.n
-    lam_small = next(
-        (ev for ev in enumerate_admissible(n, 20)), None
-    )
-    if lam_small is None:
-        raise RuntimeError("no admissible eigenvalue below 20")
-    l, k = radial_pairs(n, lam_small.value)[0]
+    # lambda = n is the smallest admissible eigenvalue for every n
+    l, k = radial_pairs(n, n)[0]
     m = weight_residue(params, k)
     F = make_ktype(params, m, l, k, harmonic_representative(n, k))
     f = to_noncompact(F)

@@ -79,6 +79,12 @@ class TestEnumerateAdmissible:
         assert [e.value for e in enumerate_admissible(1, Fraction(7, 2))] == [1, 3]
         assert enumerate_admissible(1, 0) == []
 
+    def test_smallest_eigenvalue_is_n(self):
+        # sweep_group_algebra takes its K-type from lambda = n for every n
+        for n in range(1, 41):
+            assert enumerate_admissible(n, n)[0].value == n
+            assert enumerate_admissible(n, n - 1) == []
+
     def test_rejects_nonpositive_dimension(self):
         # checked up front, not only through is_admissible inside the loop
         for n, lam_max in ((0, 0), (-2, 0), (0, 5)):

@@ -162,6 +162,12 @@ class TestVerifyCommand:
         )
         assert out.returncode == 0, out.stderr
 
+    def test_dimension_above_20_verifies(self):
+        # the group-flow K-type sits at lambda = n, above 20 here
+        out = run_cli("verify", "--n", "21", "--lambda-max", "4", "--m-max", "2")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["ok"] is True
+
     def test_zero_s_exit_2(self):
         out = run_cli("verify", "--n", "3", "--q", "0", "--s", "0")
         assert out.returncode == 2

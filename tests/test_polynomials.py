@@ -10,7 +10,6 @@ from singular_weyl import (
     c_const,
     circular_harmonic,
     decompose_yj,
-    euler,
     harmonic_basis,
     harmonic_dimension,
     harmonic_representative,
@@ -29,10 +28,6 @@ class TestGaussianRational:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             GaussianRational.coerce(0.5)
-
-    def test_json_roundtrip(self):
-        for value in (GaussianRational(3), GaussianRational(Fraction(2, 7), Fraction(-1, 3))):
-            assert GaussianRational.from_json(value.to_json()) == value
 
     @pytest.mark.parametrize("value", [3, -2, Fraction(1, 2), Fraction(-7, 3)])
     def test_hash_agrees_with_equality_on_reals(self, value):
@@ -77,13 +72,6 @@ class TestPolynomial:
             q = Polynomial(n, {up: unit, down: -unit})
             assert by_definition(q).is_zero() and laplacian(q).is_zero()
 
-    def test_euler_examples(self):
-        assert euler(Polynomial.constant(2, 1)).is_zero()
-        p = Polynomial(2, {(1, 1): 1})
-        assert euler(p) == p + p
-        q = Polynomial(2, {(3, 0): 1, (0, 1): 1})
-        assert euler(q) == Polynomial(2, {(3, 0): 3, (0, 1): 1})
-
     def test_evaluation_batch(self, rng):
         p = Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): GaussianRational(0, 2)})
         Y = rng.uniform(-2, 2, size=(10, 3))
@@ -95,10 +83,6 @@ class TestPolynomial:
     def test_zero_power_at_origin(self):
         p = Polynomial.constant(2, 5)
         assert p(np.zeros(2)) == 5.0
-
-    def test_json_roundtrip(self):
-        p = Polynomial(2, {(2, 0): Fraction(1, 3), (1, 1): GaussianRational(0, -2)})
-        assert Polynomial.from_json(2, p.to_json()) == p
 
     def test_proportionality(self):
         p = Polynomial(2, {(1, 0): 2, (0, 1): GaussianRational(0, 2)})
