@@ -24,7 +24,7 @@ from .admissibility import (
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES, FDConfig, Tolerances
 from .hypergeometric import (
     SeriesError,
-    contiguous_residual_scaled,
+    contiguous_residuals_scaled,
     hyp1f1,
 )
 from .ktypes import (

@@ -6,7 +6,11 @@ Re(z) < 0 the series suffers cancellation, so Kummer's transformation
 non-cancelling sum.  One series kernel serves two precisions: ``hyp1f1``
 sums in complex128 to the fixed ``config.DEFAULT_TOLERANCES.series_rtol``
 and ``hyp1f1_precise`` in extended precision (``numpy.clongdouble``).  Both
-take a, b and z that broadcast.
+take a, b and z that broadcast.  A batch stops when every entry has had
+three quiet terms; the kernel runs that batch-wide test only when it can
+pass, skipping it while the entry that failed it worst last time (the
+witness) still fails it by a factor 2, so every value is the one the test
+on every term gives.
 
 Desk-scale arguments only (|z| = 2|s|rho^2 stays small); there is no
 asymptotic regime and no second-kind function.  Results at large |Im z| are
@@ -15,9 +19,11 @@ a 30-digit reference is 1.2e-9 at z = 20i, 1.5e-6 at z = -5+30i and 3.7 at
 z = 40i, and each value is returned without an error.
 
 The contiguous-relation residuals used as numeric identities are collected
-in ``contiguous_residual_scaled``.  Two of them required correction against
-the series (see ``RELATIONS``): the standard forms are implemented and
-verified, not the misprinted ones.
+in ``contiguous_residuals_scaled``, which sums each distinct shifted series
+F(a + da, b + db, z) once and shares it between the relations: seven
+``hyp1f1_precise`` calls for the seven relations.  Two of them required
+correction against the series (see ``RELATIONS``): the standard forms are
+implemented and verified, not the misprinted ones.
 """
 
 from __future__ import annotations
@@ -62,10 +68,20 @@ _LD_STOP = float(np.finfo(np.longdouble).eps) * 8
 def _series(a, b, z: np.ndarray, derivatives: int):
     """Raw Taylor sums of 1F1 and its first ``derivatives`` z-derivatives.
 
-    a, b and z broadcast, and z's dtype is the working precision: complex128
-    stops at ``tol.series_rtol``, clongdouble at ``_LD_STOP``.  The sums stop
-    when three consecutive terms fall below that threshold times |partial
-    sum| for every entry.  Caller handles the Re(z) < 0 transformation.
+    a, b and z broadcast to one dimension, and z's dtype is the working
+    precision: complex128 stops at ``tol.series_rtol``, clongdouble at
+    ``_LD_STOP``.  The sums stop when three consecutive terms satisfy
+    |term| <= stop * (|partial sum| + 1e-300) for every entry.  Caller
+    handles the Re(z) < 0 transformation.
+
+    The batch-wide test is skipped, and counted as failed, while its
+    witness still fails it by a clear margin.  The witness is the entry
+    that failed the last full test worst (largest |term| / bound).  A skip
+    needs the witness's |term| finite and above twice its bound, which no
+    rounding of scalar against array ``abs`` can undo; inf or nan there
+    falls through to the full test.  So every skipped test is one the full
+    test would fail, and the stop and every value are those of the full
+    test run on every term.
     """
     tol = DEFAULT_TOLERANCES
     if z.dtype == np.complex128:
@@ -74,7 +90,10 @@ def _series(a, b, z: np.ndarray, derivatives: int):
         a, b, stop = np.asarray(a, z.dtype), np.asarray(b, z.dtype), _LD_STOP
     term = np.ones(np.broadcast(a, b, z).shape, z.dtype)
     sums = [term] + [np.zeros_like(term) for _ in range(derivatives)]
+    nonzero = z != 0
+    powers = [z**p for p in range(1, derivatives + 1)]
     quiet = 0
+    witness = None
     # a diverging sum overflows to inf/nan before the budget runs out and
     # SeriesError reports it, so numpy need not warn on the way; the
     # derivative terms divide by z and are masked where z = 0
@@ -88,13 +107,21 @@ def _series(a, b, z: np.ndarray, derivatives: int):
                 fac *= j - p + 1
                 if fac <= 0:
                     break
-                sums[p] = sums[p] + np.where(z != 0, fac * term / z**p, 0.0)
-            if np.all(np.abs(term) <= stop * (np.abs(sums[0]) + 1e-300)):
+                sums[p] = sums[p] + np.where(nonzero, fac * term / powers[p - 1], 0.0)
+            if witness is not None:
+                worst = abs(term[witness])
+                if 2 * stop * (abs(sums[0][witness]) + 1e-300) < worst < np.inf:
+                    quiet = 0
+                    continue
+            size = np.abs(term)
+            bound = stop * (np.abs(sums[0]) + 1e-300)
+            if np.all(size <= bound):
                 quiet += 1
                 if quiet >= 3:
                     break
             else:
                 quiet = 0
+                witness = int(np.argmax(size / bound))
         else:
             raise SeriesError(
                 f"1F1 series did not converge within {tol.series_max_terms} terms "
@@ -179,60 +206,61 @@ def hyp1f1_precise(a, b, z, derivatives: int = 0):
     return values[0] if derivatives == 0 else values
 
 
-def _terms_U0(F, a, b, z):
+def _terms_U0(F, dF, a, b, z):
     # (6a) at first order: F'(a,b,z) = (a/b) F(a+1,b+1,z)
-    lhs = F(a, b, z, derivative=True)
-    return [lhs, -(a / b) * F(a + 1, b + 1, z)]
+    return [dF, -(a / b) * F[1, 1]]
 
 
-def _terms_U1(F, a, b, z):
-    return [b * F(a, b, z), -b * F(a - 1, b, z), -z * F(a, b + 1, z)]
+def _terms_U1(F, dF, a, b, z):
+    return [b * F[0, 0], -b * F[-1, 0], -z * F[0, 1]]
 
 
-def _terms_U2(F, a, b, z):
+def _terms_U2(F, dF, a, b, z):
     return [
-        b * (1 - b + z) * F(a, b, z),
-        b * (b - 1) * F(a - 1, b - 1, z),
-        -a * z * F(a + 1, b + 1, z),
+        b * (1 - b + z) * F[0, 0],
+        b * (b - 1) * F[-1, -1],
+        -a * z * F[1, 1],
     ]
 
 
-def _terms_U3(F, a, b, z):
+def _terms_U3(F, dF, a, b, z):
     # (6d); the display drops the '+' before the last term
     return [
-        (a - 1 + z) * F(a, b, z),
-        (b - a) * F(a - 1, b, z),
-        (1 - b) * F(a, b - 1, z),
+        (a - 1 + z) * F[0, 0],
+        (b - a) * F[-1, 0],
+        (1 - b) * F[0, -1],
     ]
 
 
-def _terms_U4(F, a, b, z):
+def _terms_U4(F, dF, a, b, z):
     return [
-        (a - b + 1) * F(a, b, z),
-        -a * F(a + 1, b, z),
-        (b - 1) * F(a, b - 1, z),
+        (a - b + 1) * F[0, 0],
+        -a * F[1, 0],
+        (b - 1) * F[0, -1],
     ]
 
 
-def _terms_Uno(F, a, b, z):
+def _terms_Uno(F, dF, a, b, z):
     # combines U1 (shifted a) with U4: F(a,b,z) = F(a,b-1,z) - az/(b(b-1)) F(a+1,b+1,z)
     return [
-        F(a, b, z),
-        -F(a, b - 1, z),
-        (a * z / (b * (b - 1))) * F(a + 1, b + 1, z),
+        F[0, 0],
+        -F[0, -1],
+        (a * z / (b * (b - 1))) * F[1, 1],
     ]
 
 
-def _terms_Dos(F, a, b, z):
+def _terms_Dos(F, dF, a, b, z):
     # combines U2 with U4 (shifted b): F(a,b,z) = F(a-1,b-1,z) + (b-a)z/(b(b-1)) F(a,b+1,z)
     # (the published form  - (b-a)/(b-1) z F(a,b+1,z)  fails numerically)
     return [
-        F(a, b, z),
-        -F(a - 1, b - 1, z),
-        -((b - a) * z / (b * (b - 1))) * F(a, b + 1, z),
+        F[0, 0],
+        -F[-1, -1],
+        -((b - a) * z / (b * (b - 1))) * F[0, 1],
     ]
 
 
+# Each relation maps (F, dF, a, b, z) to its terms, which sum to zero.  F
+# maps a shift (da, db) to F(a + da, b + db, z) and dF is F'(a, b, z).
 RELATIONS: dict[str, Callable] = {
     "U0": _terms_U0,
     "U1": _terms_U1,
@@ -243,30 +271,37 @@ RELATIONS: dict[str, Callable] = {
     "Dos": _terms_Dos,
 }
 
+# the shifted (da, db) the relations read besides (0, 0)
+_SHIFTS = ((1, 1), (-1, 0), (0, 1), (-1, -1), (0, -1), (1, 0))
 
-def contiguous_residual_scaled(relation: str, a, b, z):
-    """LHS - RHS of the named contiguous relation, together with the
-    magnitude of the largest participating term.
 
-    Each 1F1 is summed in extended precision.  a, b and z broadcast, and the
-    terms are taken elementwise as arrays of at least one dimension, so a
-    scalar sample gets the same arithmetic as the same sample inside a
-    batch.  A (complex, float) pair for scalar input, a pair of arrays
+def contiguous_residuals_scaled(a, b, z) -> dict:
+    """LHS - RHS of every contiguous relation, together with the magnitude
+    of its largest participating term: ``{relation: (res, scale)}`` in
+    ``RELATIONS`` order.
+
+    Each distinct 1F1 is summed once, in extended precision: F(a, b, z)
+    comes with F'(a, b, z) from one ``hyp1f1_precise`` call with
+    ``derivatives=1``, and each shifted F(a + da, b + db, z) of ``_SHIFTS``
+    from one more, so the seven relations cost seven calls.  b - 1 and b + 1
+    must stay off the non-positive integers too.  a, b and z broadcast, and
+    the terms are taken elementwise as arrays of at least one dimension, so
+    a scalar sample gets the same arithmetic as the same sample inside a
+    batch.  Each pair is (complex, float) for scalar input, a pair of arrays
     otherwise.
     """
-    if relation not in RELATIONS:
-        raise KeyError(f"unknown relation {relation!r}; choose from {sorted(RELATIONS)}")
     shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(z))
     a, b, z = (np.atleast_1d(np.asarray(x, dtype=np.complex128)) for x in (a, b, z))
-
-    def F(aa, bb, zz, derivative=False):
-        if derivative:
-            return hyp1f1_precise(aa, bb, zz, derivatives=1)[1]
-        return hyp1f1_precise(aa, bb, zz)
-
-    terms = RELATIONS[relation](F, a, b, z)
-    res = sum(terms)
-    scale = np.maximum(np.abs(terms).max(axis=0), 1e-30)
-    if not shape:
-        return complex(res[0]), float(scale[0])
-    return res, scale
+    a_at = {-1: a - 1, 0: a, 1: a + 1}
+    b_at = {-1: b - 1, 0: b, 1: b + 1}
+    value, dF = hyp1f1_precise(a, b, z, derivatives=1)
+    F = {(0, 0): value}
+    for da, db in _SHIFTS:
+        F[da, db] = hyp1f1_precise(a_at[da], b_at[db], z)
+    out = {}
+    for name, terms_of in RELATIONS.items():
+        terms = terms_of(F, dF, a, b, z)
+        res = sum(terms)
+        scale = np.maximum(np.abs(terms).max(axis=0), 1e-30)
+        out[name] = (res, scale) if shape else (complex(res[0]), float(scale[0]))
+    return out

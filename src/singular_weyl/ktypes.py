@@ -10,10 +10,12 @@ with rho = |y|.  Points are passed as (theta, y) scalars/arrays; batched
 evaluation uses arrays of shape (N, 1+n) with the angle/time in column 0.
 
 ``eval_compact_all`` evaluates several vectors at the same points with one
-1F1 call per distinct (a, b, s).  Only identical (a, b) on identical points
-share a call: the series stops a batch when every entry has converged, so
-a value can depend in its last bits on the rest of its batch, and stacking
-other z or (a, b) into one batch would move reported residuals.
+1F1 call per distinct (a, b, s), one prefix e^{-im theta/2} e^{-is rho^2}
+rho^{2l} per (m, s, l) and one h(y) per harmonic.  Only identical (a, b) on
+identical points share a call: the series stops a batch when every entry
+has converged, so a value can depend in its last bits on the rest of its
+batch, and stacking other z or (a, b) into one batch would move reported
+residuals.
 
 For n = 1 the index (l, k) is the radial pair with k in {0, 1}; see
 ``admissibility.triangular_to_radial``.
@@ -136,28 +138,38 @@ class KTypeVector:
 def eval_compact_all(vectors: Sequence[KTypeVector], theta, y) -> list:
     """F(theta, y) for each vector F, all at the same points.
 
-    rho^2 is formed once, and vectors that share (a, b, s) share one
-    ``hyp1f1`` call.  That call has the same a, b and z as a call for the
-    vector alone, so each value is bit for bit the one-vector value.
-    Returns a list of complex values for one point, of (N,) arrays for a
-    batch.
+    Each factor is formed once per call and shared: rho^2 once, the prefix
+    e^{-im theta/2} e^{-is rho^2} rho^{2l} once per (m, s, l), h(y) once per
+    harmonic object and 1F1 once per (a, b, s).  Each value multiplies them
+    in the order prefix * h(y) * 1F1, which is the left-to-right order of
+    the one-vector product, and each 1F1 call has the same a, b and z as a
+    call for the vector alone, so every value is bit for bit the one-vector
+    value.  Returns a list of complex values for one point, of (N,) arrays
+    for a batch.
     """
     theta_arr, y_arr, single = _as_batch(theta, y)
     rho2 = (y_arr**2).sum(axis=1)
+    prefixes = {}
+    # keyed by object, not by value: equal polynomials may carry different
+    # evaluators, which give different bits
+    harmonics = {}
     hyps = {}
     out = []
     for vec in vectors:
         s = vec.params.s
+        # the series first: a SeriesError then leaves no overflow warning
+        # of the prefix on stderr
         key = (float(vec.a), float(vec.b), s)
         if key not in hyps:
             hyps[key] = hyp1f1(key[0], key[1], 2j * s * rho2)
-        value = (
-            np.exp(-0.5j * vec.m * theta_arr)
-            * np.exp(-1j * s * rho2)
-            * rho2 ** vec.l
-            * vec.h(y_arr)
-            * hyps[key]
-        )
+        prefix = (vec.m, s, vec.l)
+        if prefix not in prefixes:
+            prefixes[prefix] = (
+                np.exp(-0.5j * vec.m * theta_arr) * np.exp(-1j * s * rho2) * rho2 ** vec.l
+            )
+        if id(vec.h) not in harmonics:
+            harmonics[id(vec.h)] = vec.h(y_arr)
+        value = prefixes[prefix] * harmonics[id(vec.h)] * hyps[key]
         out.append(complex(value[0]) if single else value)
     return out
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from singular_weyl import SeriesError, contiguous_residual_scaled, hyp1f1
+from singular_weyl import SeriesError, contiguous_residuals_scaled, hyp1f1
 from singular_weyl.hypergeometric import RELATIONS, hyp1f1_precise
 
 mpmath = pytest.importorskip("mpmath")
@@ -94,9 +94,9 @@ def test_termwise_derivatives_satisfy_ode(rng):
 
 def test_contiguous_trivial_points():
     # U1 at z = 0: all values are 1, relation reads b - b - 0
-    assert contiguous_residual_scaled("U1", 1, 2, 0)[0] == 0
+    assert contiguous_residuals_scaled(1, 2, 0)["U1"][0] == 0
     # Dos at a = b collapses through e^z
-    res, scale = contiguous_residual_scaled("Dos", 2.5, 2.5, 1.3 + 0.4j)
+    res, scale = contiguous_residuals_scaled(2.5, 2.5, 1.3 + 0.4j)["Dos"]
     assert abs(res) <= 1e-10 * scale
 
 
@@ -108,13 +108,15 @@ def test_contiguous_random_samples(relation, rng):
         z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         if min(abs(b - 1), min(abs(b + j) for j in range(0, 15))) < 0.1:
             continue
-        res, scale = contiguous_residual_scaled(relation, a, b, z)
+        res, scale = contiguous_residuals_scaled(a, b, z)[relation]
         assert abs(res) <= 1e-10 * scale
 
 
 def test_unknown_relation():
+    residuals = contiguous_residuals_scaled(1, 2, 0.5)
+    assert list(residuals) == list(RELATIONS)
     with pytest.raises(KeyError):
-        contiguous_residual_scaled("U9", 1, 2, 0.5)[0]
+        residuals["U9"]
 
 
 def test_term_budget_exhaustion_raises():
@@ -172,3 +174,112 @@ def test_large_imaginary_argument_is_right_or_raises():
     except SeriesError:
         return
     assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def _reference_series(a, b, z, derivatives):
+    """The series loop with the batch-wide stop test run on every term: the
+    reference that the kernel's witness rule must reproduce bit for bit."""
+    from singular_weyl.config import DEFAULT_TOLERANCES
+    from singular_weyl.hypergeometric import _LD_STOP
+
+    tol = DEFAULT_TOLERANCES
+    if z.dtype == np.complex128:
+        stop = tol.series_rtol
+    else:
+        a, b, stop = np.asarray(a, z.dtype), np.asarray(b, z.dtype), _LD_STOP
+    term = np.ones(np.broadcast(a, b, z).shape, z.dtype)
+    sums = [term] + [np.zeros_like(term) for _ in range(derivatives)]
+    quiet = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(1, tol.series_max_terms + 1):
+            term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
+            sums[0] = sums[0] + term
+            fac = 1.0
+            for p in range(1, derivatives + 1):
+                fac *= j - p + 1
+                if fac <= 0:
+                    break
+                sums[p] = sums[p] + np.where(z != 0, fac * term / z**p, 0.0)
+            if np.all(np.abs(term) <= stop * (np.abs(sums[0]) + 1e-300)):
+                quiet += 1
+                if quiet >= 3:
+                    break
+            else:
+                quiet = 0
+        else:
+            raise SeriesError(
+                f"1F1 series did not converge within {tol.series_max_terms} terms "
+                f"(a={a}, b={b}, max|z|={np.max(np.abs(z)):.3g})"
+            )
+    if derivatives >= 1 and np.any(z == 0):
+        coef = 1
+        for p in range(1, derivatives + 1):
+            coef = coef * (a + (p - 1)) / (b + (p - 1))
+            sums[p] = np.where(z == 0, coef, sums[p])
+    return sums
+
+
+def _same_bits(x, y) -> bool:
+    """Equal dtype and equal real and imaginary parts, nan and the sign of
+    zero included (the padding bytes of long double are not compared)."""
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    if x.dtype != y.dtype:
+        return False
+    xf, yf = x.view(x.real.dtype), y.view(y.real.dtype)
+    return np.array_equal(xf, yf, equal_nan=True) and np.array_equal(
+        np.signbit(xf), np.signbit(yf)
+    )
+
+
+def _series_batches(rng):
+    """Seeded (a, b, z, dtype, derivatives) batches: both precisions, both
+    branches, derivatives 0..2, scalar and array a and b, z = 0 entries,
+    and batches that overflow to inf and nan."""
+    for i in range(240):
+        dtype = (np.complex128, np.clongdouble)[i % 2]
+        derivatives = (i // 2) % 3
+        size = int(rng.integers(1, 40))
+        z = rng.uniform(-8, 8, size) + 1j * rng.uniform(-8, 8, size)
+        if i % 5 == 0:
+            z.real = np.abs(z.real) * (1 if i % 10 else -1)  # one branch only
+        z[rng.random(size) < 0.15] = 0
+        if i % 24 == 7:
+            z[0] = 1e4 * (1 + 1j)  # overflows: SeriesError from both kernels
+        a = rng.uniform(-8, 8, size) + 1j * rng.uniform(-4, 4, size)
+        b = rng.uniform(0.3, 9, size) + 1j * rng.uniform(-4, 4, size)
+        if (i // 3) % 2:
+            a, b = complex(a[0]), complex(b[0])
+        yield a, b, z, dtype, derivatives
+
+
+def test_witness_stop_is_bit_identical_to_the_full_test(monkeypatch):
+    from singular_weyl import hypergeometric
+
+    kernel = hypergeometric._series
+
+    def run(series, a, b, z, dtype, derivatives):
+        # the values of _eval and the raw sums of every series it ran
+        raw = []
+
+        def recording(*args):
+            sums = series(*args)
+            raw.extend(sums)
+            return sums
+
+        monkeypatch.setattr(hypergeometric, "_series", recording)
+        try:
+            values = hypergeometric._eval(a, b, z, dtype, derivatives)
+        except SeriesError as exc:
+            return str(exc)
+        return list(values) + raw
+
+    errors = 0
+    for case in _series_batches(np.random.default_rng(20261)):
+        got, want = run(kernel, *case), run(_reference_series, *case)
+        if isinstance(want, str):
+            errors += 1
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(_same_bits(x, y) for x, y in zip(got, want)), case
+    assert errors == 10

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from singular_weyl import ParameterSet, contiguous_residual_scaled, ktypes
+from singular_weyl import ParameterSet, contiguous_residuals_scaled, hypergeometric, ktypes
 from singular_weyl.verify import (
     run_verification,
     sweep_contiguous,
@@ -22,6 +23,26 @@ def test_report_schema_and_warn():
     assert report["summary"]["WARN"] >= 1
     for check in report["checks"]:
         assert {"check", "status", "max_residual", "tolerance"} <= set(check)
+
+
+def test_sweeps_over_no_ktype_warn():
+    # lambda = n = 5 is the smallest admissible eigenvalue, so the pde and
+    # Heisenberg lattices are empty; the others keep the lambda = 0 family
+    report = run_verification(ParameterSet(n=5, q=0, s=0.5j), lam_max=4, m_max=2, seed=7)
+    by_name = {c["check"]: c for c in report["checks"]}
+    empty = [
+        "operators/pde-kernel",
+        "operators/heisenberg-lsq",
+        "operators/heisenberg-rational-coefficients",
+        "operators/heisenberg-shipped-match",
+        "operators/eigenvalue-shifts",
+    ]
+    assert by_name["operators/pde-kernel"]["ktypes"] == 0
+    assert by_name["operators/heisenberg-lsq"]["recoveries"] == 0
+    for name, check in by_name.items():
+        assert check["status"] == ("WARN" if name in empty else "PASS"), name
+        assert ("note" in check) == (name in empty)
+    assert report["ok"] and report["summary"] == {"PASS": 14, "FAIL": 0, "WARN": 5}
 
 
 def test_deterministic_for_fixed_seed():
@@ -80,14 +101,34 @@ def test_contiguous_reports_worst_point():
         [pytest.approx(3.6407, abs=1e-4), pytest.approx(-7.2141, abs=1e-4)],
         [pytest.approx(1.8384, abs=1e-4), pytest.approx(7.0289, abs=1e-4)],
     ]
-    # one scalar call at each reported point reproduces the reported
-    # residual; the batch-wide stopping rule may move the last bits (U4 here)
-    for name, check in checks.items():
+
+
+@pytest.mark.parametrize(
+    "samples, seed", [(200, 138118353), (1000, 277865585), (200, 641591830), (200, 1007051931)]
+)
+def test_worst_point_reproduces_the_residual_bit_for_bit(samples, seed):
+    # FAIL records among them; the ratio is taken with np.abs, as the sweep
+    # takes it (Python abs() differs from it in the last bit)
+    for check in sweep_contiguous(samples, seed):
         a, b, z = (complex(*p) for p in check["worst_point"])
-        res, scale = contiguous_residual_scaled(name.split("/")[1], a, b, z)
-        assert abs(res) / scale == pytest.approx(check["max_residual"], rel=1e-12)
-        if name == "contiguous/Uno":
-            assert abs(res) / scale == check["max_residual"]
+        res, scale = contiguous_residuals_scaled(a, b, z)[check["check"].split("/")[1]]
+        assert np.abs(res) / scale == check["max_residual"]
+
+
+def test_contiguous_sums_each_shifted_series_once(monkeypatch):
+    # seven distinct (a', b') serve the seven relations; F(a, b, z) comes
+    # with F'(a, b, z) from one derivative call
+    calls = []
+    original = hypergeometric.hyp1f1_precise
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("derivatives", 0))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hypergeometric, "hyp1f1_precise", counting)
+    checks = sweep_contiguous(50, 20240)
+    assert len(checks) == len(hypergeometric.RELATIONS) == 7
+    assert sorted(calls) == [0] * 6 + [1]
 
 
 @pytest.mark.xfail(strict=True, reason="series cancellation: the largest term is 2.1e5 and "
