@@ -396,52 +396,21 @@ def _monomials(n: int, k: int) -> list[Exponents]:
     return out
 
 
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact kernel of the matrix given by rows, via Gauss-Jordan over Q.
-
-    Returns vectors in reduced form: each has leading coefficient 1 at a
-    free column, zeros at the other free columns.
-    """
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
 def harmonic_basis(n: int, k: int) -> list[HarmonicPolynomial]:
     """Exact rational basis of H_k(R^n), ordered by leading monomial.
 
-    Built as the kernel of the Laplacian on the space of degree-k monomials;
-    every element is exactly harmonic and the count matches
-    ``harmonic_dimension(n, k)``.
+    Write y^a = y_1^{a_1} y'^{a'} with y' = (y_2, ..., y_n) and Delta' the
+    Laplacian in y'.  Each degree-k monomial with a_1 <= 1 gives one element
+
+        h_a = sum_{j >= 0} (-1)^j a_1!/(a_1+2j)! y_1^{a_1+2j} Delta'^j y'^{a'},
+
+    a finite sum, since Delta'^j y'^{a'} = 0 once 2j > |a'|.  It is harmonic:
+    Delta = d_1^2 + Delta', the d_1^2 of term j cancels the Delta' of term
+    j-1, and d_1^2 kills term 0 because a_1 <= 1.  Apart from y^a itself,
+    h_a has only monomials with a_1 >= 2, so the elements are independent;
+    there are dim P_k - dim P_{k-2} of them, which is the count of
+    ``harmonic_dimension(n, k)``.  h_a is the kernel element of the
+    Laplacian that is 1 at y^a and 0 at the other monomials with a_1 <= 1.
 
     For n = 1 only k in {0, 1} are allowed (H_k(R) = 0 beyond that).
     """
@@ -449,33 +418,22 @@ def harmonic_basis(n: int, k: int) -> list[HarmonicPolynomial]:
         raise ValueError("dimension must be >= 1")
     if k < 0:
         raise ValueError("degree must be >= 0")
-    if n == 1:
-        if k >= 2:
-            raise ValueError("H_k(R) = 0 for k >= 2")
-        mono = Polynomial.constant(1, 1) if k == 0 else Polynomial.variable(1, 0)
-        return [HarmonicPolynomial(mono, k)]
-    source = _monomials(n, k)
-    if k < 2:
-        return [
-            HarmonicPolynomial(Polynomial(n, {e: GR_ONE}), k) for e in source
-        ]
-    target = _monomials(n, k - 2)
-    target_index = {e: i for i, e in enumerate(target)}
-    # rows: target monomials, cols: source monomials
-    rows = [[Fraction(0)] * len(source) for _ in target]
-    for col, exps in enumerate(source):
-        for j in range(n):
-            e = exps[j]
-            if e >= 2:
-                low = list(exps)
-                low[j] = e - 2
-                rows[target_index[tuple(low)]][col] += e * (e - 1)
-    kernel = _kernel_basis(rows, len(source))
+    if n == 1 and k >= 2:
+        raise ValueError("H_k(R) = 0 for k >= 2")
     basis = []
-    for vec in kernel:
-        terms = {
-            source[i]: GaussianRational(c) for i, c in enumerate(vec) if c != 0
-        }
+    for a in _monomials(n, k):
+        if a[0] > 1:
+            continue
+        terms: dict[Exponents, GaussianRational] = {}
+        # y1 does not occur in p, so laplacian(p) is Delta' p
+        p = Polynomial(n, {(0,) + a[1:]: GR_ONE})
+        e1, coeff = a[0], Fraction(1)
+        while not p.is_zero():
+            for exps, c in p.terms.items():
+                terms[(e1,) + exps[1:]] = c * coeff
+            e1 += 2
+            coeff /= -(e1 - 1) * e1
+            p = laplacian(p)
         basis.append(HarmonicPolynomial(Polynomial(n, terms), k))
     basis.sort(key=lambda h: h.poly.leading_monomial(), reverse=True)
     if len(basis) != harmonic_dimension(n, k):
@@ -519,7 +477,7 @@ def harmonic_representative(n: int, k: int) -> HarmonicPolynomial:
     """One cheap harmonic of degree |k|: (y1 + i y2)^k for n >= 2, y^k for n = 1.
 
     Used by verification sweeps that need a single basis vector per K-type
-    without computing the full Laplacian kernel.  Every call with the same
+    without building the full ``harmonic_basis``.  Every call with the same
     (n, k) returns the same shared instance, built and proved harmonic once
     per process, together with the ``decompose_yj`` results cached on it;
     callers must not mutate its ``poly.terms``.

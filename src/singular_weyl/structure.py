@@ -347,6 +347,8 @@ def ktype_lattice(
     Uses a single representative harmonic per pair; negative-k pairs for
     n = 2 are excluded (experimental index range).
     """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     n = params.n
     vectors = []
     pair_list = _pairs_up_to(n, lam_max)

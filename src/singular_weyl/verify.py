@@ -169,9 +169,9 @@ def sweep_periodicity(
         res, f0 = periodicity_residual(F, P[:, 0], P[:, 1:])
         worst = max(worst, _relative(res, f0))
     tol = DEFAULT_TOLERANCES
-    return [
+    return _covered(len(lattice), [
         _check("ktypes/periodicity", worst, tol.periodicity, ktypes=len(lattice), points=points)
-    ]
+    ])
 
 
 def sweep_pde_kernel(
@@ -227,13 +227,13 @@ def sweep_ladder(
             at_boundary = F.is_highest_weight if sign > 0 else F.is_lowest_weight
             if killed != at_boundary or killed != combo.is_empty():
                 kills_ok = False
-    return [
+    return _covered(len(lattice), [
         _check(
             "operators/ladder-closed-form", worst, DEFAULT_TOLERANCES.ladder_match,
             ktypes=len(lattice), points=points,
         ),
         _exact("operators/eta-boundary-kills", kills_ok),
-    ]
+    ])
 
 
 def sweep_heisenberg(

@@ -1,0 +1,22 @@
+"""The benchmark still runs against the package.  A traced pass reads
+package names and argument positions directly (the methods and hooked
+arguments in ``perfbench/tracing.py``, ``config.DEFAULT_FD``), so renaming
+one of them fails here rather than only in a benchmark run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_verify_cli_pass_is_correct():
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "verify-cli", "--seed", "3",
+         "--seconds", "1", "--trace", "1", "--scale", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, out.stderr

@@ -118,6 +118,14 @@ class TestKtypesCommand:
         assert out.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["ktypes", "verify"])
+def test_negative_m_max_exit_2(command):
+    out = run_cli(command, "--n", "3", "--m-max", "-2", "--lambda-max", "6")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == ["invalid parameters: m_max must be >= 0"]
+
+
 class TestStructureCommand:
     def test_case2_chain(self):
         out = run_cli("structure", "--n", "3", "--q", "3")

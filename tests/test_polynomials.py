@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -106,6 +107,25 @@ class TestHarmonicBasis:
             assert laplacian(h.poly).is_zero()
             assert h.poly.is_homogeneous()
             assert h.poly.total_degree() == k or h.poly.is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_identity_on_the_monomials_with_a1_at_most_one(self, n):
+        # the harmonic element that is 1 at y^a and 0 at every other y^b with
+        # b_1 <= 1 is unique, so this pins the basis itself, not just its span
+        for k in range(2 if n == 1 else 8):
+            free = set()
+            for combo in combinations_with_replacement(range(n), k):
+                a = tuple(combo.count(j) for j in range(n))
+                if a[0] <= 1:
+                    free.add(a)
+            own = []
+            for h in harmonic_basis(n, k):
+                assert laplacian(h.poly).is_zero()
+                at_free = {a: c for a, c in h.poly.terms.items() if a in free}
+                ((a, c),) = at_free.items()
+                assert c == 1
+                own.append(a)
+            assert sorted(own) == sorted(free)
 
     def test_examples(self):
         assert len(harmonic_basis(3, 0)) == 1

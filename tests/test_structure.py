@@ -248,6 +248,10 @@ class TestKtypeLattice:
             assert abs(F.m) <= 10
             assert F.lam.value <= 20
 
+    def test_negative_m_max_rejected(self):
+        with pytest.raises(ValueError, match="m_max must be >= 0"):
+            ktype_lattice(ParameterSet(n=3, q=1, s=0.5j), 6, -2)
+
     def test_zero_family_inclusion(self):
         params = ParameterSet(n=3, q=0, s=0.5j)
         with_zero = ktype_lattice(params, 10, 8, include_zero_family=True)

@@ -45,6 +45,23 @@ def test_sweeps_over_no_ktype_warn():
     assert report["ok"] and report["summary"] == {"PASS": 14, "FAIL": 0, "WARN": 5}
 
 
+def test_periodicity_and_ladder_over_no_ktype_warn():
+    # m = 2k + 1 mod 4 for n = 3, q = 1, so no weight has |m| <= 0 and every
+    # lattice but the Heisenberg one (which has its own m_max) is empty
+    report = run_verification(ParameterSet(n=3, q=1, s=0.5j), lam_max=6, m_max=0, seed=7)
+    by_name = {c["check"]: c for c in report["checks"]}
+    empty = [
+        "ktypes/periodicity",
+        "operators/pde-kernel",
+        "operators/ladder-closed-form",
+        "operators/eta-boundary-kills",
+    ]
+    for name in empty:
+        assert by_name[name]["status"] == "WARN" and "note" in by_name[name], name
+        assert by_name[name].get("ktypes", 0) == 0, name
+    assert report["ok"] and report["summary"] == {"PASS": 15, "FAIL": 0, "WARN": 5}
+
+
 def test_deterministic_for_fixed_seed():
     params = ParameterSet(n=2, q=1, s=-0.25)
     first = run_verification(params, lam_max=4, m_max=4, seed=5)
