@@ -17,8 +17,6 @@ from .admissibility import (
     enumerate_admissible,
     is_admissible,
     pair_eigenvalue,
-    radial_pairs,
-    triangular_to_radial,
     weight_residue,
 )
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES, FDConfig, Tolerances

@@ -3,12 +3,9 @@
 The eigenvalue lattice: for n >= 2 the non-zero admissible eigenvalues form
 A_n = {l(n+2j) : 1 <= l <= j+1}, characterized in closed form by parity and
 2-adic valuation; for n = 1 they are the triangular numbers.  A pair (l, k)
-is lambda-admissible when lambda = l(2l+2k+n-2).
-
-For n = 1 two parametrizations coexist: the public pair arithmetic uses
-triangular pairs (l, 0) with lambda = l(l-1)/2, while the K-type machinery
-uses radial pairs (l, k) with k in {0, 1} and lambda = l(2l+2k-1).  They
-are related by l_triangular = 2*l_radial + k (see ``triangular_to_radial``).
+is lambda-admissible when lambda = l(2l+2k+n-2) with k in range
+(``k_in_range``): k >= 0 for every n, and k <= 1 at n = 1, where
+lambda = l(2l+2k-1) is the triangular number t(t-1)/2 of t = 2l+k.
 """
 
 from __future__ import annotations
@@ -95,11 +92,7 @@ class Eigenvalue:
 
 
 def pair_eigenvalue(n: int, l: int, k: int) -> int:
-    """lambda = l(2l+2k+n-2) for a radial pair; the K-type convention.
-
-    Valid for all n >= 1; at n = 1 the pair uses the radial indexing with
-    k in {0, 1}.
-    """
+    """lambda = l(2l+2k+n-2) for a pair with k in range; 0 when l = 0."""
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if l < 0:
@@ -108,11 +101,15 @@ def pair_eigenvalue(n: int, l: int, k: int) -> int:
     return l * (2 * l + 2 * k + n - 2)
 
 
+def k_in_range(n: int, k: int) -> bool:
+    """Whether k is a pair's harmonic degree: k >= 0, and k <= 1 at n = 1,
+    since H_k(R) = 0 for k >= 2."""
+    return k >= 0 and (n > 1 or k <= 1)
+
+
 def _check_k_range(n: int, k: int):
-    if n == 1 and k not in (0, 1):
-        raise AdmissibilityError("for n = 1, k must be 0 or 1")
-    if n >= 3 and k < 0:
-        raise AdmissibilityError("for n >= 3, k must be >= 0")
+    if not k_in_range(n, k):
+        raise AdmissibilityError(f"k = {k} is out of range for n = {n}")
 
 
 def _is_triangular(value: Fraction) -> bool:
@@ -168,60 +165,24 @@ def enumerate_admissible(n: int, lam_max) -> list[Eigenvalue]:
 def admissible_pairs(n: int, lam) -> list[tuple[int, int]]:
     """All lambda-admissible pairs (l, k), sorted by decreasing l.
 
-    For n >= 3 the pairs satisfy k >= 0; for n = 2 negative k occurs; for
-    n = 1 the single pair is the triangular pair (l, 0).  Raises
-    AdmissibilityError when lambda is not admissible.
+    Raises AdmissibilityError when lambda is not admissible.
     """
     lam = lam.value if isinstance(lam, Eigenvalue) else Fraction(lam)
     if not is_admissible(n, lam) or lam == 0:
         raise AdmissibilityError(f"lambda = {lam} is not admissible for n = {n}")
-    if n == 1:
-        l = (1 + isqrt(8 * lam.numerator + 1)) // 2
-        assert Fraction(l * (l - 1), 2) == lam
-        return [(l, 0)]
     value = lam.numerator
     pairs: list[tuple[int, int]] = []
-    if n == 2:
-        # lambda = 2l(l+k): l runs over divisors of lambda/2, k may be negative
-        half = value // 2
-        for l in range(1, half + 1):
-            if half % l == 0:
-                pairs.append((l, half // l - l))
-    else:
-        # k >= 0 bounds l: lambda = l(2l+2k+n-2) >= l(2l+n-2)
-        l = 1
-        while l * (2 * l + n - 2) <= value:
-            k_frac = Fraction(value, 2 * l) - l + 1 - Fraction(n, 2)
-            if k_frac.denominator == 1 and k_frac >= 0:
-                pairs.append((l, int(k_frac)))
-            l += 1
-    pairs.sort(key=lambda p: -p[0])
-    return pairs
+    # k >= 0 bounds l: lambda = l(2l+2k+n-2) >= l(2l+n-2)
+    l = 1
+    while l * (2 * l + n - 2) <= value:
+        k_frac = Fraction(value, 2 * l) - l + 1 - Fraction(n, 2)
+        if k_frac.denominator == 1 and k_in_range(n, k_frac):
+            pairs.append((l, int(k_frac)))
+        l += 1
+    return pairs[::-1]
 
 
 def weight_residue(params: ParameterSet, k: int) -> int:
     """The residue (q + 2k) mod 4; every legal m for (k, q) lies in it."""
     return (params.q + 2 * k) % 4
 
-
-def triangular_to_radial(l_triangular: int) -> tuple[int, int]:
-    """Convert an n = 1 triangular pair index to the radial (l, k) indexing.
-
-    lambda = l_t (l_t - 1)/2 = l (2l + 2k - 1) with l = l_t // 2 and
-    k = l_t mod 2.
-    """
-    if l_triangular < 0:
-        raise ValueError("index must be >= 0")
-    return l_triangular // 2, l_triangular % 2
-
-
-def radial_pairs(n: int, lam) -> list[tuple[int, int]]:
-    """Admissible pairs in the K-type (radial) indexing, decreasing l.
-
-    Identical to ``admissible_pairs`` for n >= 2; for n = 1 the triangular
-    pair is converted to its radial form.
-    """
-    if n == 1:
-        (l_tri, _), = admissible_pairs(1, lam)
-        return [triangular_to_radial(l_tri)]
-    return admissible_pairs(n, lam)

@@ -66,7 +66,8 @@ _LD_STOP = float(np.finfo(np.longdouble).eps) * 8
 
 
 def _series(a, b, z: np.ndarray, derivatives: int):
-    """Raw Taylor sums of 1F1 and its first ``derivatives`` z-derivatives.
+    """Raw Taylor sums of 1F1 and, when ``derivatives`` is 1, of its
+    z-derivative.
 
     a, b and z broadcast to one dimension, and z's dtype is the working
     precision: complex128 stops at ``tol.series_rtol``, clongdouble at
@@ -91,7 +92,6 @@ def _series(a, b, z: np.ndarray, derivatives: int):
     term = np.ones(np.broadcast(a, b, z).shape, z.dtype)
     sums = [term] + [np.zeros_like(term) for _ in range(derivatives)]
     nonzero = z != 0
-    powers = [z**p for p in range(1, derivatives + 1)]
     quiet = 0
     witness = None
     # a diverging sum overflows to inf/nan before the budget runs out and
@@ -101,13 +101,9 @@ def _series(a, b, z: np.ndarray, derivatives: int):
         for j in range(1, tol.series_max_terms + 1):
             term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
             sums[0] = sums[0] + term
-            # termwise derivative: d^p/dz^p z^j / ... has factor j(j-1)...(j-p+1)/z^p
-            fac = 1.0
-            for p in range(1, derivatives + 1):
-                fac *= j - p + 1
-                if fac <= 0:
-                    break
-                sums[p] = sums[p] + np.where(nonzero, fac * term / powers[p - 1], 0.0)
+            if derivatives:
+                # termwise derivative: d/dz z^j = j z^j / z
+                sums[1] = sums[1] + np.where(nonzero, float(j) * term / z, 0.0)
             if witness is not None:
                 worst = abs(term[witness])
                 if 2 * stop * (abs(sums[0][witness]) + 1e-300) < worst < np.inf:
@@ -127,19 +123,16 @@ def _series(a, b, z: np.ndarray, derivatives: int):
                 f"1F1 series did not converge within {tol.series_max_terms} terms "
                 f"(a={a}, b={b}, max|z|={np.max(np.abs(z)):.3g})"
             )
-    # derivative sums above miss the z = 0 entries; fix them exactly
-    if derivatives >= 1 and np.any(z == 0):
-        coef = 1
-        for p in range(1, derivatives + 1):
-            coef = coef * (a + (p - 1)) / (b + (p - 1))
-            sums[p] = np.where(z == 0, coef, sums[p])
+    # the derivative sum above misses the z = 0 entries: F'(0) = a/b
+    if derivatives and np.any(z == 0):
+        sums[1] = np.where(z == 0, a / b, sums[1])
     return sums
 
 
 def _check_order(order: int) -> None:
-    """The Kummer branch differentiates e^z G(-z) for orders 0..2 only."""
-    if not 0 <= order <= 2:
-        raise ValueError(f"derivative order {order} is outside 0..2")
+    """The series sums F and F' only."""
+    if order not in (0, 1):
+        raise ValueError(f"derivative order {order} is outside 0..1")
 
 
 def _eval(a, b, z, dtype, derivatives: int = 0):
@@ -173,10 +166,8 @@ def _eval(a, b, z, dtype, derivatives: int = 0):
         ez = np.exp(z[neg])
         # F(z) = e^z G(-z): differentiate the product termwise
         out[0][neg] = ez * sums[0]
-        if derivatives >= 1:
+        if derivatives:
             out[1][neg] = ez * (sums[0] - sums[1])
-        if derivatives >= 2:
-            out[2][neg] = ez * (sums[0] - 2 * sums[1] + sums[2])
     if not shape:
         return tuple(complex(v[0]) for v in out)
     return tuple(v.astype(np.complex128, copy=False).reshape(shape) for v in out)
@@ -195,12 +186,12 @@ def hyp1f1(a, b, z):
 
 
 def hyp1f1_precise(a, b, z, derivatives: int = 0):
-    """1F1 (and z-derivatives, ``derivatives`` 0..2) summed in extended
+    """1F1 (and, with ``derivatives=1``, its z-derivative) summed in extended
     precision and rounded to complex128.
 
     a, b and z broadcast like ``hyp1f1``; scalar input gives complex values.
-    The derivatives are termwise sums, independent of the contiguous shift
-    formula, so they can sit on the oracle side of identity checks.
+    The derivative is a termwise sum, independent of the contiguous shift
+    formula, so it can sit on the oracle side of identity checks.
     """
     values = _eval(a, b, z, np.clongdouble, derivatives)
     return values[0] if derivatives == 0 else values

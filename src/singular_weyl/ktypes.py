@@ -1,7 +1,7 @@
 """K-finite basis vectors in the compact picture and the picture transforms.
 
 A basis vector is determined by the parameters (n, q, s), an index triple
-(m, l, k) and a harmonic polynomial h of degree |k|:
+(m, l, k) and a harmonic polynomial h of degree k:
 
     F(theta, y) = e^{-im theta/2} e^{-is rho^2} rho^{2l} h(y)
                   * 1F1((m+4l+2k+n)/4, 2l+k+n/2, 2is rho^2)
@@ -17,8 +17,9 @@ has converged, so a value can depend in its last bits on the rest of its
 batch, and stacking other z or (a, b) into one batch would move reported
 residuals.
 
-For n = 1 the index (l, k) is the radial pair with k in {0, 1}; see
-``admissibility.triangular_to_radial``.
+(l, k) is a pair with k in range (``admissibility.k_in_range``): k >= 0,
+and k <= 1 at n = 1.  At n = 2 the O(2)-weight +-k lives in h, e.g. in
+``polynomials.circular_harmonic(+-k)``.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import (
-    AdmissibilityError,
-    Eigenvalue,
-    KTypeIndex,
-    ParameterSet,
-    is_admissible,
-    pair_eigenvalue,
-)
+from .admissibility import Eigenvalue, KTypeIndex, ParameterSet, pair_eigenvalue
 from .hypergeometric import hyp1f1
 from .polynomials import HarmonicPolynomial
 
@@ -179,31 +173,21 @@ def make_ktype(
 ) -> KTypeVector:
     """Validated construction of F_{m,l,k}.
 
-    Raises CongruenceError when m != 2k+q (mod 4), AdmissibilityError when
-    (l, k) is not admissible for its eigenvalue (l >= 1), and ValueError on
-    a degree mismatch between k and h.  l = 0 builds a member of the
-    lambda = 0 family.
+    Raises AdmissibilityError when k is out of range, CongruenceError when
+    m != 2k+q (mod 4), and ValueError on a degree mismatch between k and h.
+    Every pair with k in range is admissible for its eigenvalue; l = 0
+    builds a member of the lambda = 0 family.
     """
     n = params.n
+    lam_val = pair_eigenvalue(n, l, k)
     if h.is_zero():
         raise ValueError("harmonic part must be nonzero")
     if h.nvars != n:
         raise ValueError(f"harmonic part has {h.nvars} variables, expected {n}")
-    if h.degree != abs(k):
-        raise ValueError(f"harmonic degree {h.degree} does not match |k| = {abs(k)}")
-    if n == 2 and k < 0 and (h.weight if h.weight is not None else h.degree) != k:
-        raise ValueError("signed-weight harmonic required for n = 2 with k < 0")
+    if h.degree != k:
+        raise ValueError(f"harmonic degree {h.degree} does not match k = {k}")
     if (m - 2 * k - params.q) % 4 != 0:
         raise CongruenceError(f"m = {m} is not congruent to 2k+q = {2 * k + params.q} mod 4")
-    if n == 1 and k not in (0, 1):
-        raise AdmissibilityError("for n = 1, k must be 0 or 1 (radial indexing)")
-    lam_val = pair_eigenvalue(n, l, k)
-    if l >= 1 and not is_admissible(n, lam_val):
-        raise AdmissibilityError(
-            f"(l, k) = ({l}, {k}) gives lambda = {lam_val}, not admissible for n = {n}"
-        )
-    if l == 0 and lam_val != 0:
-        raise AssertionError("l = 0 must give lambda = 0")
     lam = Eigenvalue(n, Fraction(lam_val))
     return KTypeVector(params, KTypeIndex(m, l, k), h, lam)
 

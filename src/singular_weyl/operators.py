@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import ParameterSet
+from .admissibility import ParameterSet, k_in_range
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES
 from .ktypes import (
     KTypeVector,
@@ -65,13 +65,11 @@ E_MOVES: dict[str, tuple[int, int, str]] = {
 
 
 def e_targets(n: int, l: int, k: int):
-    """Yield (label, l', k') for each ``E_MOVES`` target of (l, k) in range.
-
-    In range means l' >= 0 and k' >= 0, and for n = 1 also k' <= 1.
-    """
+    """Yield (label, l', k') for each ``E_MOVES`` target of (l, k) with
+    l' >= 0 and k' in range (``k_in_range``)."""
     for label, (dl, dk, _) in E_MOVES.items():
         l2, k2 = l + dl, k + dk
-        if l2 >= 0 and k2 >= 0 and (n > 1 or k2 <= 1):
+        if l2 >= 0 and k_in_range(n, k2):
             yield label, l2, k2
 
 
@@ -398,8 +396,6 @@ def _e_directions(F: KTypeVector, j: int) -> list[tuple[str, int, int, HarmonicP
     """
     if not 1 <= j <= F.params.n:
         raise ValueError(f"coordinate j = {j} out of range 1..{F.params.n}")
-    if F.k < 0:
-        raise NotImplementedError("Heisenberg ladder on signed k < 0 is not supported")
     h_plus, c = decompose_yj(F.h, j - 1)
     harmonic = {
         F.k + 1: None if h_plus.is_zero() else h_plus,

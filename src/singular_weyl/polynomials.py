@@ -4,10 +4,9 @@ Coefficients are Gaussian rationals (pairs of ``fractions.Fraction``), so
 harmonicity is a zero-tolerance property: the Laplacian of a harmonic
 polynomial is *identically* the zero polynomial, not merely small.
 
-The signed-degree circular harmonics used for n = 2 live here as well:
-``circular_harmonic(k)`` returns (y1 + i y2)^k for k > 0 and (y1 - i y2)^|k|
-for k < 0, carrying the signed O(2)-weight separately from the homogeneity
-degree |k|.
+The circular harmonics of n = 2 live here as well: ``circular_harmonic(k)``
+returns (y1 + i y2)^k for k >= 0 and (y1 - i y2)^|k| for k < 0, the two
+O(2)-weights +-k of the degree |k|.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from operator import add
 from typing import Callable, Mapping
 
 import numpy as np
+
+from .admissibility import k_in_range
 
 Exponents = tuple[int, ...]
 
@@ -329,9 +330,7 @@ def laplacian(p: Polynomial) -> Polynomial:
 class HarmonicPolynomial:
     """A harmonic polynomial together with its homogeneity degree.
 
-    ``degree`` is the homogeneity degree (>= 0).  For n = 2 the signed
-    O(2)-weight is carried in ``weight`` (equal to ``degree`` elsewhere);
-    the attached polynomial has degree |weight|.
+    ``degree`` is the homogeneity degree (>= 0).
 
     ``evaluator``, when set, is a numerically stable product-form evaluator
     used in place of the expanded polynomial (whose binomial coefficients
@@ -348,7 +347,6 @@ class HarmonicPolynomial:
 
     poly: Polynomial
     degree: int
-    weight: int | None = None
     evaluator: "Callable | None" = field(default=None, compare=False, repr=False)
     power: int | None = field(default=None, compare=False)
     # keyed by the call, never by value: equal polynomials may differ in
@@ -463,18 +461,17 @@ def _power_terms(k: int) -> dict[Exponents, GaussianRational]:
 
 
 def circular_harmonic(k: int) -> HarmonicPolynomial:
-    """Signed-weight harmonic for n = 2: (y1 + i y2)^k, conjugated for k < 0."""
+    """The n = 2 harmonic of O(2)-weight k: (y1 + i y2)^k, conjugated for k < 0."""
     return HarmonicPolynomial(
         Polynomial(2, _power_terms(k)),
         abs(k),
-        weight=k,
         evaluator=_power_evaluator(k),
         power=k,
     )
 
 
 def harmonic_representative(n: int, k: int) -> HarmonicPolynomial:
-    """One cheap harmonic of degree |k|: (y1 + i y2)^k for n >= 2, y^k for n = 1.
+    """One cheap harmonic of degree k: (y1 + i y2)^k for n >= 2, y^k for n = 1.
 
     Used by verification sweeps that need a single basis vector per K-type
     without building the full ``harmonic_basis``.  Every call with the same
@@ -487,15 +484,13 @@ def harmonic_representative(n: int, k: int) -> HarmonicPolynomial:
 
 @lru_cache(maxsize=None)
 def _representative(n: int, k: int) -> HarmonicPolynomial:
+    if not k_in_range(n, k):
+        raise ValueError(f"k = {k} is out of range for n = {n}")
     if n == 1:
-        if k not in (0, 1):
-            raise ValueError("n = 1 supports only k in {0, 1}")
         mono = Polynomial.constant(1, 1) if k == 0 else Polynomial.variable(1, 0)
         return HarmonicPolynomial(mono, k)
     if n == 2:
         return circular_harmonic(k)
-    if k < 0:
-        raise ValueError("negative k only makes sense for n = 2")
     two_var = _power_terms(k)
     terms = {e + (0,) * (n - 2): c for e, c in two_var.items()}
     return HarmonicPolynomial(

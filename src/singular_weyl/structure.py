@@ -6,7 +6,7 @@ m = 2k+q (mod 4) in steps of 4, with a lowest (resp. highest) weight vector
 at m = 2k+4l+n (resp. -(2k+4l+n)) exactly when q = n (resp. q = -n) mod 4.
 The composition chains follow the four-case classification by (q, n) mod 4.
 
-``ktype_lattice`` and ``ladder_graph`` share one weight walk: the radial
+``ktype_lattice`` and ``ladder_graph`` share one weight walk: the admissible
 pairs of every admissible lambda <= lambda_max, each with its legal weights
 in a window.  The E edges and ``heisenberg_targets`` take their moves from
 ``operators.e_targets``.
@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from .admissibility import (
     ParameterSet,
+    admissible_pairs,
     enumerate_admissible,
+    k_in_range,
     pair_eigenvalue,
-    radial_pairs,
     weight_residue,
 )
 from .operators import e_targets, e_values, eta_coefficient, shipped_E_coefficients
@@ -43,7 +44,6 @@ class SubmoduleDescriptor:
     has_lowest: bool              # q = n (mod 4): H+ submodule from m >= boundary
     has_highest: bool             # q = -n (mod 4): H- submodule from m <= -boundary
     irreducible: bool
-    experimental: bool = False    # n = 2 with k < 0 follows the signed-k convention
 
     def to_json(self) -> dict:
         return {
@@ -55,7 +55,6 @@ class SubmoduleDescriptor:
             "has_lowest": self.has_lowest,
             "has_highest": self.has_highest,
             "irreducible": self.irreducible,
-            "experimental": self.experimental,
         }
 
 
@@ -106,13 +105,12 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
     """Descriptors of the H_{l,k} summands of ker(Omega'' - 2 lambda)_K.
 
     One per lambda-admissible pair, ordered by decreasing l.  Raises
-    AdmissibilityError when lambda is not admissible.  For n = 1 the pairs
-    use the radial indexing of the K-type machinery.
+    AdmissibilityError when lambda is not admissible.
     """
     n = params.n
     case = structure_case(params)
     out = []
-    for l, k in radial_pairs(n, lam):
+    for l, k in admissible_pairs(n, lam):
         out.append(
             SubmoduleDescriptor(
                 l=l,
@@ -123,7 +121,6 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
                 has_lowest=case in (2, 4),
                 has_highest=case in (3, 4),
                 irreducible=case == 1,
-                experimental=(n == 2 and k < 0),
             )
         )
     return out
@@ -149,8 +146,10 @@ def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]
 
 
 def _pairs_up_to(n: int, lam_max) -> list[tuple[int, int]]:
-    """The radial pairs of every admissible lambda <= lam_max, by increasing lambda."""
-    return [pair for ev in enumerate_admissible(n, lam_max) for pair in radial_pairs(n, ev.value)]
+    """The pairs of every admissible lambda <= lam_max, by increasing lambda."""
+    return [
+        pair for ev in enumerate_admissible(n, lam_max) for pair in admissible_pairs(n, ev.value)
+    ]
 
 
 def _weights(params: ParameterSet, k: int, m_lo: int, m_hi: int) -> range:
@@ -262,11 +261,10 @@ def ladder_graph(
     if lambdas is None:
         pair_set = _pairs_up_to(n, lam_max)
     else:
-        pair_set = [pair for lam in lambdas for pair in radial_pairs(n, Fraction(lam))]
+        pair_set = [pair for lam in lambdas for pair in admissible_pairs(n, Fraction(lam))]
     if heisenberg:
-        k_cap = max([abs(k) for _, k in pair_set], default=4) + 1
-        zero_ks = range(0, min(k_cap, 2) if n == 1 else k_cap)
-        pair_set.extend((0, k) for k in zero_ks)
+        k_cap = max((k for _, k in pair_set), default=4) + 1
+        pair_set.extend((0, k) for k in range(k_cap) if k_in_range(n, k))
 
     nodes: dict[tuple[int, int, int], GraphNode] = {}
     for l, k in pair_set:
@@ -292,7 +290,7 @@ def ladder_graph(
                     dangling=target not in in_window,
                 )
             )
-        if not heisenberg or (n == 2 and k < 0):
+        if not heisenberg:
             continue
         for sign in (+1, -1):
             values = e_values(shipped_E_coefficients(n, m, l, k, sign), params.s)
@@ -344,8 +342,8 @@ def ktype_lattice(
 ) -> list[KTypeVector]:
     """One K-type per (admissible pair, legal weight |m| <= m_max).
 
-    Uses a single representative harmonic per pair; negative-k pairs for
-    n = 2 are excluded (experimental index range).
+    Uses a single representative harmonic per pair.  The lambda = 0 family
+    adds the pairs (0, k) with k <= 2 in range.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -353,10 +351,8 @@ def ktype_lattice(
     vectors = []
     pair_list = _pairs_up_to(n, lam_max)
     if include_zero_family:
-        pair_list.extend((0, k) for k in (range(2) if n == 1 else range(3)))
+        pair_list.extend((0, k) for k in range(3) if k_in_range(n, k))
     for l, k in pair_list:
-        if n == 2 and k < 0:
-            continue
         h = harmonic_representative(n, k)
         for m in _weights(params, k, -m_max, m_max):
             vectors.append(make_ktype(params, m, l, k, h))

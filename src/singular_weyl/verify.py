@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admissibility import ParameterSet, radial_pairs, weight_residue
+from .admissibility import ParameterSet, admissible_pairs, k_in_range, weight_residue
 from .config import DEFAULT_TOLERANCES
 from .hypergeometric import contiguous_residuals_scaled
 from .ktypes import make_ktype, periodicity_residual, to_noncompact
@@ -135,7 +135,7 @@ def sweep_harmonicity(n_max: int, k_max: int) -> list[dict]:
     ok_split = True
     for n in range(1, n_max + 1):
         for k in range(0, k_max + 1):
-            if n == 1 and k > 1:
+            if not k_in_range(n, k):
                 continue
             basis = harmonic_basis(n, k)
             if len(basis) != harmonic_dimension(n, k):
@@ -306,7 +306,7 @@ def sweep_group_algebra(
     rng = np.random.default_rng(seed)
     n = params.n
     # lambda = n is the smallest admissible eigenvalue for every n
-    l, k = radial_pairs(n, n)[0]
+    l, k = admissible_pairs(n, n)[0]
     m = weight_residue(params, k)
     F = make_ktype(params, m, l, k, harmonic_representative(n, k))
     f = to_noncompact(F)

@@ -10,10 +10,9 @@ from singular_weyl import (
     enumerate_admissible,
     is_admissible,
     pair_eigenvalue,
-    radial_pairs,
-    triangular_to_radial,
     weight_residue,
 )
+from singular_weyl.admissibility import k_in_range
 from conftest import brute_force_admissible
 
 
@@ -26,15 +25,24 @@ class TestEigenvalueOfPair:
         assert 3 in brute_force_admissible(3, 10)
 
     def test_n1_triangular(self):
-        # triangular l_t has lambda = l_t(l_t - 1)/2
-        assert pair_eigenvalue(1, *triangular_to_radial(1)) == 0
-        assert pair_eigenvalue(1, *triangular_to_radial(3)) == 3
+        # at n = 1, lambda = l(2l+2k-1) is the triangular number T(t) = t(t-1)/2
+        # of t = 2l+k
+        for l in range(12):
+            for k in (0, 1):
+                t = 2 * l + k
+                assert pair_eigenvalue(1, l, k) == t * (t - 1) // 2
 
     def test_k_out_of_range(self):
-        with pytest.raises(AdmissibilityError):
-            pair_eigenvalue(3, 2, -1)
+        for n in (1, 2, 3, 4):
+            with pytest.raises(AdmissibilityError):
+                pair_eigenvalue(n, 2, -1)
         with pytest.raises(AdmissibilityError):
             pair_eigenvalue(1, 2, 2)
+
+    def test_k_range(self):
+        assert [k for k in range(-2, 5) if k_in_range(1, k)] == [0, 1]
+        for n in (2, 3, 7):
+            assert [k for k in range(-2, 5) if k_in_range(n, k)] == [0, 1, 2, 3, 4]
 
 
 class TestIsAdmissible:
@@ -103,7 +111,10 @@ class TestAdmissiblePairs:
         assert admissible_pairs(3, 75) == [(5, 2), (3, 9), (1, 36)]
 
     def test_n2_negative_k(self):
-        assert admissible_pairs(2, 4) == [(2, -1), (1, 1)]
+        # 4 = 2l(l+k) also at (l, k) = (2, -1), but k < 0 is out of range;
+        # the O(2)-weight -1 of (1, 1) lives in its harmonic instead
+        assert admissible_pairs(2, 4) == [(1, 1)]
+        assert admissible_pairs(2, 12) == [(2, 1), (1, 5)]
 
     def test_divisor_scan_small(self):
         assert admissible_pairs(3, 3) == [(1, 0)]
@@ -115,49 +126,38 @@ class TestAdmissiblePairs:
             admissible_pairs(3, 0)
 
     def test_pairs_recover_eigenvalue(self):
-        for n in (2, 3, 4, 5):
+        for n in (1, 2, 3, 4, 5):
             for ev in enumerate_admissible(n, 120):
                 pairs = admissible_pairs(n, ev.value)
                 assert pairs, (n, ev.value)
                 ls = [l for l, _ in pairs]
                 assert ls == sorted(ls, reverse=True)
                 for l, k in pairs:
+                    assert k_in_range(n, k)
                     assert pair_eigenvalue(n, l, k) == ev.value
 
     def test_pair_count_matches_divisor_brute_force(self):
         # l ranges over solutions of lambda = l(2l+2k+n-2) with k in range
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for ev in enumerate_admissible(n, 80):
                 lam = int(ev)
                 count = 0
                 for l in range(1, lam + 1):
                     rem = lam - l * (2 * l + n - 2)
-                    if rem < 0 and n >= 3:
+                    if rem < 0:
                         break
-                    if rem % (2 * l) == 0:
-                        k = rem // (2 * l)
-                        if (n >= 3 and k >= 0) or n == 2:
-                            count += 1
+                    if rem % (2 * l) == 0 and k_in_range(n, rem // (2 * l)):
+                        count += 1
                 assert len(admissible_pairs(n, lam)) == count
 
     def test_n1_triangular_pairs(self):
-        assert admissible_pairs(1, 3) == [(3, 0)]
-        assert admissible_pairs(1, 10) == [(5, 0)]
-
-
-class TestRadialIndexing:
-    def test_roundtrip(self):
-        for l_tri in range(12):
-            l, k = triangular_to_radial(l_tri)
-            assert 2 * l + k == l_tri
-            assert pair_eigenvalue(1, l, k) == l_tri * (l_tri - 1) // 2
-
-    def test_radial_pairs_n1(self):
-        assert radial_pairs(1, 3) == [(1, 1)]
-        assert radial_pairs(1, 6) == [(2, 0)]
-
-    def test_radial_pairs_matches_for_higher_n(self):
-        assert radial_pairs(3, 75) == admissible_pairs(3, 75)
+        # one pair per triangular lambda = T(t): (l, k) = (t // 2, t mod 2)
+        assert admissible_pairs(1, 1) == [(1, 0)]
+        assert admissible_pairs(1, 3) == [(1, 1)]
+        assert admissible_pairs(1, 6) == [(2, 0)]
+        assert admissible_pairs(1, 10) == [(2, 1)]
+        for ev in enumerate_admissible(1, 400):
+            assert len(admissible_pairs(1, ev.value)) == 1
 
 
 class TestParameterSet:

@@ -96,6 +96,18 @@ class TestAdmissibleCommand:
         assert out.stdout == ""
         assert "dimension n must be >= 1" in out.stderr
 
+    def test_n1_pair_has_k_in_range(self):
+        # lambda = 10 = T(5): the pair (2, 1) with 2l+k = 5
+        out = run_cli("admissible", "--n", "1", "--lambda", "10", "--format", "text")
+        assert out.returncode == 0
+        assert out.stdout == "(2, 1)\n"
+
+    def test_n2_pairs_have_k_at_least_0(self):
+        # 12 = 2l(l+k) also at (3, -1) and (6, -5), both out of range
+        out = run_cli("admissible", "--n", "2", "--lambda", "12", "--format", "text")
+        assert out.returncode == 0
+        assert out.stdout == "(2, 1)\n(1, 5)\n"
+
     def test_output_file_matches_stdout(self, tmp_path):
         path = tmp_path / "pairs.json"
         args = ("admissible", "--n", "3", "--lambda", "75")
@@ -144,6 +156,13 @@ class TestStructureCommand:
         data = json.loads(out.stdout)
         assert len(data["decomposition"]) == 3
         assert all(d["irreducible"] for d in data["decomposition"])
+
+    def test_n2_decomposition_has_one_layer(self):
+        out = run_cli("structure", "--n", "2", "--q", "2", "--lambda", "4", "--format", "json")
+        assert out.returncode == 0
+        (layer,) = json.loads(out.stdout)["decomposition"]
+        assert (layer["l"], layer["k"]) == (1, 1)
+        assert "experimental" not in layer
 
     def test_invalid_lambda_exit_2(self):
         out = run_cli("structure", "--n", "3", "--q", "0", "--lambda", "4")
@@ -337,7 +356,7 @@ class TestGoldenIndexOutputs:
                 "plot-data", "--figure", "heisenberg", "--n", "3", "--q", "0",
                 "--lambda-max", "12", "--m-min", "-6", "--m-max", "6", "--format", "dot",
             )),
-            # includes the n = 2, k < 0 nodes
+            # n = 2: pairs with k >= 0 only
             ("lattice_n2_q0_lam12.dot", (
                 "plot-data", "--figure", "lattice", "--n", "2", "--q", "0",
                 "--lambda-max", "12", "--m-min", "-8", "--m-max", "8", "--format", "dot",

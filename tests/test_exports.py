@@ -6,11 +6,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "singular_weyl"
 
-# Kept for ROADMAP items 4 and 5, which build on them; no module reads them yet.
+# Kept for ROADMAP items 5 and 7, which build on them; no module reads them yet.
 KEPT_UNREAD = {
-    "apply_E",  # item 4: the closed-form Heisenberg action beside its lsq oracle
-    "compact_of_noncompact",  # item 5: the inverse picture transform
-    "group_action_noncompact",  # item 5: the integrated group action
+    "apply_E",  # item 5: the closed-form Heisenberg action beside its lsq oracle
+    "compact_of_noncompact",  # item 7: the inverse picture transform
+    "group_action_noncompact",  # item 7: the integrated group action
 }
 
 

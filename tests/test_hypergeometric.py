@@ -73,7 +73,7 @@ def test_derivative_examples():
     assert abs(hyp1f1_precise(0, b, 0.7, derivatives=1)[1]) == 0.0
 
 
-@pytest.mark.parametrize("b, order", [(0, 1), (-1, 2)])
+@pytest.mark.parametrize("b, order", [(0, 1), (-1, 0)])
 def test_derivative_bad_denominator_raises(b, order):
     # b is a non-positive integer, so 1F1 and its derivatives are undefined
     with pytest.raises(ValueError):
@@ -81,15 +81,22 @@ def test_derivative_bad_denominator_raises(b, order):
 
 
 def test_termwise_derivatives_satisfy_ode(rng):
-    # z F'' + (b - z) F' - a F = 0
-    for _ in range(40):
+    # F' against a 30-digit derivative, on both branches (Re z of either
+    # sign), and z F'' + (b - z) F' - a F = 0 with F'' from the same reference
+    for i in range(40):
         a = complex(rng.uniform(-6, 6), rng.uniform(-3, 3))
         b = complex(rng.uniform(0.4, 8), rng.uniform(-3, 3))
-        z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-        F, F1, F2 = hyp1f1_precise(a, b, z, derivatives=2)
-        resid = z * F2 + (b - z) * F1 - a * F
-        scale = max(abs(z * F2), abs(b * F1), abs(a * F), 1.0)
-        assert abs(resid) <= 1e-9 * scale
+        z = complex((-1) ** i * rng.uniform(0, 6), rng.uniform(-6, 6))
+        F, F1 = hyp1f1_precise(a, b, z, derivatives=1)
+        with mpmath.workdps(30):
+            ref1, ref2 = (
+                complex(mpmath.diff(lambda w: mpmath.hyp1f1(a, b, w), z, order))
+                for order in (1, 2)
+            )
+        assert abs(F1 - ref1) <= 1e-12 * max(abs(ref1), 1.0)
+        resid = z * ref2 + (b - z) * F1 - a * F
+        scale = max(abs(z * ref2), abs(b * F1), abs(a * F), 1.0)
+        assert abs(resid) <= 1e-12 * scale
 
 
 def test_contiguous_trivial_points():
@@ -156,12 +163,13 @@ def test_derivative_order_out_of_range_raises_before_summing(order, z, monkeypat
 
 @pytest.mark.parametrize("z", [0.3, -0.3, 0.0])
 def test_derivative_orders_in_range(z):
-    full = hyp1f1_precise(1.5, 2.5, z, derivatives=2)
-    assert len(full) == 3
-    # the stopping rule reads only the value sum, so lower orders are
-    # exact prefixes of order 2
-    assert hyp1f1_precise(1.5, 2.5, z, derivatives=1) == full[:2]
+    full = hyp1f1_precise(1.5, 2.5, z, derivatives=1)
+    assert len(full) == 2
+    # the stopping rule reads only the value sum, so order 0 is an exact
+    # prefix of order 1
     assert hyp1f1_precise(1.5, 2.5, z) == full[0]
+    with pytest.raises(ValueError):
+        hyp1f1_precise(1.5, 2.5, z, derivatives=2)
 
 
 @pytest.mark.xfail(strict=True, reason="the series loses every digit at large |Im z| and "
@@ -233,11 +241,11 @@ def _same_bits(x, y) -> bool:
 
 def _series_batches(rng):
     """Seeded (a, b, z, dtype, derivatives) batches: both precisions, both
-    branches, derivatives 0..2, scalar and array a and b, z = 0 entries,
+    branches, derivatives 0..1, scalar and array a and b, z = 0 entries,
     and batches that overflow to inf and nan."""
     for i in range(240):
         dtype = (np.complex128, np.clongdouble)[i % 2]
-        derivatives = (i // 2) % 3
+        derivatives = min((i // 2) % 3, 1)
         size = int(rng.integers(1, 40))
         z = rng.uniform(-8, 8, size) + 1j * rng.uniform(-8, 8, size)
         if i % 5 == 0:

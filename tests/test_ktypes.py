@@ -68,7 +68,8 @@ class TestMakeKtype:
         assert F.lam.is_zero
 
     def test_n2_inadmissible_negative_k(self):
-        # l(l+k) <= 0 gives lambda <= 0: not admissible
+        # k < 0 is out of range for every n, even with a harmonic of
+        # O(2)-weight -1
         params = ParameterSet(n=2, q=0, s=0.5j)
         from singular_weyl import circular_harmonic
 
@@ -248,8 +249,9 @@ class TestPeriodicity:
     def test_negative_k_periodicity(self, rng):
         from singular_weyl import circular_harmonic
 
+        # the O(2)-weight -1 sits in the harmonic of the pair (1, 1)
         params = ParameterSet(n=2, q=0, s=0.5j)
-        F = make_ktype(params, 2, 2, -1, circular_harmonic(-1))
+        F = make_ktype(params, 2, 1, 1, circular_harmonic(-1))
         theta = rng.uniform(-1, 1, 10)
         Y = rng.uniform(-1, 1, (10, 2))
         res, _ = periodicity_residual(F, theta, Y)

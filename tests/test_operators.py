@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from singular_weyl import (
+    DEFAULT_TOLERANCES,
     GroupElement,
     OperatorSpec,
     ParameterSet,
+    S_PRESETS,
+    admissible_pairs,
     apply_E,
     apply_eta,
     apply_kappa,
+    circular_harmonic,
+    enumerate_admissible,
     fd_apply,
     group_action_noncompact,
     group_parameter_derivative,
@@ -32,6 +37,7 @@ from singular_weyl.operators import (
     printed_E_coefficients,
     shipped_E_coefficients,
 )
+from singular_weyl.verify import _relative, _sample_points
 
 
 @pytest.fixture
@@ -213,14 +219,6 @@ class TestApplyE:
             rec = recs[1, sign]
             assert rec.lsq_residual <= 1e-8 and rec.matches_shipped
 
-    def test_negative_k_not_supported(self):
-        from singular_weyl import circular_harmonic
-
-        params = ParameterSet(n=2, q=0, s=0.5j)
-        F = make_ktype(params, 2, 2, -1, circular_harmonic(-1))
-        with pytest.raises(NotImplementedError):
-            apply_E(F, 1, +1)
-
     def test_coordinate_range_checked(self, F311):
         with pytest.raises(ValueError):
             apply_E(F311, 4, +1)
@@ -347,6 +345,32 @@ class TestPdeResidual:
         res = fd_apply([OperatorSpec.pde(params3, float(F311.lam.value))], f, P, steps)[0]
         fv = f.batch(P)
         assert np.max(np.abs(res) / np.maximum(1, np.abs(fv))) <= 1e-6
+
+    def test_n2_both_circular_weights_in_kernel(self):
+        # every n = 2 pair (l, k >= 0), lambda <= 60, with either O(2)-weight
+        # +-k in its harmonic, at the FD setup of the operators/pde-kernel sweep
+        P = _sample_points(2, 50, np.random.default_rng(20242), r_min=0.3)
+        pairs = [p for ev in enumerate_admissible(2, 60) for p in admissible_pairs(2, ev.value)]
+        worst, count = 0.0, 0
+        for s in S_PRESETS.values():
+            for q in range(4):
+                params = ParameterSet(n=2, q=q, s=s)
+                for l, k in pairs:
+                    m0 = (2 * k + q) % 4
+                    for h in {circular_harmonic(k), circular_harmonic(-k)}:
+                        for m in (m0 - 8, m0, m0 + 8):
+                            F = make_ktype(params, m, l, k, h)
+                            specs = (
+                                OperatorSpec.identity(params),
+                                OperatorSpec.pde(params, float(F.lam.value)),
+                            )
+                            f0, res = fd_apply(
+                                specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact")
+                            )
+                            worst = max(worst, _relative(res, f0))
+                            count += 1
+        assert count == 2664
+        assert worst <= DEFAULT_TOLERANCES.pde_residual
 
     def test_constant_function(self, rng):
         one = SpaceTimeFunction(3, lambda pts: np.ones(pts.shape[0], dtype=complex))

@@ -250,7 +250,7 @@ class TestStableEvaluators:
 
     def test_negative_weight_circular(self, rng):
         h = circular_harmonic(-3)
-        assert h.degree == 3 and h.weight == -3
+        assert h.degree == 3 and h.power == -3
         Y = rng.uniform(-1, 1, size=(10, 2))
         expected = (Y[:, 0] - 1j * Y[:, 1]) ** 3
         assert np.allclose(h(Y), expected)

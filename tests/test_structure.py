@@ -72,7 +72,7 @@ class TestDecompose:
     def test_both_flags_n2(self):
         descs = decompose(ParameterSet(n=2, q=2, s=0.5j), 4)
         assert all(d.has_lowest and d.has_highest for d in descs)
-        assert any(d.experimental for d in descs)  # the (2, -1) layer
+        assert [(d.l, d.k) for d in descs] == [(1, 1)]
 
     def test_size_matches_pair_count(self):
         from singular_weyl import admissible_pairs, enumerate_admissible
@@ -189,8 +189,6 @@ class TestLadderGraph:
             graph = ladder_graph(params, 30, (-8, 8), True)
             covered = set()
             for node in graph.nodes:
-                if node.k < 0:
-                    continue
                 source = (node.m, node.l, node.k)
                 F = make_ktype(params, *source, harmonic_representative(n, node.k))
                 for sign, op in ((1, "E+"), (-1, "E-")):
