@@ -27,10 +27,8 @@ class TestEigenvalueOfPair:
     def test_n1_triangular(self):
         # at n = 1, lambda = l(2l+2k-1) is the triangular number T(t) = t(t-1)/2
         # of t = 2l+k
-        for l in range(12):
-            for k in (0, 1):
-                t = 2 * l + k
-                assert pair_eigenvalue(1, l, k) == t * (t - 1) // 2
+        assert pair_eigenvalue(1, 0, 1) == 0
+        assert pair_eigenvalue(1, 1, 1) == 3
 
     def test_k_out_of_range(self):
         for n in (1, 2, 3, 4):
@@ -153,11 +151,23 @@ class TestAdmissiblePairs:
     def test_n1_triangular_pairs(self):
         # one pair per triangular lambda = T(t): (l, k) = (t // 2, t mod 2)
         assert admissible_pairs(1, 1) == [(1, 0)]
-        assert admissible_pairs(1, 3) == [(1, 1)]
-        assert admissible_pairs(1, 6) == [(2, 0)]
         assert admissible_pairs(1, 10) == [(2, 1)]
         for ev in enumerate_admissible(1, 400):
             assert len(admissible_pairs(1, ev.value)) == 1
+
+
+class TestRadialIndexing:
+    # at n = 1 the triangular index t and the pair (l, k) = (t // 2, t mod 2)
+    # carry the same information
+    def test_roundtrip(self):
+        for t in range(12):
+            l, k = divmod(t, 2)
+            assert 2 * l + k == t
+            assert pair_eigenvalue(1, l, k) == t * (t - 1) // 2
+
+    def test_radial_pairs_n1(self):
+        assert admissible_pairs(1, 3) == [(1, 1)]
+        assert admissible_pairs(1, 6) == [(2, 0)]
 
 
 class TestParameterSet:
