@@ -9,8 +9,6 @@ against independent numeric or exact oracles.
 
 from .admissibility import (
     AdmissibilityError,
-    Eigenvalue,
-    KTypeIndex,
     ParameterSet,
     S_PRESETS,
     admissible_pairs,

@@ -6,6 +6,12 @@ A_n = {l(n+2j) : 1 <= l <= j+1}, characterized in closed form by parity and
 is lambda-admissible when lambda = l(2l+2k+n-2) with k in range
 (``k_in_range``): k >= 0 for every n, and k <= 1 at n = 1, where
 lambda = l(2l+2k-1) is the triangular number t(t-1)/2 of t = 2l+k.
+
+Every lambda and index is a plain int.  Every pair with k in range is
+admissible for its own lambda = ``pair_eigenvalue(n, l, k)``, so what is
+built from a pair is not checked again; ``admissible_pairs`` is the check for
+a lambda that comes from outside.  ``boundary_weight`` is the weight 2k+4l+n
+at which the eta ladder of H_{l,k} stops.
 """
 
 from __future__ import annotations
@@ -52,45 +58,6 @@ class ParameterSet:
 S_PRESETS = {"schrodinger": 0.5j, "heat": -0.25}
 
 
-@dataclass(frozen=True)
-class KTypeIndex:
-    """Index triple (m, l, k); the K_2-weight is m/2 and r_+ = 2l."""
-
-    m: int
-    l: int
-    k: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
-
-
-@dataclass(frozen=True)
-class Eigenvalue:
-    """A validated eigenvalue: admissible for its dimension, or zero."""
-
-    n: int
-    value: Fraction
-
-    def __post_init__(self):
-        val = Fraction(self.value)
-        object.__setattr__(self, "value", val)
-        if val != 0 and not is_admissible(self.n, val):
-            raise AdmissibilityError(f"lambda = {val} is not admissible for n = {self.n}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __int__(self) -> int:
-        if self.value.denominator != 1:
-            raise ValueError("eigenvalue is not integral")
-        return self.value.numerator
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
 def pair_eigenvalue(n: int, l: int, k: int) -> int:
     """lambda = l(2l+2k+n-2) for a pair with k in range; 0 when l = 0."""
     if n < 1:
@@ -99,6 +66,12 @@ def pair_eigenvalue(n: int, l: int, k: int) -> int:
         raise ValueError("l must be >= 0")
     _check_k_range(n, k)
     return l * (2 * l + 2 * k + n - 2)
+
+
+def boundary_weight(n: int, l: int, k: int) -> int:
+    """2k + 4l + n: the weight m of the lowest weight vector of H_{l,k}, and
+    minus that of the highest."""
+    return 2 * k + 4 * l + n
 
 
 def k_in_range(n: int, k: int) -> bool:
@@ -147,19 +120,14 @@ def is_admissible(n: int, lam) -> bool:
     return a >= n + 2 ** (r + 1) - 2
 
 
-def enumerate_admissible(n: int, lam_max) -> list[Eigenvalue]:
+def enumerate_admissible(n: int, lam_max) -> list[int]:
     """Strictly increasing list of non-zero admissible lambda <= lam_max."""
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     lam_max = Fraction(lam_max)
     if lam_max < 0:
         raise ValueError("lam_max must be >= 0")
-    out: list[Eigenvalue] = []
-    top = int(lam_max)
-    for value in range(1, top + 1):
-        if is_admissible(n, value):
-            out.append(Eigenvalue(n, Fraction(value)))
-    return out
+    return [value for value in range(1, int(lam_max) + 1) if is_admissible(n, value)]
 
 
 def admissible_pairs(n: int, lam) -> list[tuple[int, int]]:
@@ -167,7 +135,7 @@ def admissible_pairs(n: int, lam) -> list[tuple[int, int]]:
 
     Raises AdmissibilityError when lambda is not admissible.
     """
-    lam = lam.value if isinstance(lam, Eigenvalue) else Fraction(lam)
+    lam = Fraction(lam)
     if not is_admissible(n, lam) or lam == 0:
         raise AdmissibilityError(f"lambda = {lam} is not admissible for n = {n}")
     value = lam.numerator

@@ -79,7 +79,7 @@ def cmd_admissible(args) -> int:
             _emit(f"lambda = {lam} is not admissible for n = {n}", args.output)
         return 0
     lam_max = args.lam_max if args.lam_max is not None else 50
-    values = [int(ev) for ev in enumerate_admissible(n, lam_max)]
+    values = enumerate_admissible(n, lam_max)
     if args.format == "json":
         _emit(_json({"n": n, "lambda_max": lam_max, "admissible": values}), args.output)
     elif args.format == "csv":
@@ -95,9 +95,7 @@ def cmd_ktypes(args) -> int:
         if not is_admissible(params.n, args.lam) or args.lam == 0:
             print(f"lambda = {args.lam} is not admissible for n = {params.n}", file=sys.stderr)
             return 2
-        vectors = [
-            F for F in ktype_lattice(params, args.lam, args.m_max) if F.lam.value == args.lam
-        ]
+        vectors = [F for F in ktype_lattice(params, args.lam, args.m_max) if F.lam == args.lam]
     else:
         vectors = ktype_lattice(params, args.lam_max, args.m_max)
     _emit(_json([v.to_json() for v in vectors]), args.output)
@@ -140,7 +138,6 @@ def cmd_structure(args) -> int:
                 flags.append("irreducible")
             lines.append(
                 f"  H[l={d['l']},k={d['k']}] lambda={d['lambda'][0]}"
-                + (f"/{d['lambda'][1]}" if d["lambda"][1] != 1 else "")
                 + (" (" + ", ".join(flags) + ")" if flags else "")
             )
         _emit("\n".join(lines), args.output)
@@ -171,14 +168,14 @@ def cmd_plotdata(args) -> int:
     if args.figure == "levels":
         _emit(level_curves_csv(params.n, args.lam_max), args.output)
         return 0
-    # "lattice" honours --lambda; "heisenberg" adds the lambda = 0 family and the E edges
-    heisenberg = args.figure == "heisenberg"
+    # both graph figures honour --lambda; "heisenberg" adds the lambda = 0
+    # family and the E edges
     graph = ladder_graph(
         params,
         args.lam_max,
         (args.m_min, args.m_max),
-        heisenberg,
-        lambdas=[args.lam] if args.lam is not None and not heisenberg else None,
+        args.figure == "heisenberg",
+        lambdas=[args.lam] if args.lam is not None else None,
     )
     _emit(graph.to_dot() if args.format == "dot" else _json(graph.to_json()), args.output)
     return 0

@@ -1,13 +1,15 @@
 """K-finite basis vectors in the compact picture and the picture transforms.
 
-A basis vector is determined by the parameters (n, q, s), an index triple
-(m, l, k) and a harmonic polynomial h of degree k:
+A basis vector is the plain record (params, m, l, k, h): the parameters
+(n, q, s), the int indices (m, l, k) and a harmonic polynomial h of degree k:
 
     F(theta, y) = e^{-im theta/2} e^{-is rho^2} rho^{2l} h(y)
                   * 1F1((m+4l+2k+n)/4, 2l+k+n/2, 2is rho^2)
 
-with rho = |y|.  Points are passed as (theta, y) scalars/arrays; batched
-evaluation uses arrays of shape (N, 1+n) with the angle/time in column 0.
+with rho = |y|.  Its eigenvalue lambda = l(2l+2k+n-2) is an int derived
+from (n, l, k), not stored.  Points are passed as (theta, y)
+scalars/arrays; batched evaluation uses arrays of shape (N, 1+n) with the
+angle/time in column 0.
 
 ``eval_compact_all`` evaluates several vectors at the same points with one
 1F1 call per distinct (a, b, s), one prefix e^{-im theta/2} e^{-is rho^2}
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import Eigenvalue, KTypeIndex, ParameterSet, pair_eigenvalue
+from .admissibility import ParameterSet, boundary_weight, pair_eigenvalue
 from .hypergeometric import hyp1f1
 from .polynomials import HarmonicPolynomial
 
@@ -69,40 +71,40 @@ class SpaceTimeFunction:
 
 @dataclass(frozen=True)
 class KTypeVector:
-    """An evaluable K-finite basis vector F_{m,l,k} with its harmonic part."""
+    """An evaluable K-finite basis vector F_{m,l,k}: the parameters, the
+    weight m, the pair (l, k) and the harmonic part h of degree k.  Its
+    eigenvalue ``lam`` is the int ``pair_eigenvalue(n, l, k)``.  Build one
+    with ``make_ktype``, which checks the index against h and q."""
 
     params: ParameterSet
-    index: KTypeIndex
+    m: int
+    l: int
+    k: int
     h: HarmonicPolynomial
-    lam: Eigenvalue
 
     @property
-    def m(self) -> int:
-        return self.index.m
+    def lam(self) -> int:
+        return pair_eigenvalue(self.params.n, self.l, self.k)
 
     @property
-    def l(self) -> int:
-        return self.index.l
-
-    @property
-    def k(self) -> int:
-        return self.index.k
+    def boundary(self) -> int:
+        return boundary_weight(self.params.n, self.l, self.k)
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self.m + 4 * self.l + 2 * self.k + self.params.n, 4)
+        return Fraction(self.m + self.boundary, 4)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(4 * self.l + 2 * self.k + self.params.n, 2)
+        return Fraction(self.boundary, 2)
 
     @property
     def is_lowest_weight(self) -> bool:
-        return self.m == 2 * self.k + 4 * self.l + self.params.n
+        return self.m == self.boundary
 
     @property
     def is_highest_weight(self) -> bool:
-        return self.m == -(2 * self.k + 4 * self.l + self.params.n)
+        return self.m == -self.boundary
 
     def eval_compact(self, theta, y):
         return eval_compact_all([self], theta, y)[0]
@@ -124,7 +126,7 @@ class KTypeVector:
             "m": self.m,
             "l": self.l,
             "k": self.k,
-            "lambda": [self.lam.value.numerator, self.lam.value.denominator],
+            "lambda": [self.lam.numerator, self.lam.denominator],
             "h": self.h.poly.to_json(),
         }
 
@@ -173,13 +175,14 @@ def make_ktype(
 ) -> KTypeVector:
     """Validated construction of F_{m,l,k}.
 
-    Raises AdmissibilityError when k is out of range, CongruenceError when
-    m != 2k+q (mod 4), and ValueError on a degree mismatch between k and h.
-    Every pair with k in range is admissible for its eigenvalue; l = 0
-    builds a member of the lambda = 0 family.
+    Raises ValueError when l < 0, AdmissibilityError when k is out of range,
+    CongruenceError when m != 2k+q (mod 4), and ValueError on a degree
+    mismatch between k and h.  Every pair with k in range is admissible for
+    its eigenvalue, so nothing more is checked; l = 0 builds a member of the
+    lambda = 0 family.
     """
     n = params.n
-    lam_val = pair_eigenvalue(n, l, k)
+    pair_eigenvalue(n, l, k)  # raises on l < 0 and on k out of range
     if h.is_zero():
         raise ValueError("harmonic part must be nonzero")
     if h.nvars != n:
@@ -188,8 +191,7 @@ def make_ktype(
         raise ValueError(f"harmonic degree {h.degree} does not match k = {k}")
     if (m - 2 * k - params.q) % 4 != 0:
         raise CongruenceError(f"m = {m} is not congruent to 2k+q = {2 * k + params.q} mod 4")
-    lam = Eigenvalue(n, Fraction(lam_val))
-    return KTypeVector(params, KTypeIndex(m, l, k), h, lam)
+    return KTypeVector(params, m, l, k, h)
 
 
 def to_noncompact(F: KTypeVector) -> SpaceTimeFunction:
@@ -266,7 +268,7 @@ class LinearCombination:
             if coeff == 0:
                 continue
             for i, (c0, v0) in enumerate(merged):
-                if v0.index == vec.index and v0.params == vec.params:
+                if (v0.m, v0.l, v0.k) == (vec.m, vec.l, vec.k) and v0.params == vec.params:
                     ratio = vec.h.poly.proportionality(v0.h.poly)
                     if ratio is not None:
                         merged[i] = (c0 + coeff * complex(ratio), v0)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import ParameterSet, k_in_range
+from .admissibility import ParameterSet, boundary_weight, k_in_range
 from .config import DEFAULT_FD, DEFAULT_TOLERANCES
 from .ktypes import (
     KTypeVector,
@@ -343,10 +343,10 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
 
 
 def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[Fraction, int, int]:
-    """(B, edge, ladder) of the E table: B = k + 2l + n/2, edge = 2l + 2k + n - 2
-    and ladder = (sign m) + 2k + 4l + n."""
-    B = Fraction(2 * l + k) + Fraction(n, 2)
-    return B, 2 * l + 2 * k + n - 2, sign * m + 2 * k + 4 * l + n
+    """(B, edge, ladder) of the E table: B = k + 2l + n/2 (half the boundary
+    weight), edge = 2l + 2k + n - 2 and ladder = (sign m) + boundary weight."""
+    boundary = boundary_weight(n, l, k)
+    return Fraction(boundary, 2), 2 * l + 2 * k + n - 2, sign * m + boundary
 
 
 def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> dict[str, Fraction]:

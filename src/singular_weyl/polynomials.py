@@ -410,14 +410,12 @@ def harmonic_basis(n: int, k: int) -> list[HarmonicPolynomial]:
     ``harmonic_dimension(n, k)``.  h_a is the kernel element of the
     Laplacian that is 1 at y^a and 0 at the other monomials with a_1 <= 1.
 
-    For n = 1 only k in {0, 1} are allowed (H_k(R) = 0 beyond that).
+    For n = 1 and k >= 2 the basis is empty, since H_k(R) = 0.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if k < 0:
         raise ValueError("degree must be >= 0")
-    if n == 1 and k >= 2:
-        raise ValueError("H_k(R) = 0 for k >= 2")
     basis = []
     for a in _monomials(n, k):
         if a[0] > 1:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .admissibility import (
     ParameterSet,
     admissible_pairs,
+    boundary_weight,
     enumerate_admissible,
     k_in_range,
     pair_eigenvalue,
@@ -38,7 +38,7 @@ class SubmoduleDescriptor:
 
     l: int
     k: int
-    lam: Fraction
+    lam: int
     weight_residue: int           # m = this (mod 4)
     boundary_weight: int          # 2k + 4l + n
     has_lowest: bool              # q = n (mod 4): H+ submodule from m >= boundary
@@ -115,9 +115,9 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
             SubmoduleDescriptor(
                 l=l,
                 k=k,
-                lam=Fraction(pair_eigenvalue(n, l, k)),
+                lam=pair_eigenvalue(n, l, k),
                 weight_residue=weight_residue(params, k),
-                boundary_weight=2 * k + 4 * l + n,
+                boundary_weight=boundary_weight(n, l, k),
                 has_lowest=case in (2, 4),
                 has_highest=case in (3, 4),
                 irreducible=case == 1,
@@ -126,7 +126,7 @@ def decompose(params: ParameterSet, lam) -> list[SubmoduleDescriptor]:
     return out
 
 
-def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]]:
+def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, int]]:
     """The (l', k', lambda') targets reachable from (l, k) under E_j.
 
     lambda' - lambda is +-(2l+2k+n-2) for the (l-+1, k+-1) moves and +-2l
@@ -135,9 +135,7 @@ def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    return [
-        (l2, k2, Fraction(pair_eigenvalue(n, l2, k2))) for _, l2, k2 in e_targets(n, l, k)
-    ]
+    return [(l2, k2, pair_eigenvalue(n, l2, k2)) for _, l2, k2 in e_targets(n, l, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +145,7 @@ def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, Fraction]
 
 def _pairs_up_to(n: int, lam_max) -> list[tuple[int, int]]:
     """The pairs of every admissible lambda <= lam_max, by increasing lambda."""
-    return [
-        pair for ev in enumerate_admissible(n, lam_max) for pair in admissible_pairs(n, ev.value)
-    ]
+    return [pair for lam in enumerate_admissible(n, lam_max) for pair in admissible_pairs(n, lam)]
 
 
 def _weights(params: ParameterSet, k: int, m_lo: int, m_hi: int) -> range:
@@ -167,7 +163,7 @@ class GraphNode:
     m: int
     l: int
     k: int
-    lam: Fraction
+    lam: int
 
     @property
     def key(self) -> str:
@@ -261,14 +257,14 @@ def ladder_graph(
     if lambdas is None:
         pair_set = _pairs_up_to(n, lam_max)
     else:
-        pair_set = [pair for lam in lambdas for pair in admissible_pairs(n, Fraction(lam))]
+        pair_set = [pair for lam in lambdas for pair in admissible_pairs(n, lam)]
     if heisenberg:
         k_cap = max((k for _, k in pair_set), default=4) + 1
         pair_set.extend((0, k) for k in range(k_cap) if k_in_range(n, k))
 
     nodes: dict[tuple[int, int, int], GraphNode] = {}
     for l, k in pair_set:
-        lam = Fraction(pair_eigenvalue(n, l, k))
+        lam = pair_eigenvalue(n, l, k)
         for m in _weights(params, k, m_lo, m_hi):
             nodes[(m, l, k)] = GraphNode(m, l, k, lam)
 
@@ -324,8 +320,7 @@ def level_curves_csv(n: int, lam_max) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["lambda", "l", "k"])
-    for ev in enumerate_admissible(n, lam_max):
-        lam = ev.value
+    for lam in enumerate_admissible(n, lam_max):
         top = float((-(n - 2) + (((n - 2) ** 2 + 8 * lam) ** 0.5)) / 4 + 1)
         for i in range(1, _LEVEL_SAMPLES + 1):
             l = top * i / _LEVEL_SAMPLES

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admissibility import ParameterSet, admissible_pairs, k_in_range, weight_residue
+from .admissibility import ParameterSet, admissible_pairs, weight_residue
 from .config import DEFAULT_TOLERANCES
 from .hypergeometric import contiguous_residuals_scaled
 from .ktypes import make_ktype, periodicity_residual, to_noncompact
@@ -135,8 +135,6 @@ def sweep_harmonicity(n_max: int, k_max: int) -> list[dict]:
     ok_split = True
     for n in range(1, n_max + 1):
         for k in range(0, k_max + 1):
-            if not k_in_range(n, k):
-                continue
             basis = harmonic_basis(n, k)
             if len(basis) != harmonic_dimension(n, k):
                 ok_dim = False
@@ -184,7 +182,7 @@ def sweep_pde_kernel(
     worst = 0.0
     worst_index = None
     for F in lattice:
-        specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(F.lam.value)))
+        specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(F.lam)))
         f0, res = fd_apply(specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact"))
         rel = _relative(res, f0)
         if rel > worst:
@@ -253,10 +251,9 @@ def sweep_heisenberg(
     details = []
     for F in lattice:
         targets = {(l2, k2): lam2 for l2, k2, lam2 in heisenberg_targets(params.n, F.l, F.k)}
-        lam = F.lam.value
         edge = 2 * F.l + 2 * F.k + params.n - 2
         for (l2, k2), lam2 in targets.items():
-            shift = lam2 - lam
+            shift = lam2 - F.lam
             if abs(l2 - F.l) == 1:
                 if abs(shift) != edge:
                     shift_ok = False

@@ -4,7 +4,6 @@ import pytest
 
 from singular_weyl import (
     AdmissibilityError,
-    Eigenvalue,
     ParameterSet,
     admissible_pairs,
     enumerate_admissible,
@@ -36,6 +35,18 @@ class TestEigenvalueOfPair:
                 pair_eigenvalue(n, 2, -1)
         with pytest.raises(AdmissibilityError):
             pair_eigenvalue(1, 2, 2)
+
+    def test_every_in_range_pair_is_admissible(self):
+        # the invariant that lets make_ktype build from a pair unchecked
+        bound = 3000
+        for n in range(1, 9):
+            l = 1
+            while pair_eigenvalue(n, l, 0) <= bound:
+                k = 0
+                while k_in_range(n, k) and pair_eigenvalue(n, l, k) <= bound:
+                    assert is_admissible(n, pair_eigenvalue(n, l, k)), (n, l, k)
+                    k += 1
+                l += 1
 
     def test_k_range(self):
         assert [k for k in range(-2, 5) if k_in_range(1, k)] == [0, 1]
@@ -75,20 +86,21 @@ class TestIsAdmissible:
 
 class TestEnumerateAdmissible:
     def test_examples(self):
-        assert [int(e) for e in enumerate_admissible(4, 10)] == [4, 6, 8, 10]
-        assert [int(e) for e in enumerate_admissible(3, 5)] == [3, 5]
-        assert [int(e) for e in enumerate_admissible(1, 3)] == [1, 3]
+        assert enumerate_admissible(4, 10) == [4, 6, 8, 10]
+        assert enumerate_admissible(3, 5) == [3, 5]
+        assert enumerate_admissible(1, 3) == [1, 3]
+        assert all(type(lam) is int for lam in enumerate_admissible(3, 100))
 
     def test_n1_lists_the_triangular_numbers(self):
         triangular = [l * (l - 1) // 2 for l in range(2, 101) if l * (l - 1) // 2 <= 5000]
-        assert [int(e) for e in enumerate_admissible(1, 5000)] == triangular
-        assert [e.value for e in enumerate_admissible(1, Fraction(7, 2))] == [1, 3]
+        assert enumerate_admissible(1, 5000) == triangular
+        assert enumerate_admissible(1, Fraction(7, 2)) == [1, 3]
         assert enumerate_admissible(1, 0) == []
 
     def test_smallest_eigenvalue_is_n(self):
         # sweep_group_algebra takes its K-type from lambda = n for every n
         for n in range(1, 41):
-            assert enumerate_admissible(n, n)[0].value == n
+            assert enumerate_admissible(n, n)[0] == n
             assert enumerate_admissible(n, n - 1) == []
 
     def test_rejects_nonpositive_dimension(self):
@@ -99,7 +111,7 @@ class TestEnumerateAdmissible:
 
     def test_strictly_increasing_and_complete(self):
         for n in (2, 3, 5):
-            vals = [int(e) for e in enumerate_admissible(n, 200)]
+            vals = enumerate_admissible(n, 200)
             assert vals == sorted(set(vals))
             assert set(vals) == {v for v in brute_force_admissible(n, 200) if v > 0}
 
@@ -125,20 +137,19 @@ class TestAdmissiblePairs:
 
     def test_pairs_recover_eigenvalue(self):
         for n in (1, 2, 3, 4, 5):
-            for ev in enumerate_admissible(n, 120):
-                pairs = admissible_pairs(n, ev.value)
-                assert pairs, (n, ev.value)
+            for lam in enumerate_admissible(n, 120):
+                pairs = admissible_pairs(n, lam)
+                assert pairs, (n, lam)
                 ls = [l for l, _ in pairs]
                 assert ls == sorted(ls, reverse=True)
                 for l, k in pairs:
                     assert k_in_range(n, k)
-                    assert pair_eigenvalue(n, l, k) == ev.value
+                    assert pair_eigenvalue(n, l, k) == lam
 
     def test_pair_count_matches_divisor_brute_force(self):
         # l ranges over solutions of lambda = l(2l+2k+n-2) with k in range
         for n in (1, 2, 3, 4, 5):
-            for ev in enumerate_admissible(n, 80):
-                lam = int(ev)
+            for lam in enumerate_admissible(n, 80):
                 count = 0
                 for l in range(1, lam + 1):
                     rem = lam - l * (2 * l + n - 2)
@@ -152,8 +163,8 @@ class TestAdmissiblePairs:
         # one pair per triangular lambda = T(t): (l, k) = (t // 2, t mod 2)
         assert admissible_pairs(1, 1) == [(1, 0)]
         assert admissible_pairs(1, 10) == [(2, 1)]
-        for ev in enumerate_admissible(1, 400):
-            assert len(admissible_pairs(1, ev.value)) == 1
+        for lam in enumerate_admissible(1, 400):
+            assert len(admissible_pairs(1, lam)) == 1
 
 
 class TestRadialIndexing:
@@ -195,14 +206,3 @@ class TestWeightResidue:
         params = ParameterSet(n=3, q=q, s=0.5j)
         assert weight_residue(params, k) == expected
 
-
-class TestEigenvalueType:
-    def test_validated(self):
-        Eigenvalue(3, Fraction(75))
-        Eigenvalue(3, Fraction(0))
-        with pytest.raises(AdmissibilityError):
-            Eigenvalue(3, Fraction(4))
-
-    def test_zero_flag(self):
-        assert Eigenvalue(2, Fraction(0)).is_zero
-        assert not Eigenvalue(2, Fraction(2)).is_zero

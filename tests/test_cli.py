@@ -264,6 +264,17 @@ class TestPlotDataCommand:
         assert out.stdout.startswith("digraph")
         assert "E+" in out.stdout
 
+    def test_heisenberg_honours_lambda(self):
+        # the lambda = 75 pairs plus the l = 0 family, not the lambda <= 12 lattice
+        out = run_cli(
+            "plot-data", "--figure", "heisenberg", "--n", "3", "--q", "0",
+            "--lambda", "75", "--lambda-max", "12",
+        )
+        assert out.returncode == 0, out.stderr
+        nodes = json.loads(out.stdout)["nodes"]
+        assert {(v["l"], v["k"]) for v in nodes if v["l"] > 0} == {(5, 2), (3, 9), (1, 36)}
+        assert {v["lambda"][0] for v in nodes} == {0, 75}
+
     def test_heisenberg_includes_n2_zero_family(self):
         # the (l, k, n) = (0, 0, 2) layer uses the degenerate coefficient
         out = run_cli(

@@ -4,8 +4,6 @@ import pytest
 from singular_weyl import (
     AdmissibilityError,
     CongruenceError,
-    Eigenvalue,
-    KTypeIndex,
     KTypeVector,
     LinearCombination,
     ParameterSet,
@@ -19,7 +17,6 @@ from singular_weyl import (
 )
 from singular_weyl.hypergeometric import hyp1f1
 from singular_weyl.ktypes import eval_compact_all
-from fractions import Fraction
 
 
 @pytest.fixture
@@ -41,13 +38,13 @@ class TestMakeKtype:
     def test_valid_construction(self):
         params = ParameterSet(n=3, q=2, s=0.5j)
         F = make_ktype(params, 2, 1, 0, harmonic_representative(3, 0))
-        assert F.lam.value == 3
+        assert F.lam == 3 and type(F.lam) is int
 
     def test_admissibility_checked_via_lemma(self):
         # lambda = 2(4+2+1) = 14 = 2*7, odd part 7 >= 3 + 4 - 2
         params = ParameterSet(n=3, q=2, s=0.5j)
         F = make_ktype(params, 0, 2, 1, harmonic_representative(3, 1))
-        assert F.lam.value == 14
+        assert F.lam == 14
 
     def test_degree_mismatch(self):
         params = ParameterSet(n=3, q=0, s=0.5j)
@@ -65,7 +62,12 @@ class TestMakeKtype:
     def test_lambda_zero_family(self):
         params = ParameterSet(n=3, q=2, s=0.5j)
         F = make_ktype(params, 2, 0, 0, harmonic_representative(3, 0))
-        assert F.lam.is_zero
+        assert F.lam == 0
+
+    def test_negative_l_rejected(self):
+        params = ParameterSet(n=3, q=0, s=0.5j)
+        with pytest.raises(ValueError):
+            make_ktype(params, 0, -1, 0, harmonic_representative(3, 0))
 
     def test_n2_inadmissible_negative_k(self):
         # k < 0 is out of range for every n, even with a harmonic of
@@ -79,7 +81,7 @@ class TestMakeKtype:
     def test_n1_radial_indexing(self):
         params = ParameterSet(n=1, q=1, s=0.5j)
         F = make_ktype(params, 3, 1, 1, harmonic_representative(1, 1))
-        assert F.lam.value == 3  # l(2l+2k-1) = 1*3, triangular
+        assert F.lam == 3  # l(2l+2k-1) = 1*3, triangular
 
 
 class TestEvalCompact:
@@ -261,7 +263,7 @@ class TestPeriodicity:
         # bypass validation: m = 1 with 2k+q = 0 violates the congruence
         params = ParameterSet(n=3, q=0, s=0.5j)
         h = harmonic_representative(3, 0)
-        bad = KTypeVector(params, KTypeIndex(1, 1, 0), h, Eigenvalue(3, Fraction(3)))
+        bad = KTypeVector(params, 1, 1, 0, h)
         theta, Y = sample_points
         res, _ = periodicity_residual(bad, theta, Y)
         assert np.max(np.abs(res[0])) > 1e-3

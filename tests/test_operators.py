@@ -187,10 +187,10 @@ class TestApplyE:
     def test_eigenvalue_shift_bookkeeping(self):
         params = ParameterSet(n=3, q=0, s=0.5j)
         F = make_ktype(params, 2, 2, 1, harmonic_representative(3, 1))
-        lam = F.lam.value
+        lam = F.lam
         edge = 2 * F.l + 2 * F.k + 3 - 2
         for _, v in apply_E(F, 1, +1).terms:
-            shift = v.lam.value - lam
+            shift = v.lam - lam
             assert abs(shift) in (edge, 2 * F.l)
 
     def test_degenerate_zero_family_n2(self, rng):
@@ -333,7 +333,7 @@ class TestOmegaEigenvalue:
             steps = ktype_steps(F, P, "compact")
             om = fd_apply([OperatorSpec.omega(params)], F.compact_function(), P, steps)[0]
             Fv = F.eval_compact(P[:, 0], P[:, 1:])
-            resid = om - 2 * float(F.lam.value) * Fv
+            resid = om - 2 * float(F.lam) * Fv
             assert np.max(np.abs(resid) / np.maximum(1, np.abs(Fv))) <= 1e-6
 
 
@@ -342,7 +342,7 @@ class TestPdeResidual:
         P = noncompact_points(3, rng)
         f = to_noncompact(F311)
         steps = ktype_steps(F311, P, "noncompact")
-        res = fd_apply([OperatorSpec.pde(params3, float(F311.lam.value))], f, P, steps)[0]
+        res = fd_apply([OperatorSpec.pde(params3, float(F311.lam))], f, P, steps)[0]
         fv = f.batch(P)
         assert np.max(np.abs(res) / np.maximum(1, np.abs(fv))) <= 1e-6
 
@@ -350,7 +350,7 @@ class TestPdeResidual:
         # every n = 2 pair (l, k >= 0), lambda <= 60, with either O(2)-weight
         # +-k in its harmonic, at the FD setup of the operators/pde-kernel sweep
         P = _sample_points(2, 50, np.random.default_rng(20242), r_min=0.3)
-        pairs = [p for ev in enumerate_admissible(2, 60) for p in admissible_pairs(2, ev.value)]
+        pairs = [p for lam in enumerate_admissible(2, 60) for p in admissible_pairs(2, lam)]
         worst, count = 0.0, 0
         for s in S_PRESETS.values():
             for q in range(4):
@@ -362,7 +362,7 @@ class TestPdeResidual:
                             F = make_ktype(params, m, l, k, h)
                             specs = (
                                 OperatorSpec.identity(params),
-                                OperatorSpec.pde(params, float(F.lam.value)),
+                                OperatorSpec.pde(params, float(F.lam)),
                             )
                             f0, res = fd_apply(
                                 specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact")
