@@ -66,6 +66,7 @@ from .structure import (
     ktype_lattice,
     ladder_graph,
     level_curves_csv,
+    weight_string,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .structure import (
     ktype_lattice,
     ladder_graph,
     level_curves_csv,
+    weight_string,
 )
 from .verify import run_verification
 
@@ -95,7 +96,10 @@ def cmd_ktypes(args) -> int:
         if not is_admissible(params.n, args.lam) or args.lam == 0:
             print(f"lambda = {args.lam} is not admissible for n = {params.n}", file=sys.stderr)
             return 2
-        vectors = [F for F in ktype_lattice(params, args.lam, args.m_max) if F.lam == args.lam]
+        vectors = [
+            F for l, k in admissible_pairs(params.n, args.lam)
+            for F in weight_string(params, l, k, args.m_max)
+        ]
     else:
         vectors = ktype_lattice(params, args.lam_max, args.m_max)
     _emit(_json([v.to_json() for v in vectors]), args.output)

@@ -11,13 +11,19 @@ from (n, l, k), not stored.  Points are passed as (theta, y)
 scalars/arrays; batched evaluation uses arrays of shape (N, 1+n) with the
 angle/time in column 0.
 
-``eval_compact_all`` evaluates several vectors at the same points with one
-1F1 call per distinct (a, b, s), one prefix e^{-im theta/2} e^{-is rho^2}
-rho^{2l} per (m, s, l) and one h(y) per harmonic.  Only identical (a, b) on
-identical points share a call: the series stops a batch when every entry
-has converged, so a value can depend in its last bits on the rest of its
-batch, and stacking other z or (a, b) into one batch would move reported
-residuals.
+``eval_compact_all`` and ``to_noncompact`` evaluate several vectors at
+once, each at shared points or at its own block of points (a leading
+K-type axis).  A point that is the same, bit for bit, in every block is
+evaluated once for every factor that does not depend on m: the picture
+transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Each vector then
+forms its own e^{-im theta/2}, its own 1F1 and the products, in the order
+of the one-vector formula, so every value is bit for bit the one-vector
+value.  Only identical (a, b) on identical points share a 1F1 call: the
+series stops a batch when every entry has converged, so a value can depend
+in its last bits on the rest of its batch, and stacking other z or (a, b)
+into one batch would move reported residuals.  So the K-types of a weight
+string (fixed l, k and h, m stepping by 4) share every factor but
+e^{-im theta/2} and 1F1 at the points they have in common.
 
 (l, k) is a pair with k in range (``admissibility.k_in_range``): k >= 0,
 and k <= 1 at n = 1.  At n = 2 the O(2)-weight +-k lives in h, e.g. in
@@ -42,13 +48,30 @@ class CongruenceError(ValueError):
 
 
 def _as_batch(t, x):
-    """(t, x) as (N,) and (N, n) float arrays, with ``single`` set when x is
-    one point of shape (n,); a scalar t broadcasts over a batch."""
+    """(t, x) as (..., N) and (..., N, n) float arrays, with ``single`` set
+    when x is one point of shape (n,); a scalar t broadcasts over a batch."""
     t_arr = np.asarray(t, dtype=float)
     x_arr = np.asarray(x, dtype=float)
     if x_arr.ndim == 1:
         return t_arr.reshape(1), x_arr[None, :], True
-    return np.broadcast_to(t_arr, (x_arr.shape[0],)), x_arr, False
+    return np.broadcast_to(t_arr, x_arr.shape[:-1]), x_arr, False
+
+
+def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index) with ``rows[index] == pts`` for a (V, M, d) stack of V
+    blocks of M points: first, once, each row that is the same bit for bit
+    in every block, then the other rows of each block.  index is (V, M)."""
+    if len(pts) == 1:
+        return pts[0], np.arange(pts.shape[1])[None]
+    pts = np.ascontiguousarray(pts)
+    bits = pts.view(np.int64)
+    common = (bits == bits[:1]).all(axis=0).all(axis=1)
+    rows = np.concatenate([pts[0, common], pts[:, ~common].reshape(-1, pts.shape[2])])
+    index = np.empty(pts.shape[:2], dtype=np.intp)
+    shared = np.count_nonzero(common)
+    index[:, common] = np.arange(shared)
+    index[:, ~common] = np.arange(shared, len(rows)).reshape(len(pts), -1)
+    return rows, index
 
 
 @dataclass
@@ -132,41 +155,63 @@ class KTypeVector:
 
 
 def eval_compact_all(vectors: Sequence[KTypeVector], theta, y) -> list:
-    """F(theta, y) for each vector F, all at the same points.
+    """F(theta, y) for each vector F.
 
-    Each factor is formed once per call and shared: rho^2 once, the prefix
-    e^{-im theta/2} e^{-is rho^2} rho^{2l} once per (m, s, l), h(y) once per
-    harmonic object and 1F1 once per (a, b, s).  Each value multiplies them
-    in the order prefix * h(y) * 1F1, which is the left-to-right order of
-    the one-vector product, and each 1F1 call has the same a, b and z as a
-    call for the vector alone, so every value is bit for bit the one-vector
-    value.  Returns a list of complex values for one point, of (N,) arrays
-    for a batch.
+    The points are shared by every vector, or carry a leading K-type axis:
+    theta of shape (V, N) and y of shape (V, N, n) evaluate vector v at
+    theta[v], y[v].  Returns a list of complex values for one shared point,
+    of (N,) arrays otherwise; each is bit for bit the one-vector value (see
+    ``_eval_rows``).
     """
     theta_arr, y_arr, single = _as_batch(theta, y)
-    rho2 = (y_arr**2).sum(axis=1)
-    prefixes = {}
+    pts = np.concatenate([theta_arr[..., None], y_arr], axis=-1)
+    rows, index = _distinct_rows(pts.reshape(-1, *pts.shape[-2:]))
+    values = _eval_rows(vectors, rows[:, 0], rows[:, 1:], index)
+    return [complex(value[0]) if single else value for value in values]
+
+
+def _eval_rows(vectors: Sequence[KTypeVector], theta, y, index) -> list:
+    """F_v(theta[index[v]], y[index[v]]) for each vector v, as (M,) arrays;
+    an index with one row serves every vector.
+
+    rho^2, e^{-is rho^2} (per s), rho^{2l} (per l) and h(y) (per harmonic
+    object) are formed once per row; the prefix e^{-im theta/2}
+    e^{-is rho^2} rho^{2l} once per (m, s, l) and 1F1 once per (a, b, s)
+    among vectors on the same index row.  Each value is the one-vector
+    product prefix * h(y) * 1F1, left to right, and each 1F1 call has the
+    a, b and z of a call for the vector alone, so every value is bit for
+    bit the one-vector value.
+    """
+    rho2 = (y**2).sum(axis=1)
+    blocks = range(len(vectors)) if len(index) > 1 else [0] * len(vectors)
+    phases = {}
+    powers = {}
     # keyed by object, not by value: equal polynomials may carry different
     # evaluators, which give different bits
     harmonics = {}
+    prefixes = {}
     hyps = {}
     out = []
-    for vec in vectors:
+    for vec, block in zip(vectors, blocks):
+        rows = index[block]
         s = vec.params.s
         # the series first: a SeriesError then leaves no overflow warning
         # of the prefix on stderr
-        key = (float(vec.a), float(vec.b), s)
+        key = (float(vec.a), float(vec.b), s, block)
         if key not in hyps:
-            hyps[key] = hyp1f1(key[0], key[1], 2j * s * rho2)
-        prefix = (vec.m, s, vec.l)
+            hyps[key] = hyp1f1(key[0], key[1], 2j * s * rho2[rows])
+        prefix = (vec.m, s, vec.l, block)
         if prefix not in prefixes:
+            if s not in phases:
+                phases[s] = np.exp(-1j * s * rho2)
+            if vec.l not in powers:
+                powers[vec.l] = rho2**vec.l
             prefixes[prefix] = (
-                np.exp(-0.5j * vec.m * theta_arr) * np.exp(-1j * s * rho2) * rho2 ** vec.l
+                np.exp(-0.5j * vec.m * theta[rows]) * phases[s][rows] * powers[vec.l][rows]
             )
         if id(vec.h) not in harmonics:
-            harmonics[id(vec.h)] = vec.h(y_arr)
-        value = prefixes[prefix] * harmonics[id(vec.h)] * hyps[key]
-        out.append(complex(value[0]) if single else value)
+            harmonics[id(vec.h)] = vec.h(y)
+        out.append(prefixes[prefix] * harmonics[id(vec.h)][rows] * hyps[key])
     return out
 
 
@@ -194,24 +239,36 @@ def make_ktype(
     return KTypeVector(params, m, l, k, h)
 
 
-def to_noncompact(F: KTypeVector) -> SpaceTimeFunction:
-    """Image of F under the picture isomorphism, as a function of (t, x).
+def to_noncompact(*vectors: KTypeVector) -> SpaceTimeFunction:
+    """Image under the picture isomorphism, as a function of (t, x).
 
+    ``to_noncompact(F)`` is
     f(t,x) = (1+t^2)^{-n/4} e^{s t |x|^2 / (1+t^2)} F(arctan t, x (1+t^2)^{-1/2});
     smooth across all of R^{1,n}.
+
+    Several vectors of one parameter set, such as a weight string, give one
+    function of V equal blocks of rows: ``batch`` evaluates the image of
+    vectors[v] on block v.  The transform is computed once per point that
+    every block shares, and each value is bit for bit that of the vector
+    alone.
     """
-    n = F.params.n
-    s = F.params.s
+    if len({F.params for F in vectors}) != 1:
+        raise ValueError("to_noncompact takes vectors of one parameter set")
+    n = vectors[0].params.n
+    s = vectors[0].params.s
 
     def batch(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        t = pts[:, 0]
-        x = pts[:, 1:]
+        rows, index = _distinct_rows(pts.reshape(len(vectors), -1, pts.shape[1]))
+        t = rows[:, 0]
+        x = rows[:, 1:]
         opt2 = 1.0 + t**2
         nx2 = (x**2).sum(axis=1)
         theta = np.arctan(t)
         y = x / np.sqrt(opt2)[:, None]
-        return opt2 ** (-n / 4.0) * np.exp(s * t * nx2 / opt2) * F.eval_compact(theta, y)
+        scale = opt2 ** (-n / 4.0) * np.exp(s * t * nx2 / opt2)
+        values = _eval_rows(vectors, theta, y, index)
+        return np.concatenate([scale[block] * value for block, value in zip(index, values)])
 
     return SpaceTimeFunction(n, batch)
 

@@ -114,20 +114,27 @@ def _second_richardson(f0, vals, h):
 def _partials(f: SpaceTimeFunction, P: np.ndarray, h: np.ndarray, first=(), second=()):
     """(f(P), {axis: first partial}, {axis: second partial}) from one f.batch call.
 
-    h has the shape of P: a step per point and axis.  The batch stacks P,
+    h holds a step per point and axis: the shape of P, or (V, *P.shape) for
+    V K-types at the points P, which stacks their stencils in one batch and
+    gives each result a leading K-type axis.  Per K-type the batch stacks P,
     then one ``_FIRST_OFFSETS`` block per distinct axis of ``first`` and
     ``second``, in that order; an axis in both shares its block.
     """
     axes = tuple(dict.fromkeys((*first, *second)))
     K = len(_FIRST_OFFSETS)
-    stacked = np.repeat(P[None], 1 + K * len(axes), axis=0)
+    N, d = P.shape
+    lead = h.shape[:-2]
+    stacked = np.broadcast_to(P, (*lead, 1 + K * len(axes), N, d)).copy()
+    offsets = np.array(_FIRST_OFFSETS)[:, None]
     for i, a in enumerate(axes):
-        stacked[1 + K * i : 1 + K * (i + 1), :, a] += np.multiply.outer(_FIRST_OFFSETS, h[:, a])
-    vals = f.batch(stacked.reshape(-1, P.shape[1])).reshape(len(stacked), P.shape[0])
-    f0 = vals[0]
-    blocks = dict(zip(axes, vals[1:].reshape(len(axes), K, P.shape[0])))
-    d1 = {a: _first_richardson(blocks[a], h[:, a]) for a in first}
-    d2 = {a: _second_richardson(f0, blocks[a], h[:, a]) for a in second}
+        stacked[..., 1 + K * i : 1 + K * (i + 1), :, a] += offsets * h[..., None, :, a]
+    vals = f.batch(stacked.reshape(-1, d)).reshape(stacked.shape[:-1])
+    f0 = vals[..., 0, :]
+    # (axis, offset, ..., point): the six displaced values of an axis lead
+    blocks = np.moveaxis(vals[..., 1:, :].reshape(*lead, len(axes), K, N), (-3, -2), (0, 1))
+    blocks = dict(zip(axes, blocks))
+    d1 = {a: _first_richardson(blocks[a], h[..., a]) for a in first}
+    d2 = {a: _second_richardson(f0, blocks[a], h[..., a]) for a in second}
     return f0, d1, d2
 
 
@@ -135,12 +142,14 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
     """Steps adapted to the oscillation rate of a specific K-type.
 
     Balances the h^6 truncation term against roundoff for functions whose
-    log-derivative is of order (2l + |k|)/rho + |s| rho.
+    log-derivative is of order (2l + k)/rho + |s| rho.  Only the theta/t
+    column depends on m (through |m|); the space columns are the same for
+    every K-type of a weight string.
     """
     P = np.asarray(P, dtype=float)
     n = F.params.n
     s_mag = abs(F.params.s)
-    deg = 2 * F.l + abs(F.k)
+    deg = 2 * F.l + F.k
     alpha = 0.05  # balances h^6 truncation against eps/h^2 roundoff
     out = np.empty_like(P)
     if picture == "compact":
@@ -296,6 +305,11 @@ def fd_apply(
     f is evaluated in one ``f.batch`` call: P first, then one
     ``_FIRST_OFFSETS`` block of displaced copies of P per axis that any of
     the operators differentiates.
+
+    Steps of shape (V, N, 1+n) apply the operators to V functions at once,
+    such as the K-types of a weight string under ``to_noncompact``: f.batch
+    then takes V such stencils in turn, one per step table, and the result
+    is (len(specs), V, N), row v bit for bit the table of step table v alone.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or any(P.shape[1] != 1 + sp.n for sp in specs):
@@ -303,7 +317,7 @@ def fd_apply(
     h = np.asarray(steps, dtype=float)
     axes = [_differentiated_axes(sp) for sp in specs]
     if any(sp.kind == "pde" for sp in specs):
-        if np.any(np.sqrt((P[:, 1:] ** 2).sum(axis=1)) < 10 * np.max(h[:, 1:], axis=1)):
+        if np.any(np.sqrt((P[:, 1:] ** 2).sum(axis=1)) < 10 * np.max(h[..., 1:], axis=-1)):
             raise SingularityError("point too close to x = 0 for the potential term")
     first = tuple(dict.fromkeys(a for a1, _ in axes for a in a1))
     second = tuple(dict.fromkeys(a for _, a2 in axes for a in a2))

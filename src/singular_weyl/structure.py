@@ -329,26 +329,30 @@ def level_curves_csv(n: int, lam_max) -> str:
     return out.getvalue()
 
 
+def weight_string(params: ParameterSet, l: int, k: int, m_max: int) -> list[KTypeVector]:
+    """The weight string of the pair (l, k): one K-type per legal weight
+    |m| <= m_max, by increasing m, all with the pair's representative
+    harmonic, so m steps by 4 along the eta ladder."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    h = harmonic_representative(params.n, k)
+    return [make_ktype(params, m, l, k, h) for m in _weights(params, k, -m_max, m_max)]
+
+
 def ktype_lattice(
     params: ParameterSet,
     lam_max,
     m_max: int,
     include_zero_family: bool = False,
 ) -> list[KTypeVector]:
-    """One K-type per (admissible pair, legal weight |m| <= m_max).
+    """The weight strings of every admissible pair, by increasing lambda.
 
     Uses a single representative harmonic per pair.  The lambda = 0 family
     adds the pairs (0, k) with k <= 2 in range.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    n = params.n
-    vectors = []
-    pair_list = _pairs_up_to(n, lam_max)
+    pair_list = _pairs_up_to(params.n, lam_max)
     if include_zero_family:
-        pair_list.extend((0, k) for k in range(3) if k_in_range(n, k))
-    for l, k in pair_list:
-        h = harmonic_representative(n, k)
-        for m in _weights(params, k, -m_max, m_max):
-            vectors.append(make_ktype(params, m, l, k, h))
-    return vectors
+        pair_list.extend((0, k) for k in range(3) if k_in_range(params.n, k))
+    return [F for l, k in pair_list for F in weight_string(params, l, k, m_max)]

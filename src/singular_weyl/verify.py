@@ -23,10 +23,14 @@ callers can draw the sample points of several sweeps from one stream.
 The periodicity sweep evaluates each K-type once, taking F and its four
 shifted copies from one stacked ``periodicity_residual`` batch; the ladder
 sweep reads the kappa closed form off the identity row of the ``fd_apply``
-table instead of evaluating F again.
+table instead of evaluating F again.  The PDE-kernel sweep makes one
+``fd_apply`` call per weight string of the lattice, so the factors its
+K-types share are formed once (see ``ktypes``).
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -175,18 +179,26 @@ def sweep_periodicity(
 def sweep_pde_kernel(
     params: ParameterSet, lam_max, m_max: int, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
-    """Non-compact PDE residual of every lattice K-type at seeded points."""
+    """Non-compact PDE residual of every lattice K-type at seeded points.
+
+    The lattice is walked by weight strings, its consecutive runs of equal
+    (l, k, h): one ``fd_apply`` call per string, each K-type with its own
+    ``ktype_steps``.
+    """
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
     P = _sample_points(params.n, points, rng, r_min=0.3)
     worst = 0.0
     worst_index = None
-    for F in lattice:
-        specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(F.lam)))
-        f0, res = fd_apply(specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact"))
-        rel = _relative(res, f0)
-        if rel > worst:
-            worst, worst_index = rel, (F.m, F.l, F.k)
+    for _, string in groupby(lattice, key=lambda F: (F.l, F.k, id(F.h))):
+        string = list(string)
+        specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(string[0].lam)))
+        steps = np.stack([ktype_steps(F, P, "noncompact") for F in string])
+        table = fd_apply(specs, to_noncompact(*string), P, steps)
+        for F, f0, res in zip(string, *table):
+            rel = _relative(res, f0)
+            if rel > worst:
+                worst, worst_index = rel, (F.m, F.l, F.k)
     return _covered(len(lattice), [
         _check(
             "operators/pde-kernel", worst, DEFAULT_TOLERANCES.pde_residual,

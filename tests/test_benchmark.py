@@ -11,12 +11,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_verify_cli_pass_is_correct():
+def _traced_tiny_pass(workload: str) -> None:
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verify-cli", "--seed", "3",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", "1", "--scale", "tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, out.stderr
+
+
+def test_traced_verify_cli_pass_is_correct():
+    _traced_tiny_pass("verify-cli")
+
+
+def test_traced_pde_kernel_pass_is_correct():
+    # the weight-string path through the fd_apply and ktype_steps hooks
+    _traced_tiny_pass("pde-kernel")

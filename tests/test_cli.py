@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from singular_weyl import cli, config, verify
+from singular_weyl import cli, config, structure, verify
 from singular_weyl.cli import parse_complex
 
 
@@ -124,6 +124,22 @@ class TestKtypesCommand:
         for item in data:
             assert item["n"] == 3
             assert (item["m"] - 2 * item["k"] - 1) % 4 == 0
+
+    def test_lambda_builds_only_its_ktypes(self, monkeypatch, capsys):
+        # the weight strings of the pairs of lambda = 75, not the lattice up to 75
+        built = []
+        original = structure.make_ktype
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(structure, "make_ktype", counting)
+        argv = ["ktypes", "--n", "3", "--q", "1", "--lambda", "75", "--m-max", "12"]
+        assert cli.main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data) == len(built) == 18
+        assert {item["lambda"][0] for item in data} == {75}
 
     def test_invalid_lambda_exit_2(self):
         out = run_cli("ktypes", "--n", "3", "--q", "1", "--lambda", "4")

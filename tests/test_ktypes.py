@@ -161,6 +161,19 @@ class TestEvalCompactAll:
             assert np.array_equal(value, separate_eval(vec, theta, y))
             assert np.array_equal(value, vec.eval_compact(theta, y))
 
+    def test_leading_ktype_axis(self, lowered, sample_points):
+        # each vector at its own points: theta (V, N), y (V, N, n), with
+        # half of the rows shared by every vector
+        F, lc = lowered
+        vectors = [F, *(v for _, v in lc.terms)]
+        theta, y = sample_points
+        shift = np.arange(len(vectors))[:, None] * (np.arange(len(theta)) % 2)
+        thetas = theta + 0.1 * shift
+        ys = y * (1 + 0.05 * shift)[..., None]
+        values = eval_compact_all(vectors, thetas, ys)
+        for vec, value, th, yy in zip(vectors, values, thetas, ys):
+            assert np.array_equal(value, separate_eval(vec, th, yy))
+
     def test_single_point(self, lowered, sample_points):
         F, lc = lowered
         vectors = [F, *(v for _, v in lc.terms)]

@@ -23,7 +23,9 @@ from singular_weyl import (
     make_ktype,
     recover_E_coefficients,
     to_noncompact,
+    weight_string,
 )
+from singular_weyl import ktypes
 from singular_weyl.ktypes import SpaceTimeFunction
 from singular_weyl.polynomials import decompose_yj
 from singular_weyl.operators import (
@@ -390,6 +392,49 @@ class TestPdeResidual:
         with pytest.raises(SingularityError):
             spec = OperatorSpec.pde(ParameterSet(n=2, q=0, s=0.5j), 1.0)
             fd_apply([spec], one, P, np.full(P.shape, 1e-3))
+
+
+class TestWeightStrings:
+    """One ``fd_apply`` call over a weight string gives each K-type the table,
+    and the 1F1 call, of the K-type alone, bit for bit."""
+
+    @pytest.mark.parametrize("s", [S_PRESETS["schrodinger"], S_PRESETS["heat"], 0.3 + 0.5j])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_equal_single_ktypes(self, n, s, monkeypatch):
+        params = ParameterSet(n=n, q=n % 4, s=s)
+        P = _sample_points(n, 15, np.random.default_rng(100 + n), r_min=0.3)
+        calls = []
+        original = ktypes.hyp1f1
+
+        def recording(a, b, z):
+            calls.append((a, b, np.array(z)))
+            return original(a, b, z)
+
+        monkeypatch.setattr(ktypes, "hyp1f1", recording)
+        pairs = [p for lam in enumerate_admissible(n, 20) for p in admissible_pairs(n, lam)]
+        strings = [weight_string(params, l, k, 10) for l, k in pairs[:3]]
+        strings.append(strings[-1][1:2])  # a string of one
+        assert all(len(string) >= 5 for string in strings[:3])
+        for string in strings:
+            specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(string[0].lam)))
+            steps = np.stack([ktype_steps(F, P, "noncompact") for F in string])
+            calls.clear()
+            table = fd_apply(specs, to_noncompact(*string), P, steps)
+            string_calls = list(calls)
+            assert table.shape == (2, len(string), len(P))
+            assert len(string_calls) == len(string)
+            for F, row, (a, b, z) in zip(string, table.transpose(1, 0, 2), string_calls):
+                calls.clear()
+                alone = fd_apply(specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact"))
+                assert np.array_equal(row, alone), (F.m, F.l, F.k)
+                ((a1, b1, z1),) = calls
+                assert (a, b) == (a1, b1) and np.array_equal(z, z1)
+
+    def test_one_parameter_set(self, params3):
+        h = harmonic_representative(3, 0)
+        other = ParameterSet(n=3, q=1, s=-0.25)
+        with pytest.raises(ValueError):
+            to_noncompact(make_ktype(params3, 1, 1, 0, h), make_ktype(other, 1, 1, 0, h))
 
 
 class TestGroupAction:
