@@ -50,10 +50,6 @@ class ParameterSet:
         if not cmath.isfinite(self.s):
             raise ValueError("s must be finite")
 
-    @property
-    def r(self) -> Fraction:
-        return Fraction(-self.n, 2)
-
 
 S_PRESETS = {"schrodinger": 0.5j, "heat": -0.25}
 

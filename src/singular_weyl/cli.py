@@ -172,15 +172,10 @@ def cmd_plotdata(args) -> int:
     if args.figure == "levels":
         _emit(level_curves_csv(params.n, args.lam_max), args.output)
         return 0
-    # both graph figures honour --lambda; "heisenberg" adds the lambda = 0
-    # family and the E edges
-    graph = ladder_graph(
-        params,
-        args.lam_max,
-        (args.m_min, args.m_max),
-        args.figure == "heisenberg",
-        lambdas=[args.lam] if args.lam is not None else None,
-    )
+    # both graph figures take --lambda, else every admissible lambda up to
+    # --lambda-max; "heisenberg" adds the lambda = 0 family and the E edges
+    lambdas = [args.lam] if args.lam is not None else enumerate_admissible(params.n, args.lam_max)
+    graph = ladder_graph(params, lambdas, (args.m_min, args.m_max), args.figure == "heisenberg")
     _emit(graph.to_dot() if args.format == "dot" else _json(graph.to_json()), args.output)
     return 0
 

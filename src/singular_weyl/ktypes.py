@@ -11,18 +11,18 @@ from (n, l, k), not stored.  Points are passed as (theta, y)
 scalars/arrays; batched evaluation uses arrays of shape (N, 1+n) with the
 angle/time in column 0.
 
-``eval_compact_all`` and ``to_noncompact`` evaluate several vectors at
-once, each at shared points or at its own block of points (a leading
-K-type axis).  A point that is the same, bit for bit, in every block is
-evaluated once for every factor that does not depend on m: the picture
-transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Each vector then
-forms its own e^{-im theta/2}, its own 1F1 and the products, in the order
-of the one-vector formula, so every value is bit for bit the one-vector
-value.  Only identical (a, b) on identical points share a 1F1 call: the
-series stops a batch when every entry has converged, so a value can depend
-in its last bits on the rest of its batch, and stacking other z or (a, b)
-into one batch would move reported residuals.  So the K-types of a weight
-string (fixed l, k and h, m stepping by 4) share every factor but
+``eval_compact_all`` evaluates several vectors at shared points, and
+``to_noncompact`` several vectors of one parameter set (such as a weight
+string) each on its own block of points.  A point that is the same, bit for
+bit, in every block is evaluated once for every factor that does not depend
+on m: the picture transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Each
+vector then forms its own e^{-im theta/2}, its own 1F1 and the products, in
+the order of the one-vector formula, so every value is bit for bit the
+one-vector value.  Only identical (a, b) on identical points share a 1F1
+call: the series stops a batch when every entry has converged, so a value
+can depend in its last bits on the rest of its batch, and stacking other z
+or (a, b) into one batch would move reported residuals.  So the K-types of
+a weight string (fixed l, k and h, m stepping by 4) share every factor but
 e^{-im theta/2} and 1F1 at the points they have in common.
 
 (l, k) is a pair with k in range (``admissibility.k_in_range``): k >= 0,
@@ -48,13 +48,13 @@ class CongruenceError(ValueError):
 
 
 def _as_batch(t, x):
-    """(t, x) as (..., N) and (..., N, n) float arrays, with ``single`` set
-    when x is one point of shape (n,); a scalar t broadcasts over a batch."""
+    """(t, x) as (N,) and (N, n) float arrays, with ``single`` set when x is
+    one point of shape (n,); a scalar t broadcasts over a batch."""
     t_arr = np.asarray(t, dtype=float)
     x_arr = np.asarray(x, dtype=float)
     if x_arr.ndim == 1:
         return t_arr.reshape(1), x_arr[None, :], True
-    return np.broadcast_to(t_arr, x_arr.shape[:-1]), x_arr, False
+    return np.broadcast_to(t_arr, (x_arr.shape[0],)), x_arr, False
 
 
 def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,18 +155,13 @@ class KTypeVector:
 
 
 def eval_compact_all(vectors: Sequence[KTypeVector], theta, y) -> list:
-    """F(theta, y) for each vector F.
+    """F(theta, y) for each vector F, all at the same points.
 
-    The points are shared by every vector, or carry a leading K-type axis:
-    theta of shape (V, N) and y of shape (V, N, n) evaluate vector v at
-    theta[v], y[v].  Returns a list of complex values for one shared point,
-    of (N,) arrays otherwise; each is bit for bit the one-vector value (see
-    ``_eval_rows``).
+    Returns a list of complex values for one point, of (N,) arrays for a
+    batch; each is bit for bit the one-vector value (see ``_eval_rows``).
     """
     theta_arr, y_arr, single = _as_batch(theta, y)
-    pts = np.concatenate([theta_arr[..., None], y_arr], axis=-1)
-    rows, index = _distinct_rows(pts.reshape(-1, *pts.shape[-2:]))
-    values = _eval_rows(vectors, rows[:, 0], rows[:, 1:], index)
+    values = _eval_rows(vectors, theta_arr, y_arr, np.arange(len(y_arr))[None])
     return [complex(value[0]) if single else value for value in values]
 
 
@@ -314,25 +309,12 @@ def periodicity_residual(F: KTypeVector, theta, y):
 class LinearCombination:
     """Formal complex-weighted sum of K-type vectors.
 
-    Terms with equal index and proportional harmonic part are merged; zero
-    coefficients are dropped.
+    The terms are kept as given, in order; terms with a zero coefficient
+    are dropped, so a combination with no nonzero term is empty.
     """
 
     def __init__(self, terms: Sequence[tuple[complex, KTypeVector]] = ()):
-        merged: list[tuple[complex, KTypeVector]] = []
-        for coeff, vec in terms:
-            coeff = complex(coeff)
-            if coeff == 0:
-                continue
-            for i, (c0, v0) in enumerate(merged):
-                if (v0.m, v0.l, v0.k) == (vec.m, vec.l, vec.k) and v0.params == vec.params:
-                    ratio = vec.h.poly.proportionality(v0.h.poly)
-                    if ratio is not None:
-                        merged[i] = (c0 + coeff * complex(ratio), v0)
-                        break
-            else:
-                merged.append((coeff, vec))
-        self.terms = [(c, v) for c, v in merged if c != 0]
+        self.terms = [(complex(c), v) for c, v in terms if complex(c) != 0]
 
     def is_empty(self) -> bool:
         return not self.terms

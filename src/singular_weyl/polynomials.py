@@ -119,7 +119,6 @@ class GaussianRational:
         ]
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
@@ -244,22 +243,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=lambda e: (sum(e), e))
-
-    def proportionality(self, other: "Polynomial") -> GaussianRational | None:
-        """Return c with self == c * other, or None if not proportional."""
-        self._check(other)
-        if other.is_zero():
-            return GR_ZERO if self.is_zero() else None
-        if self.is_zero():
-            return GR_ZERO if other.is_zero() else None
-        if set(self.terms) != set(other.terms):
-            return None
-        lead = other.leading_monomial()
-        ratio = self.terms[lead] / other.terms[lead]
-        for exps, coeff in other.terms.items():
-            if self.terms[exps] != coeff * ratio:
-                return None
-        return ratio
 
     # -- evaluation ------------------------------------------------------
 

@@ -7,8 +7,9 @@ at m = 2k+4l+n (resp. -(2k+4l+n)) exactly when q = n (resp. q = -n) mod 4.
 The composition chains follow the four-case classification by (q, n) mod 4.
 
 ``ktype_lattice`` and ``ladder_graph`` share one weight walk: the admissible
-pairs of every admissible lambda <= lambda_max, each with its legal weights
-in a window.  The E edges and ``heisenberg_targets`` take their moves from
+pairs of their lambdas (every admissible lambda <= lambda_max for the
+lattice, the caller's list for the graph), each with its legal weights in a
+window.  The E edges and ``heisenberg_targets`` take their moves from
 ``operators.e_targets``.
 """
 
@@ -143,11 +144,6 @@ def heisenberg_targets(n: int, l: int, k: int) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _pairs_up_to(n: int, lam_max) -> list[tuple[int, int]]:
-    """The pairs of every admissible lambda <= lam_max, by increasing lambda."""
-    return [pair for lam in enumerate_admissible(n, lam_max) for pair in admissible_pairs(n, lam)]
-
-
 def _weights(params: ParameterSet, k: int, m_lo: int, m_hi: int) -> range:
     """The legal weights m = 2k + q (mod 4) of k in [m_lo, m_hi]."""
     return range(m_lo + (weight_residue(params, k) - m_lo) % 4, m_hi + 1, 4)
@@ -237,27 +233,23 @@ class LadderGraph:
 
 def ladder_graph(
     params: ParameterSet,
-    lam_max,
+    lambdas: list,
     m_range: tuple[int, int],
     heisenberg: bool,
-    lambdas: list | None = None,
 ) -> LadderGraph:
-    """Weight-lattice graph over admissible lambda <= lam_max.
+    """Weight-lattice graph over the given admissible lambdas.
 
     Nodes: indices (m, l, k) with m in m_range and m = 2k+q (mod 4), one per
-    admissible pair of each admissible lambda.  Eta edges use the exact
-    ladder coefficients.  The ``heisenberg`` graph adds the l = 0 family and
-    the E edges, with the oracle-confirmed coefficients and zero
-    coefficients omitted.
+    admissible pair of each lambda.  Eta edges use the exact ladder
+    coefficients.  The ``heisenberg`` graph adds the l = 0 family and the E
+    edges, with the oracle-confirmed coefficients and zero coefficients
+    omitted.  Raises AdmissibilityError for an inadmissible lambda.
     """
     n = params.n
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise ValueError("empty m range")
-    if lambdas is None:
-        pair_set = _pairs_up_to(n, lam_max)
-    else:
-        pair_set = [pair for lam in lambdas for pair in admissible_pairs(n, lam)]
+    pair_set = [pair for lam in lambdas for pair in admissible_pairs(n, lam)]
     if heisenberg:
         k_cap = max((k for _, k in pair_set), default=4) + 1
         pair_set.extend((0, k) for k in range(k_cap) if k_in_range(n, k))
@@ -352,7 +344,11 @@ def ktype_lattice(
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    pair_list = _pairs_up_to(params.n, lam_max)
+    pair_list = [
+        pair
+        for lam in enumerate_admissible(params.n, lam_max)
+        for pair in admissible_pairs(params.n, lam)
+    ]
     if include_zero_family:
         pair_list.extend((0, k) for k in range(3) if k_in_range(params.n, k))
     return [F for l, k in pair_list for F in weight_string(params, l, k, m_max)]

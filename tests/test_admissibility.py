@@ -182,9 +182,6 @@ class TestRadialIndexing:
 
 
 class TestParameterSet:
-    def test_r_is_minus_half_n(self):
-        assert ParameterSet(n=3, q=0, s=0.5j).r == Fraction(-3, 2)
-
     def test_s_nonzero(self):
         with pytest.raises(ValueError):
             ParameterSet(n=2, q=0, s=0)

@@ -85,12 +85,6 @@ class TestPolynomial:
         p = Polynomial.constant(2, 5)
         assert p(np.zeros(2)) == 5.0
 
-    def test_proportionality(self):
-        p = Polynomial(2, {(1, 0): 2, (0, 1): GaussianRational(0, 2)})
-        q = Polynomial(2, {(1, 0): 1, (0, 1): GaussianRational(0, 1)})
-        assert p.proportionality(q) == GaussianRational(2)
-        r = Polynomial(2, {(1, 0): 1, (0, 1): GaussianRational(0, -1)})
-        assert p.proportionality(r) is None
 
 
 class TestHarmonicBasis:

@@ -123,7 +123,7 @@ class TestLadderGraph:
     def test_figure_lattice_nodes(self):
         # n=3, q=0, lambda=75, m in [0, 20]: three chains, nodes 4 apart
         params = ParameterSet(n=3, q=0, s=0.5j)
-        graph = ladder_graph(params, 75, (0, 20), False, lambdas=[75])
+        graph = ladder_graph(params, [75], (0, 20), False)
         by_pair = {}
         for node in graph.nodes:
             by_pair.setdefault((node.l, node.k), []).append(node.m)
@@ -137,7 +137,7 @@ class TestLadderGraph:
 
     def test_edge_counts_bounded(self):
         params = ParameterSet(n=3, q=1, s=0.5j)
-        graph = ladder_graph(params, 30, (-10, 10), True)
+        graph = ladder_graph(params, enumerate_admissible(3, 30), (-10, 10), True)
         per_node = {}
         for e in graph.edges:
             per_node.setdefault((e.source, e.operator), 0)
@@ -151,7 +151,7 @@ class TestLadderGraph:
     def test_eta_kill_at_boundary(self):
         # q = n: lowest-weight nodes have no eta- edge out
         params = ParameterSet(n=3, q=3, s=0.5j)
-        graph = ladder_graph(params, 10, (-25, 25), False)
+        graph = ladder_graph(params, enumerate_admissible(3, 10), (-25, 25), False)
         for node in graph.nodes:
             boundary = 2 * node.k + 4 * node.l + 3
             out_minus = [
@@ -166,7 +166,7 @@ class TestLadderGraph:
 
     def test_e_edge_shifts_match_heisenberg_targets(self):
         params = ParameterSet(n=3, q=1, s=0.5j)
-        graph = ladder_graph(params, 30, (-8, 8), True)
+        graph = ladder_graph(params, enumerate_admissible(3, 30), (-8, 8), True)
         lam_of = {(v.m, v.l, v.k): v.lam for v in graph.nodes}
         assert all(type(lam) is int for lam in lam_of.values())
         for e in graph.edges:
@@ -187,7 +187,7 @@ class TestLadderGraph:
         # E_j direction lies in heisenberg_targets
         for n, q, s in ((3, 1, 0.5j), (4, 0, -0.25), (2, 2, 0.5j), (1, 1, 0.5j)):
             params = ParameterSet(n=n, q=q, s=s)
-            graph = ladder_graph(params, 30, (-8, 8), True)
+            graph = ladder_graph(params, enumerate_admissible(n, 30), (-8, 8), True)
             covered = set()
             for node in graph.nodes:
                 source = (node.m, node.l, node.k)
@@ -212,12 +212,12 @@ class TestLadderGraph:
 
     def test_dangling_edges_marked(self):
         params = ParameterSet(n=3, q=1, s=0.5j)
-        graph = ladder_graph(params, 5, (1, 1), False)
+        graph = ladder_graph(params, enumerate_admissible(3, 5), (1, 1), False)
         assert graph.edges and all(e.dangling for e in graph.edges)
 
     def test_dot_and_json_exports(self):
         params = ParameterSet(n=2, q=0, s=0.5j)
-        graph = ladder_graph(params, 6, (0, 8), True)
+        graph = ladder_graph(params, enumerate_admissible(2, 6), (0, 8), True)
         dot = graph.to_dot()
         assert dot.startswith("digraph") and "eta+" in dot
         data = graph.to_json()
