@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from singular_weyl import (
     harmonic_representative,
     laplacian,
 )
+from singular_weyl.admissibility import k_in_range
 from singular_weyl.polynomials import scaled_partial_harmonic
+
+GOLDEN_BASES = Path(__file__).parent / "golden" / "harmonic_bases_n5_k4.json"
 
 
 class TestGaussianRational:
@@ -255,3 +260,33 @@ class TestHarmonicPolynomialValidation:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
             HarmonicPolynomial(Polynomial.variable(3, 0), 2)
+
+
+def _golden_record(kind: str, n: int, k: int, h: HarmonicPolynomial) -> str:
+    yj = []
+    for j in range(n):
+        h_plus, c = decompose_yj(h, j)
+        entry = {"j": j, "h_plus": h_plus.poly.to_json(), "c": [c.numerator, c.denominator]}
+        if kind == "representative":
+            d_h = scaled_partial_harmonic(h, j, c)
+            entry["scaled_partial"] = None if d_h is None else d_h.poly.to_json()
+        yj.append(entry)
+    return json.dumps(
+        {"kind": kind, "n": n, "k": k, "poly": h.poly.to_json(), "yj": yj},
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+def test_harmonic_bases_match_golden():
+    # every exact coefficient of the bases n <= 5, k <= 4, their y_j splits
+    # and the representatives k <= 6 with their scaled partials, one record
+    # per line, so a change to the arithmetic shows as a byte difference
+    records = [
+        _golden_record("basis", n, k, h)
+        for n in range(1, 6) for k in range(5) for h in harmonic_basis(n, k)
+    ]
+    records += [
+        _golden_record("representative", n, k, harmonic_representative(n, k))
+        for n in range(1, 6) for k in range(7) if k_in_range(n, k)
+    ]
+    assert "[\n" + ",\n".join(records) + "\n]\n" == GOLDEN_BASES.read_text()
