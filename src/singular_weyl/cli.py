@@ -79,7 +79,7 @@ def cmd_admissible(args) -> int:
         else:
             _emit(f"lambda = {lam} is not admissible for n = {n}", args.output)
         return 0
-    lam_max = args.lam_max if args.lam_max is not None else 50
+    lam_max = 50 if args.lam_max is None else args.lam_max
     values = enumerate_admissible(n, lam_max)
     if args.format == "json":
         _emit(_json({"n": n, "lambda_max": lam_max, "admissible": values}), args.output)
@@ -101,7 +101,7 @@ def cmd_ktypes(args) -> int:
             for F in weight_string(params, l, k, args.m_max)
         ]
     else:
-        vectors = ktype_lattice(params, args.lam_max, args.m_max)
+        vectors = ktype_lattice(params, 12 if args.lam_max is None else args.lam_max, args.m_max)
     _emit(_json([v.to_json() for v in vectors]), args.output)
     return 0
 
@@ -169,12 +169,13 @@ def cmd_plotdata(args) -> int:
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
+    lam_max = 30 if args.lam_max is None else args.lam_max
     if args.figure == "levels":
-        _emit(level_curves_csv(params.n, args.lam_max), args.output)
+        _emit(level_curves_csv(params.n, lam_max), args.output)
         return 0
     # both graph figures take --lambda, else every admissible lambda up to
     # --lambda-max; "heisenberg" adds the lambda = 0 family and the E edges
-    lambdas = [args.lam] if args.lam is not None else enumerate_admissible(params.n, args.lam_max)
+    lambdas = [args.lam] if args.lam is not None else enumerate_admissible(params.n, lam_max)
     graph = ladder_graph(params, lambdas, (args.m_min, args.m_max), args.figure == "heisenberg")
     _emit(graph.to_dot() if args.format == "dot" else _json(graph.to_json()), args.output)
     return 0
@@ -205,17 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="s preset (schrodinger: i/2, heat: -1/4)",
         )
 
+    def lambdas(p):
+        # one eigenvalue or every admissible one up to a bound, never both;
+        # the handler applies the bound's default
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--lambda", dest="lam", type=int, default=None)
+        group.add_argument("--lambda-max", dest="lam_max", type=int, default=None)
+
     p = sub.add_parser("admissible", help="admissible eigenvalues and pairs")
     common(p, ("json", "csv", "text"))
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.add_argument("--lambda-max", dest="lam_max", type=int, default=None)
+    lambdas(p)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("ktypes", help="serialize K-type basis vectors")
     common(p, ())
     parameters(p)
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.add_argument("--lambda-max", dest="lam_max", type=int, default=12)
+    lambdas(p)
     p.add_argument("--m-max", dest="m_max", type=int, default=12)
     p.set_defaults(func=cmd_ktypes)
 
@@ -237,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json", "dot"))
     parameters(p)
     p.add_argument("--figure", choices=("levels", "lattice", "heisenberg"), required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.add_argument("--lambda-max", dest="lam_max", type=int, default=30)
+    lambdas(p)
     p.add_argument("--m-min", dest="m_min", type=int, default=None)
     p.add_argument("--m-max", dest="m_max", type=int, default=None)
     p.set_defaults(func=cmd_plotdata, format=None, q=None)

@@ -149,7 +149,7 @@ class KTypeVector:
             "m": self.m,
             "l": self.l,
             "k": self.k,
-            "lambda": [self.lam.numerator, self.lam.denominator],
+            "lambda": [self.lam, 1],
             "h": self.h.poly.to_json(),
         }
 

@@ -1,8 +1,8 @@
 """Exact multivariate polynomial arithmetic and harmonic polynomial bases.
 
-Coefficients are Gaussian rationals (pairs of ``fractions.Fraction``), so
-harmonicity is a zero-tolerance property: the Laplacian of a harmonic
-polynomial is *identically* the zero polynomial, not merely small.
+Coefficients are Gaussian rationals, each one reduced integer triple
+(a + b i)/d, so harmonicity is a zero-tolerance property: the Laplacian of a
+harmonic polynomial is *identically* the zero polynomial, not merely small.
 
 The circular harmonics of n = 2 live here as well: ``circular_harmonic(k)``
 returns (y1 + i y2)^k for k >= 0 and (y1 - i y2)^|k| for k < 0, the two
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
 from operator import add
 from typing import Callable, Mapping
 
@@ -26,97 +26,146 @@ from .admissibility import k_in_range
 Exponents = tuple[int, ...]
 
 
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+def _parts(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction; floats are refused."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    if isinstance(value, (float, complex)):
+        raise TypeError("floats are not exact; use Fraction or GaussianRational")
+    raise TypeError(f"cannot coerce {type(value)!r} to GaussianRational")
 
-    __slots__ = ("re", "im")
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """The GaussianRational (a + b i)/d for d > 0, in canonical form."""
+    g = gcd(a, b, d)
+    out = _new(GaussianRational)
+    if g == 1:
+        out._a, out._b, out._d = a, b, d
+    else:
+        out._a, out._b, out._d = a // g, b // g, d // g
+    return out
+
+
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts.
+
+    Stored as one integer triple (a + b i)/d in canonical form: d > 0 and
+    gcd(a, b, d) = 1.  Equal values therefore have equal triples, and every
+    operation is integer arithmetic followed by one gcd.  ``re`` and ``im``
+    read the parts as ``Fraction``s.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        # arithmetic on Fractions already yields Fractions; wrap only the rest
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        p, q = _parts(re)
+        r, s = _parts(im)
+        # both parts are reduced, so over their lcm the triple is canonical
+        d = lcm(q, s)
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        if isinstance(value, complex):
-            raise TypeError("floats are not exact; use Fraction or GaussianRational")
-        raise TypeError(f"cannot coerce {type(value)!r} to GaussianRational")
+        return cls(value)
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        im = self.im + other.im if other.im else self.im
-        return GaussianRational(self.re + other.re, im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        out = _new(GaussianRational)
+        out._a, out._b, out._d = -self._a, -self._b, self._d
+        return out
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         if type(other) is int:
-            return GaussianRational(self.re * other, self.im * other)
-        other = GaussianRational.coerce(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, self.im)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+            return _reduced(self._a * other, self._b * other, self._d)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        c, e = other._a, other._b
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        a, b, f = self._a, self._b, other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
+
+    def __rtruediv__(self, other):
+        return GaussianRational.coerce(other) / self
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # a real value equals the int/Fraction it came from, so hash like it
-        if not self.im:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self._b:
             return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        return f"({self.re}{'+' if self._b >= 0 else ''}{self.im}i)"
 
     def to_json(self):
         """Serialize: [num, den] when real, [[renum,reden],[imnum,imden]] otherwise."""
-        if self.im == 0:
-            return [self.re.numerator, self.re.denominator]
-        return [
-            [self.re.numerator, self.re.denominator],
-            [self.im.numerator, self.im.denominator],
-        ]
+        re = self.re
+        if not self._b:
+            return [re.numerator, re.denominator]
+        im = self.im
+        return [[re.numerator, re.denominator], [im.numerator, im.denominator]]
 
 
 GR_ONE = GaussianRational(1)
@@ -144,6 +193,15 @@ class Polynomial:
                     clean[tuple(exps)] = coeff
         self.terms = clean
         self._compiled = None
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Exponents, GaussianRational]) -> "Polynomial":
+        """The polynomial of terms already keyed and coerced; drops zeros."""
+        out = _new(cls)
+        out.nvars = nvars
+        out.terms = {e: c for e, c in terms.items() if c}
+        out._compiled = None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -175,7 +233,7 @@ class Polynomial:
         for exps, coeff in other.terms.items():
             acc = terms.get(exps)
             terms[exps] = coeff if acc is None else acc + coeff
-        return Polynomial(self.nvars, terms)  # drops the terms that cancelled
+        return Polynomial._of(self.nvars, terms)  # drops the terms that cancelled
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -188,11 +246,11 @@ class Polynomial:
                 exps = tuple(map(add, e1, e2))
                 acc = terms.get(exps)
                 terms[exps] = c1 * c2 if acc is None else acc + c1 * c2
-        return Polynomial(self.nvars, terms)  # drops the terms that cancelled
+        return Polynomial._of(self.nvars, terms)  # drops the terms that cancelled
 
     def scale(self, value) -> "Polynomial":
         value = GaussianRational.coerce(value)
-        return Polynomial(self.nvars, {e: c * value for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {e: c * value for e, c in self.terms.items()})
 
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
@@ -221,7 +279,7 @@ class Polynomial:
             key = tuple(new)
             acc = terms.get(key)
             terms[key] = coeff * e if acc is None else acc + coeff * e
-        return Polynomial(self.nvars, terms)  # drops the terms that cancelled
+        return Polynomial._of(self.nvars, terms)  # drops the terms that cancelled
 
     # -- queries ---------------------------------------------------------
 
@@ -306,7 +364,7 @@ def laplacian(p: Polynomial) -> Polynomial:
                 acc = terms.get(low)
                 term = coeff * (e * (e - 1))
                 terms[low] = term if acc is None else acc + term
-    return Polynomial(p.nvars, terms)  # drops the terms that cancelled
+    return Polynomial._of(p.nvars, terms)  # drops the terms that cancelled
 
 
 @dataclass(frozen=True)
@@ -406,7 +464,7 @@ def harmonic_basis(n: int, k: int) -> list[HarmonicPolynomial]:
         terms: dict[Exponents, GaussianRational] = {}
         # y1 does not occur in p, so laplacian(p) is Delta' p
         p = Polynomial(n, {(0,) + a[1:]: GR_ONE})
-        e1, coeff = a[0], Fraction(1)
+        e1, coeff = a[0], GR_ONE
         while not p.is_zero():
             for exps, c in p.terms.items():
                 terms[(e1,) + exps[1:]] = c * coeff

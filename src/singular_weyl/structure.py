@@ -50,7 +50,7 @@ class SubmoduleDescriptor:
         return {
             "l": self.l,
             "k": self.k,
-            "lambda": [self.lam.numerator, self.lam.denominator],
+            "lambda": [self.lam, 1],
             "weight_residue": self.weight_residue,
             "boundary_weight": self.boundary_weight,
             "has_lowest": self.has_lowest,
@@ -197,7 +197,7 @@ class LadderGraph:
                     "m": v.m,
                     "l": v.l,
                     "k": v.k,
-                    "lambda": [v.lam.numerator, v.lam.denominator],
+                    "lambda": [v.lam, 1],
                 }
                 for v in self.nodes
             ],

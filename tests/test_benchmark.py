@@ -29,3 +29,8 @@ def test_traced_verify_cli_pass_is_correct():
 def test_traced_pde_kernel_pass_is_correct():
     # the weight-string path through the fd_apply and ktype_steps hooks
     _traced_tiny_pass("pde-kernel")
+
+
+def test_traced_exact_harmonic_pass_is_correct():
+    # the exact layer through the Polynomial.__mul__ hook
+    _traced_tiny_pass("exact-harmonic")

@@ -281,10 +281,9 @@ class TestPlotDataCommand:
         assert "E+" in out.stdout
 
     def test_heisenberg_honours_lambda(self):
-        # the lambda = 75 pairs plus the l = 0 family, not the lambda <= 12 lattice
+        # the lambda = 75 pairs plus the l = 0 family, not the default lambda <= 30 lattice
         out = run_cli(
-            "plot-data", "--figure", "heisenberg", "--n", "3", "--q", "0",
-            "--lambda", "75", "--lambda-max", "12",
+            "plot-data", "--figure", "heisenberg", "--n", "3", "--q", "0", "--lambda", "75",
         )
         assert out.returncode == 0, out.stderr
         nodes = json.loads(out.stdout)["nodes"]
@@ -322,6 +321,10 @@ class TestOptionsOnlyWhereRead:
                     ("--m-min", "0"), ("--m-max", "20"),
                 ]
             ],
+            # --lambda names one eigenvalue, so a --lambda-max beside it goes unread
+            ("plot-data", "--figure", "lattice", "--n", "3", "--lambda", "75", "--lambda-max", "10"),
+            ("admissible", "--n", "3", "--lambda", "5", "--lambda-max", "2"),
+            ("ktypes", "--n", "3", "--lambda", "5", "--lambda-max", "2", "--m-max", "2"),
         ],
     )
     def test_unread_option_or_format_exit_2(self, args):

@@ -1,6 +1,9 @@
 import json
+import operator
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,77 @@ class TestGaussianRational:
         assert hash(GaussianRational(value)) == hash(value)
         assert len({GaussianRational(value), value}) == 1
         assert hash(GaussianRational(value, 1)) != hash(GaussianRational(value))
+
+    def test_matches_a_fraction_pair_model(self):
+        # (re, im) pairs of Fractions are the reference; every result must
+        # also be in canonical form (a + b i)/d with d > 0, gcd(a, b, d) = 1
+        model = {
+            operator.add: lambda x, y: (x[0] + y[0], x[1] + y[1]),
+            operator.sub: lambda x, y: (x[0] - y[0], x[1] - y[1]),
+            operator.mul: lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+            operator.truediv: lambda x, y: (
+                (x[0] * y[0] + x[1] * y[1]) / (y[0] ** 2 + y[1] ** 2),
+                (x[1] * y[0] - x[0] * y[1]) / (y[0] ** 2 + y[1] ** 2),
+            ),
+        }
+        rng = random.Random(2025)
+
+        def rational():
+            top = 10**20 if rng.random() < 0.1 else 40
+            num = rng.randint(-top, top) if rng.random() < 0.8 else 0
+            return Fraction(num, rng.randint(1, 12))
+
+        def pair():
+            return rational(), rational() if rng.random() < 0.7 else Fraction(0)
+
+        def check(g, x):
+            assert type(g) is GaussianRational
+            assert (g.re, g.im) == x and type(g.re) is type(g.im) is Fraction
+            assert g._d > 0 and gcd(g._a, g._b, g._d) == 1
+            assert g == GaussianRational(*x) and bool(g) == any(x)
+            assert hash(g) == (hash(x[0]) if not x[1] else hash(x))
+            assert (g == x[0]) == (not x[1])
+            z, ref = complex(g), complex(x[0]) + 1j * complex(x[1])
+            assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+            re, im = x
+            json_re = [re.numerator, re.denominator]
+            assert g.to_json() == (
+                json_re if not im else [json_re, [im.numerator, im.denominator]]
+            )
+            assert repr(g) == (f"{re}" if not im else f"({re}{'+' if im >= 0 else ''}{im}i)")
+
+        for _ in range(2000):
+            x, y = pair(), pair()
+            g = GaussianRational(*x)
+            check(g, x)
+            check(-g, (-x[0], -x[1]))
+            k, f = rng.randint(-30, 30), rational()
+            others = [(GaussianRational(*y), y), (k, (Fraction(k), Fraction(0))), (f, (f, Fraction(0)))]
+            for op, ref in model.items():
+                for other, o in others:
+                    if op is not operator.truediv or any(o):
+                        check(op(g, other), ref(x, o))
+                    if op is not operator.truediv or any(x):
+                        check(op(other, g), ref(o, x))
+            assert (g == GaussianRational(*y)) == (x == y)
+
+    def test_division_by_zero(self):
+        g = GaussianRational(Fraction(1, 2), 3)
+        for zero in (GaussianRational(), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                g / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / GaussianRational()
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, 2j, 1 + 0j])
+    def test_inexact_input_rejected(self, value):
+        g = GaussianRational(1, 1)
+        for build in (
+            GaussianRational, GaussianRational.coerce,
+            lambda v: GaussianRational(1, v), lambda v: g + v, lambda v: v * g,
+        ):
+            with pytest.raises(TypeError):
+                build(value)
 
 
 class TestPolynomial:
