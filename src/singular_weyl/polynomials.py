@@ -28,8 +28,6 @@ Exponents = tuple[int, ...]
 
 def _parts(value) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction; floats are refused."""
-    if type(value) is int:
-        return value, 1
     if isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
     if isinstance(value, (float, complex)):
@@ -99,15 +97,10 @@ class GaussianRational:
         return out
 
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        return self + (-GaussianRational.coerce(other))
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
         if type(other) is int:
