@@ -79,7 +79,7 @@ def cmd_admissible(args) -> int:
         else:
             _emit(f"lambda = {lam} is not admissible for n = {n}", args.output)
         return 0
-    lam_max = 50 if args.lam_max is None else args.lam_max
+    lam_max = args.lam_max if args.lam_max is not None else 50
     values = enumerate_admissible(n, lam_max)
     if args.format == "json":
         _emit(_json({"n": n, "lambda_max": lam_max, "admissible": values}), args.output)
