@@ -28,6 +28,7 @@ from .ktypes import (
     KTypeVector,
     LinearCombination,
     SpaceTimeFunction,
+    compact_function,
     compact_of_noncompact,
     make_ktype,
     periodicity_residual,

@@ -45,7 +45,9 @@ def parse_complex(text: str) -> complex:
 
 
 def _resolve_s(args) -> complex:
-    if args.s:
+    """--s, else --preset, else the Schrodinger preset; the parser lets at
+    most one of --s and --preset through, and an empty --s fails to parse."""
+    if args.s is not None:
         return parse_complex(args.s)
     return S_PRESETS[args.preset or "schrodinger"]
 
@@ -200,8 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def parameters(p):
         p.add_argument("--q", type=int, default=0, help="character residue mod 4")
-        p.add_argument("--s", type=str, default=None, help="complex s, 're+imi' syntax")
-        p.add_argument(
+        # s given as a value or as a preset, never both: beside --s the
+        # preset would go unread
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--s", type=str, default=None, help="complex s, 're+imi' syntax")
+        group.add_argument(
             "--preset", choices=sorted(S_PRESETS), default=None,
             help="s preset (schrodinger: i/2, heat: -1/4)",
         )

@@ -12,10 +12,14 @@ scalars/arrays; batched evaluation uses arrays of shape (N, 1+n) with the
 angle/time in column 0.
 
 ``eval_compact_all`` evaluates several vectors at shared points, and
-``to_noncompact`` several vectors of one parameter set (such as a weight
-string) each on its own block of points.  A point that is the same, bit for
-bit, in every block is evaluated once for every factor that does not depend
-on m: the picture transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Each
+``eval_combinations`` several ``LinearCombination`` objects through one such
+call.  ``compact_function`` and ``to_noncompact`` give the function of
+several vectors of one parameter set (such as a weight string) in the
+compact and the non-compact picture, each vector on its own block of
+points; both split the blocks the same way and share the one evaluator
+``_eval_rows``.  A point that is the same, bit for bit, in every block is
+evaluated once for every factor that does not depend on m: the picture
+transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Each
 vector then forms its own e^{-im theta/2}, its own 1F1 and the products, in
 the order of the one-vector formula, so every value is bit for bit the
 one-vector value.  Only identical (a, b) on identical points share a 1F1
@@ -132,15 +136,6 @@ class KTypeVector:
     def eval_compact(self, theta, y):
         return eval_compact_all([self], theta, y)[0]
 
-    def compact_function(self) -> SpaceTimeFunction:
-        n = self.params.n
-
-        def batch(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            return self.eval_compact(pts[:, 0], pts[:, 1:])
-
-        return SpaceTimeFunction(n, batch)
-
     def to_json(self) -> dict:
         return {
             "n": self.params.n,
@@ -234,6 +229,37 @@ def make_ktype(
     return KTypeVector(params, m, l, k, h)
 
 
+def _blockwise(vectors: Sequence[KTypeVector], picture: Callable) -> SpaceTimeFunction:
+    """One function of V equal blocks of rows for V vectors of one parameter
+    set: ``batch`` evaluates vectors[v] on block v.  ``picture`` maps the
+    distinct rows to (theta, y, scale) of the compact picture, with scale
+    None for the compact picture itself."""
+    if len({F.params for F in vectors}) != 1:
+        raise ValueError("a picture function takes vectors of one parameter set")
+
+    def batch(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        rows, index = _distinct_rows(pts.reshape(len(vectors), -1, pts.shape[1]))
+        theta, y, scale = picture(rows)
+        values = _eval_rows(vectors, theta, y, index)
+        if scale is None:
+            return np.concatenate(values)
+        return np.concatenate([scale[block] * value for block, value in zip(index, values)])
+
+    return SpaceTimeFunction(vectors[0].params.n, batch)
+
+
+def compact_function(*vectors: KTypeVector) -> SpaceTimeFunction:
+    """F(theta, y) as a function of the (theta, y) rows.
+
+    ``compact_function(F)`` evaluates F.  Several vectors of one parameter
+    set, such as a weight string, give one function of V equal blocks of
+    rows, block v evaluated by vectors[v], as in ``to_noncompact``; each
+    value is bit for bit that of the vector alone.
+    """
+    return _blockwise(vectors, lambda rows: (rows[:, 0], rows[:, 1:], None))
+
+
 def to_noncompact(*vectors: KTypeVector) -> SpaceTimeFunction:
     """Image under the picture isomorphism, as a function of (t, x).
 
@@ -247,25 +273,16 @@ def to_noncompact(*vectors: KTypeVector) -> SpaceTimeFunction:
     every block shares, and each value is bit for bit that of the vector
     alone.
     """
-    if len({F.params for F in vectors}) != 1:
-        raise ValueError("to_noncompact takes vectors of one parameter set")
-    n = vectors[0].params.n
-    s = vectors[0].params.s
-
-    def batch(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        rows, index = _distinct_rows(pts.reshape(len(vectors), -1, pts.shape[1]))
+    def picture(rows: np.ndarray):
+        n, s = vectors[0].params.n, vectors[0].params.s
         t = rows[:, 0]
         x = rows[:, 1:]
         opt2 = 1.0 + t**2
         nx2 = (x**2).sum(axis=1)
-        theta = np.arctan(t)
-        y = x / np.sqrt(opt2)[:, None]
         scale = opt2 ** (-n / 4.0) * np.exp(s * t * nx2 / opt2)
-        values = _eval_rows(vectors, theta, y, index)
-        return np.concatenate([scale[block] * value for block, value in zip(index, values)])
+        return np.arctan(t), x / np.sqrt(opt2)[:, None], scale
 
-    return SpaceTimeFunction(n, batch)
+    return _blockwise(vectors, picture)
 
 
 def compact_of_noncompact(f: SpaceTimeFunction, theta, y, s: complex):
@@ -320,15 +337,7 @@ class LinearCombination:
         return not self.terms
 
     def eval_compact(self, theta, y):
-        if not self.terms:
-            y_arr = np.asarray(y, dtype=float)
-            return 0j if y_arr.ndim == 1 else np.zeros(y_arr.shape[0], dtype=complex)
-        values = eval_compact_all([v for _, v in self.terms], theta, y)
-        out = None
-        for (c, _), value in zip(self.terms, values):
-            val = c * value
-            out = val if out is None else out + val
-        return out
+        return eval_combinations([self], theta, y)[0]
 
     def coefficient(self, m: int, l: int, k: int) -> complex:
         total = 0j
@@ -342,3 +351,24 @@ class LinearCombination:
             return "LinearCombination(0)"
         bits = [f"({c:.6g}) F[{v.m},{v.l},{v.k}]" for c, v in self.terms]
         return " + ".join(bits)
+
+
+def eval_combinations(combos: Sequence[LinearCombination], theta, y) -> list:
+    """The value of each combination at the same points, from one
+    ``eval_compact_all`` call over all their terms: a K-type that several
+    combinations share, such as the eta target F_{m+4} of both F_m and
+    F_{m+8}, shares its 1F1 series and keeps the bits it has alone.  An
+    empty combination is zero.
+    """
+    values = iter(eval_compact_all([v for combo in combos for _, v in combo.terms], theta, y))
+    y_arr = np.asarray(y, dtype=float)
+    out = []
+    for combo in combos:
+        total = None
+        for c, _ in combo.terms:
+            val = c * next(values)
+            total = val if total is None else total + val
+        if total is None:
+            total = 0j if y_arr.ndim == 1 else np.zeros(y_arr.shape[0], dtype=complex)
+        out.append(total)
+    return out

@@ -22,7 +22,10 @@ reported rather than silently adopted).
 
 The oracle has one stencil path: ``fd_apply`` evaluates a sequence of
 operators (``OperatorSpec.identity`` is f itself) from one ``f.batch``, with
-the steps the caller passes (``ktype_steps`` in every sweep).
+the steps the caller passes (``ktype_steps`` in every sweep).  Stacked
+steps apply it to every K-type of a weight string at once, through
+``ktypes.compact_function(*string)`` or ``ktypes.to_noncompact(*string)``;
+``recover_E_coefficients`` fits a whole string from one such call.
 
 Direction normalization for E: targets with k+1 carry the harmonic
 projection h_plus of y_j h, targets with k-1 carry c_{k,n} * d_j h.  With
@@ -44,6 +47,7 @@ from .ktypes import (
     KTypeVector,
     LinearCombination,
     SpaceTimeFunction,
+    compact_function,
     eval_compact_all,
     make_ktype,
 )
@@ -491,82 +495,99 @@ def _matches(recovered: dict[str, complex], table: dict[str, complex]) -> bool:
     )
 
 
-def recover_E_coefficients(F: KTypeVector, points: np.ndarray) -> dict[tuple[int, int], ERecovery]:
+def recover_E_coefficients(
+    string: Sequence[KTypeVector], points: np.ndarray
+) -> list[dict[tuple[int, int], ERecovery]]:
     """Least-squares projections of the finite-difference E_j^{+-}
-    applications, keyed by (j, sign) for j = 1..n and sign = +1, -1.
+    applications to each K-type of a weight string (fixed l, k and h, m
+    stepping by 4; a single K-type F is the string [F]).  Returns one dict
+    per K-type, keyed by (j, sign) for j = 1..n and sign = +1, -1.
 
-    One ``fd_apply`` call gives f and every E_j^{+-} at the compact-picture
-    points.  Each fit solves min ||A c - rhs|| over the ``_e_directions``
-    targets, then rationalizes each coefficient against its ``E_MOVES`` unit
-    (i or s) with denominators up to 4 B (B-1), B = ``F.b``.
+    One ``fd_apply`` call over the string gives f and every E_j^{+-} of
+    each K-type at the compact-picture points.  Each fit solves
+    min ||A c - rhs|| over the ``_e_directions`` targets, then rationalizes
+    each coefficient against its ``E_MOVES`` unit (i or s) with
+    denominators up to 4 B (B-1), B = ``F.b``.
     """
     P = np.asarray(points, dtype=float)
-    keys = [(j, sign) for j in range(1, F.params.n + 1) for sign in (1, -1)]
-    specs = [OperatorSpec.identity(F.params)]
-    specs += [OperatorSpec.heisenberg_ladder(F.params, j, sign) for j, sign in keys]
-    f0, *rows = fd_apply(specs, F.compact_function(), P, ktype_steps(F, P, "compact"))
-    scale_f = max(1.0, float(np.max(np.abs(f0))))
-    s = F.params.s
-    n = F.params.n
+    F0 = string[0]
+    if any((F.l, F.k) != (F0.l, F0.k) or F.h is not F0.h for F in string):
+        raise ValueError("recover_E_coefficients takes the K-types of one weight string")
+    params, n, s = F0.params, F0.params.n, F0.params.s
+    keys = [(j, sign) for j in range(1, n + 1) for sign in (1, -1)]
+    specs = [OperatorSpec.identity(params)]
+    specs += [OperatorSpec.heisenberg_ladder(params, j, sign) for j, sign in keys]
+    steps = np.stack([ktype_steps(F, P, "compact") for F in string])
+    table = fd_apply(specs, compact_function(*string), P, steps)
     units = _e_units(s)
-    denominator_bound = max(1, abs((4 * F.b * (F.b - 1)).numerator))
-    # the tables depend on the sign only, not on j
-    tables = {
-        sign: (
-            e_values(shipped_E_coefficients(n, F.m, F.l, F.k, sign), s),
-            e_values(printed_E_coefficients(n, F.m, F.l, F.k, sign), s),
-        )
-        for sign in (1, -1)
-    }
-    # every column of every fit in one evaluation, so targets that share
-    # (a', b') share one 1F1 series pass
-    directions = {j: _e_directions(F, j) for j in range(1, n + 1)}
-    columns = [
-        make_ktype(F.params, F.m + 2 * sign, l2, k2, harm)
+    denominator_bound = max(1, abs((4 * F0.b * (F0.b - 1)).numerator))
+    # the directions depend on (l, k, h) only, so on the string.  Each
+    # distinct column of the string's fits is evaluated once (E^+ F_m and
+    # E^- F_{m+4} share theirs), all in one evaluation, where columns of
+    # equal (a', b') share one 1F1 series pass
+    directions = {j: _e_directions(F0, j) for j in range(1, n + 1)}
+    columns = {
+        (F.m + 2 * sign, l2, k2, id(harm)): (l2, k2, harm)
+        for F in string
         for j, sign in keys
         for _, l2, k2, harm in directions[j]
-    ]
-    values = iter(eval_compact_all(columns, P[:, 0], P[:, 1:]))
-    recoveries = {}
-    for (j, sign), rhs in zip(keys, rows):
-        dirs = directions[j]
-        A = np.stack([next(values) for _ in dirs], axis=1)
-        if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
-            # the operator annihilates F: the projection target is pure noise
-            coeffs = np.zeros(len(dirs), dtype=complex)
-            resid = float(np.max(np.abs(rhs)) / scale_f)
-        else:
-            coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            resid = np.linalg.norm(A @ coeffs - rhs) / np.linalg.norm(rhs)
+    }
+    vectors = [make_ktype(params, key[0], *column) for key, column in columns.items()]
+    values = dict(zip(columns, eval_compact_all(vectors, P[:, 0], P[:, 1:])))
+    out = []
+    for F, f0, *rows in zip(string, *table):
+        scale_f = max(1.0, float(np.max(np.abs(f0))))
+        # the tables depend on the sign only, not on j
+        tables = {
+            sign: (
+                e_values(shipped_E_coefficients(n, F.m, F.l, F.k, sign), s),
+                e_values(printed_E_coefficients(n, F.m, F.l, F.k, sign), s),
+            )
+            for sign in (1, -1)
+        }
+        recoveries = {}
+        for (j, sign), rhs in zip(keys, rows):
+            dirs = directions[j]
+            A = np.stack(
+                [values[F.m + 2 * sign, l2, k2, id(harm)] for _, l2, k2, harm in dirs], axis=1
+            )
+            if np.linalg.norm(rhs) <= 1e-9 * scale_f * np.sqrt(P.shape[0]):
+                # the operator annihilates F: the projection target is pure noise
+                coeffs = np.zeros(len(dirs), dtype=complex)
+                resid = float(np.max(np.abs(rhs)) / scale_f)
+            else:
+                coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+                resid = np.linalg.norm(A @ coeffs - rhs) / np.linalg.norm(rhs)
 
-        recovered = {label: complex(c) for (label, *_), c in zip(dirs, coeffs)}
-        shipped_values, printed_values = tables[sign]
-        shipped = {label: shipped_values[label] for label in recovered}
-        printed = {label: printed_values[label] for label in recovered}
-        ratios = {label: c / units[label] for label, c in recovered.items()}
-        rationals = {
-            label: Fraction(ratio.real).limit_denominator(denominator_bound)
-            for label, ratio in ratios.items()
-        }
-        rational_errors = {
-            label: abs(ratio - complex(rationals[label])) for label, ratio in ratios.items()
-        }
-        recoveries[j, sign] = ERecovery(
-            index=(F.m, F.l, F.k),
-            j=j,
-            sign=sign,
-            points=P.shape[0],
-            lsq_residual=float(resid),
-            recovered=recovered,
-            shipped=shipped,
-            printed=printed,
-            rationals=rationals,
-            rational_errors=rational_errors,
-            denominator_bound=denominator_bound,
-            matches_shipped=_matches(recovered, shipped),
-            matches_printed=_matches(recovered, printed),
-        )
-    return recoveries
+            recovered = {label: complex(c) for (label, *_), c in zip(dirs, coeffs)}
+            shipped_values, printed_values = tables[sign]
+            shipped = {label: shipped_values[label] for label in recovered}
+            printed = {label: printed_values[label] for label in recovered}
+            ratios = {label: c / units[label] for label, c in recovered.items()}
+            rationals = {
+                label: Fraction(ratio.real).limit_denominator(denominator_bound)
+                for label, ratio in ratios.items()
+            }
+            rational_errors = {
+                label: abs(ratio - complex(rationals[label])) for label, ratio in ratios.items()
+            }
+            recoveries[j, sign] = ERecovery(
+                index=(F.m, F.l, F.k),
+                j=j,
+                sign=sign,
+                points=P.shape[0],
+                lsq_residual=float(resid),
+                recovered=recovered,
+                shipped=shipped,
+                printed=printed,
+                rationals=rationals,
+                rational_errors=rational_errors,
+                denominator_bound=denominator_bound,
+                matches_shipped=_matches(recovered, shipped),
+                matches_printed=_matches(recovered, printed),
+            )
+        out.append(recoveries)
+    return out
 
 
 # ---------------------------------------------------------------------------

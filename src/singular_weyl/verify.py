@@ -21,11 +21,17 @@ through ``np.random.default_rng``, which returns a Generator unchanged, so
 callers can draw the sample points of several sweeps from one stream.
 
 The periodicity sweep evaluates each K-type once, taking F and its four
-shifted copies from one stacked ``periodicity_residual`` batch; the ladder
-sweep reads the kappa closed form off the identity row of the ``fd_apply``
-table instead of evaluating F again.  The PDE-kernel sweep makes one
-``fd_apply`` call per weight string of the lattice, so the factors its
-K-types share are formed once (see ``ktypes``).
+shifted copies from one stacked ``periodicity_residual`` batch.  The
+PDE-kernel, ladder and Heisenberg sweeps walk the lattice by weight strings
+(fixed l, k and h, m stepping by 4): one ``fd_apply`` call per string, so
+the factors its K-types share are formed once (see ``ktypes``), and each
+value keeps the bits it has for the K-type alone.  The ladder sweep reads
+the kappa closed form off the identity row of the ``fd_apply`` table, and
+evaluates the eta closed forms of a string at the sample points in one
+``eval_combinations`` call, so a neighbour F_{m+4} that eta^+ F_m and
+eta^- F_{m+8} share is summed once.  The Heisenberg sweep fits a string in
+one ``recover_E_coefficients`` call, where the column that E^+ F_m and
+E^- F_{m+4} share is evaluated once.
 """
 
 from __future__ import annotations
@@ -37,7 +43,13 @@ import numpy as np
 from .admissibility import ParameterSet, admissible_pairs, weight_residue
 from .config import DEFAULT_TOLERANCES
 from .hypergeometric import contiguous_residuals_scaled
-from .ktypes import make_ktype, periodicity_residual, to_noncompact
+from .ktypes import (
+    compact_function,
+    eval_combinations,
+    make_ktype,
+    periodicity_residual,
+    to_noncompact,
+)
 from .operators import (
     GroupElement,
     OperatorSpec,
@@ -93,6 +105,12 @@ def _sample_points(n: int, count: int, rng: np.random.Generator, r_min: float) -
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r = rng.uniform(r_min, 2.0, count)
     return np.concatenate([t[:, None], r[:, None] * dirs], axis=1)
+
+
+def _weight_strings(lattice: list) -> list[list]:
+    """The weight strings of a lattice: its consecutive runs of equal
+    (l, k, h), each a list of K-types with m stepping by 4."""
+    return [list(string) for _, string in groupby(lattice, key=lambda F: (F.l, F.k, id(F.h)))]
 
 
 def _relative(diff: np.ndarray, f0: np.ndarray) -> float:
@@ -196,8 +214,7 @@ def sweep_pde_kernel(
     P = _sample_points(params.n, points, rng, r_min=0.3)
     worst = 0.0
     worst_index = None
-    for _, string in groupby(lattice, key=lambda F: (F.l, F.k, id(F.h))):
-        string = list(string)
+    for string in _weight_strings(lattice):
         specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(string[0].lam)))
         steps = np.stack([ktype_steps(F, P, "noncompact") for F in string])
         table = fd_apply(specs, to_noncompact(*string), P, steps)
@@ -220,6 +237,12 @@ def sweep_ladder(
 ) -> list[dict]:
     """kappa and eta closed forms against the finite-difference oracle.
 
+    One ``fd_apply`` call per weight string, each K-type with its own
+    ``ktype_steps``.  The eta closed forms c F_{m+-4} are evaluated at the
+    sample points alone, not read off the neighbours' identity rows: those
+    come from one 1F1 batch with the stencil points, whose batch-wide stop
+    can give them other last bits.
+
     Also asserts the exact boundary kills: the eta coefficient vanishes if
     and only if m is at the corresponding boundary weight +-(2k+4l+n).
     """
@@ -230,19 +253,22 @@ def sweep_ladder(
     kills_ok = True
     specs = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
     specs += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
-    for F in lattice:
-        f0, *oracles = fd_apply(specs, F.compact_function(), P, ktype_steps(F, P, "compact"))
-        # kappa . F is a multiple of F, so its closed form scales the identity row
-        etas = (apply_eta(F, 1), apply_eta(F, -1))
-        closed = [apply_kappa(F).coefficient(F.m, F.l, F.k) * f0]
-        closed += [combo.eval_compact(P[:, 0], P[:, 1:]) for combo in etas]
-        for value, oracle in zip(closed, oracles):
-            worst = max(worst, _relative(value - oracle, f0))
-        for sign, combo in zip((1, -1), etas):
-            killed = eta_coefficient(params.n, F.m, F.l, F.k, sign) == 0
-            at_boundary = F.is_highest_weight if sign > 0 else F.is_lowest_weight
-            if killed != at_boundary or killed != combo.is_empty():
-                kills_ok = False
+    for string in _weight_strings(lattice):
+        steps = np.stack([ktype_steps(F, P, "compact") for F in string])
+        table = fd_apply(specs, compact_function(*string), P, steps)
+        etas = [(apply_eta(F, 1), apply_eta(F, -1)) for F in string]
+        eta_values = iter(eval_combinations([c for pair in etas for c in pair], P[:, 0], P[:, 1:]))
+        for F, pair, f0, *oracles in zip(string, etas, *table):
+            # kappa . F is a multiple of F, so its closed form scales the identity row
+            closed = [apply_kappa(F).coefficient(F.m, F.l, F.k) * f0]
+            closed += [next(eta_values) for _ in pair]
+            for value, oracle in zip(closed, oracles):
+                worst = max(worst, _relative(value - oracle, f0))
+            for sign, combo in zip((1, -1), pair):
+                killed = eta_coefficient(params.n, F.m, F.l, F.k, sign) == 0
+                at_boundary = F.is_highest_weight if sign > 0 else F.is_lowest_weight
+                if killed != at_boundary or killed != combo.is_empty():
+                    kills_ok = False
     return _covered(len(lattice), [
         _check(
             "operators/ladder-closed-form", worst, DEFAULT_TOLERANCES.ladder_match,
@@ -256,7 +282,10 @@ def sweep_heisenberg(
     params: ParameterSet, lam_max, m_max: int, points: int, seed: int | np.random.Generator
 ) -> list[dict]:
     """Least-squares recovery of the E_j coefficients, with the WARN diff
-    against the published table and the eigenvalue-shift bookkeeping."""
+    against the published table and the eigenvalue-shift bookkeeping.
+
+    One ``recover_E_coefficients`` call per weight string; the shifts depend
+    on (l, k) only, so they are checked once per string."""
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
     P = _sample_points(params.n, points, rng, r_min=0.2)
@@ -267,7 +296,8 @@ def sweep_heisenberg(
     recoveries = 0
     shift_ok = True
     details = []
-    for F in lattice:
+    for string in _weight_strings(lattice):
+        F = string[0]
         targets = {(l2, k2): lam2 for l2, k2, lam2 in heisenberg_targets(params.n, F.l, F.k)}
         edge = 2 * F.l + 2 * F.k + params.n - 2
         for (l2, k2), lam2 in targets.items():
@@ -277,15 +307,16 @@ def sweep_heisenberg(
                     shift_ok = False
             elif shift != 0 and abs(shift) != 2 * F.l:
                 shift_ok = False
-        for rec in recover_E_coefficients(F, P).values():
-            recoveries += 1
-            worst_lsq = max(worst_lsq, rec.lsq_residual)
-            worst_rational = max(worst_rational, max(rec.rational_errors.values(), default=0.0))
-            if not rec.matches_shipped:
-                shipped_ok = False
-                details.append(rec.to_json())
-            if not rec.matches_printed:
-                printed_diffs += 1
+        for recs in recover_E_coefficients(string, P):
+            for rec in recs.values():
+                recoveries += 1
+                worst_lsq = max(worst_lsq, rec.lsq_residual)
+                worst_rational = max(worst_rational, max(rec.rational_errors.values(), default=0.0))
+                if not rec.matches_shipped:
+                    shipped_ok = False
+                    details.append(rec.to_json())
+                if not rec.matches_printed:
+                    printed_diffs += 1
     tol = DEFAULT_TOLERANCES
     checks = _covered(len(lattice), [
         _check(

@@ -216,6 +216,14 @@ class TestVerifyCommand:
         assert out.returncode == 2
         assert "s must be nonzero" in out.stderr
 
+    @pytest.mark.parametrize("s", ["", " "])
+    def test_empty_s_exit_2(self, s):
+        # an empty --s is a value that does not parse, not a missing one
+        out = run_cli("verify", "--n", "1", "--s", s, "--lambda-max", "4", "--m-max", "2")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "cannot parse complex value" in out.stderr
+
     def test_nonfinite_s_exit_2(self):
         out = run_cli("verify", "--n", "2", "--s", "nan")
         assert out.returncode == 2
@@ -325,6 +333,17 @@ class TestOptionsOnlyWhereRead:
             ("plot-data", "--figure", "lattice", "--n", "3", "--lambda", "75", "--lambda-max", "10"),
             ("admissible", "--n", "3", "--lambda", "5", "--lambda-max", "2"),
             ("ktypes", "--n", "3", "--lambda", "5", "--lambda-max", "2", "--m-max", "2"),
+            # --s gives s itself, so a --preset beside it goes unread
+            *[
+                (*command, "--s", "0.3", "--preset", "heat")
+                for command in [
+                    ("ktypes", "--n", "3", "--lambda-max", "6", "--m-max", "2"),
+                    ("verify", "--n", "1", "--q", "1", "--lambda-max", "4", "--m-max", "2"),
+                    ("structure", "--n", "3", "--q", "3"),
+                    ("plot-data", "--figure", "lattice", "--n", "3", "--lambda-max", "6"),
+                    ("plot-data", "--figure", "heisenberg", "--n", "3", "--lambda-max", "6"),
+                ]
+            ],
         ],
     )
     def test_unread_option_or_format_exit_2(self, args):

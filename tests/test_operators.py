@@ -14,6 +14,7 @@ from singular_weyl import (
     apply_eta,
     apply_kappa,
     circular_harmonic,
+    compact_function,
     enumerate_admissible,
     fd_apply,
     group_action_noncompact,
@@ -26,7 +27,7 @@ from singular_weyl import (
     weight_string,
 )
 from singular_weyl import ktypes
-from singular_weyl.ktypes import SpaceTimeFunction
+from singular_weyl.ktypes import SpaceTimeFunction, eval_combinations
 from singular_weyl.polynomials import decompose_yj
 from singular_weyl.operators import (
     E_MOVES,
@@ -84,7 +85,7 @@ class TestKappa:
         P = compact_points(3, rng)
         steps = ktype_steps(F311, P, "compact")
         closed = apply_kappa(F311).eval_compact(P[:, 0], P[:, 1:])
-        oracle = fd_apply([OperatorSpec.kappa(params3)], F311.compact_function(), P, steps)[0]
+        oracle = fd_apply([OperatorSpec.kappa(params3)], compact_function(F311), P, steps)[0]
         assert np.max(np.abs(closed - oracle)) <= 1e-8 * np.max(np.abs(closed))
 
 
@@ -113,7 +114,7 @@ class TestEta:
     def test_against_fd_oracle(self, F311, params3, rng):
         P = compact_points(3, rng)
         steps = ktype_steps(F311, P, "compact")
-        fc = F311.compact_function()
+        fc = compact_function(F311)
         for sign in (1, -1):
             closed = apply_eta(F311, sign).eval_compact(P[:, 0], P[:, 1:])
             oracle = fd_apply([OperatorSpec.eta(params3, sign)], fc, P, steps)[0]
@@ -165,7 +166,7 @@ class TestApplyE:
         F = make_ktype(params, 2, 1, 1, harmonic_representative(2, 1))
         P = compact_points(2, rng)
         steps = ktype_steps(F, P, "compact")
-        fc = F.compact_function()
+        fc = compact_function(F)
         for j in (1, 2):
             for sign in (1, -1):
                 closed = apply_E(F, j, sign).eval_compact(P[:, 0], P[:, 1:])
@@ -202,8 +203,8 @@ class TestApplyE:
         F = make_ktype(params, 4, 0, 0, harmonic_representative(2, 0))
         P = compact_points(2, rng)
         steps = ktype_steps(F, P, "compact")
-        fc = F.compact_function()
-        recs = recover_E_coefficients(F, P)
+        fc = compact_function(F)
+        recs = recover_E_coefficients([F], P)[0]
         for sign in (1, -1):
             lc = apply_E(F, 1, sign)
             expect = -params.s * (sign * 4 + 2)
@@ -231,7 +232,7 @@ class TestERecovery:
         params = ParameterSet(n=3, q=1, s=0.5j)
         F = make_ktype(params, 3, 1, 1, harmonic_representative(3, 1))
         P = compact_points(3, rng, 40)
-        recs = recover_E_coefficients(F, P)
+        recs = recover_E_coefficients([F], P)[0]
         assert list(recs) == [(1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)]
         rec = recs[1, -1]
         assert (rec.j, rec.sign) == (1, -1)
@@ -253,7 +254,7 @@ class TestERecovery:
             return hyp1f1(a, b, z)
 
         monkeypatch.setattr(ktypes, "hyp1f1", counted)
-        recover_E_coefficients(F, P)
+        recover_E_coefficients([F], P)[0]
         columns = {
             (Fraction(F.m + 2 * sign + 4 * l2 + 2 * k2 + 3, 4), Fraction(4 * l2 + 2 * k2 + 3, 2))
             for j in (1, 2, 3)
@@ -263,18 +264,26 @@ class TestERecovery:
         # one call for the finite-difference table, one per distinct column (a', b')
         assert len(seen) == 1 + len(columns) == 5
 
+    def test_one_weight_string(self, rng):
+        params = ParameterSet(n=3, q=1, s=0.5j)
+        h = harmonic_representative(3, 1)
+        P = compact_points(3, rng, 40)
+        other_pair = [make_ktype(params, 3, 1, 1, h), make_ktype(params, 3, 2, 1, h)]
+        with pytest.raises(ValueError):
+            recover_E_coefficients(other_pair, P)
+
     def test_raising_matches_both(self, rng):
         params = ParameterSet(n=3, q=1, s=0.5j)
         F = make_ktype(params, 3, 1, 1, harmonic_representative(3, 1))
         P = compact_points(3, rng, 40)
-        rec = recover_E_coefficients(F, P)[1, +1]
+        rec = recover_E_coefficients([F], P)[0][1, +1]
         assert rec.matches_shipped and rec.matches_printed
 
     def test_rational_recovery_with_bounded_denominator(self, rng):
         params = ParameterSet(n=4, q=0, s=-0.25)
         F = make_ktype(params, 2, 1, 1, harmonic_representative(4, 1))
         P = compact_points(4, rng, 40)
-        recs = recover_E_coefficients(F, P)
+        recs = recover_E_coefficients([F], P)[0]
         for sign in (1, -1):
             rec = recs[2, sign]
             table = shipped_E_coefficients(4, F.m, F.l, F.k, sign)
@@ -333,7 +342,7 @@ class TestOmegaEigenvalue:
             F = make_ktype(params, m, l, k, harmonic_representative(n, k))
             P = compact_points(n, rng)
             steps = ktype_steps(F, P, "compact")
-            om = fd_apply([OperatorSpec.omega(params)], F.compact_function(), P, steps)[0]
+            om = fd_apply([OperatorSpec.omega(params)], compact_function(F), P, steps)[0]
             Fv = F.eval_compact(P[:, 0], P[:, 1:])
             resid = om - 2 * float(F.lam) * Fv
             assert np.max(np.abs(resid) / np.maximum(1, np.abs(Fv))) <= 1e-6
@@ -430,11 +439,52 @@ class TestWeightStrings:
                 ((a1, b1, z1),) = calls
                 assert (a, b) == (a1, b1) and np.array_equal(z, z1)
 
+    @pytest.mark.parametrize("s", [S_PRESETS["schrodinger"], S_PRESETS["heat"], 0.3 + 0.5j])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_compact_rows_equal_single_ktypes(self, n, s):
+        # the ladder and Heisenberg sweeps: the kappa/eta and E_j tables of a
+        # string, its eta closed forms and its E recoveries, each bit for bit
+        # the K-type's alone
+        params = ParameterSet(n=n, q=n % 4, s=s)
+        P = _sample_points(n, 15, np.random.default_rng(200 + n), r_min=0.2)
+        pairs = [p for lam in enumerate_admissible(n, 20) for p in admissible_pairs(n, lam)]
+        strings = [weight_string(params, l, k, 10) for l, k in pairs[:3]]
+        strings.append(strings[-1][1:2])  # a string of one
+        assert all(len(string) >= 5 for string in strings[:3])
+        ladder = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
+        ladder += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
+        heisenberg = [OperatorSpec.identity(params)] + [
+            OperatorSpec.heisenberg_ladder(params, j, sign)
+            for j in range(1, n + 1)
+            for sign in (1, -1)
+        ]
+        theta, y = P[:, 0], P[:, 1:]
+        for string in strings:
+            steps = np.stack([ktype_steps(F, P, "compact") for F in string])
+            for specs in (ladder, heisenberg):
+                table = fd_apply(specs, compact_function(*string), P, steps)
+                assert table.shape == (len(specs), len(string), len(P))
+                for F, row in zip(string, table.transpose(1, 0, 2)):
+                    alone = fd_apply(specs, compact_function(F), P, ktype_steps(F, P, "compact"))
+                    assert np.array_equal(row, alone), (F.m, F.l, F.k)
+            etas = [apply_eta(F, sign) for F in string for sign in (1, -1)]
+            for combo, value in zip(etas, eval_combinations(etas, theta, y)):
+                assert np.array_equal(value, combo.eval_compact(theta, y)), combo
+            together = recover_E_coefficients(string, P)
+            assert len(together) == len(string)
+            for F, recs in zip(string, together):
+                (alone,) = recover_E_coefficients([F], P)
+                assert list(recs) == list(alone)
+                assert [r.to_json() for r in recs.values()] == [
+                    r.to_json() for r in alone.values()
+                ], (F.m, F.l, F.k)
+
     def test_one_parameter_set(self, params3):
         h = harmonic_representative(3, 0)
         other = ParameterSet(n=3, q=1, s=-0.25)
-        with pytest.raises(ValueError):
-            to_noncompact(make_ktype(params3, 1, 1, 0, h), make_ktype(other, 1, 1, 0, h))
+        for picture in (to_noncompact, compact_function):
+            with pytest.raises(ValueError):
+                picture(make_ktype(params3, 1, 1, 0, h), make_ktype(other, 1, 1, 0, h))
 
 
 class TestGroupAction:

@@ -101,13 +101,41 @@ def test_periodicity_evaluates_each_ktype_once(eval_compact_calls):
     assert len(set(eval_compact_calls)) == 30
 
 
-def test_ladder_reads_kappa_from_the_identity_row(eval_compact_calls):
-    # one fd_apply table per K-type plus the eta closed forms; kappa costs none
+@pytest.fixture
+def hyp1f1_calls(monkeypatch):
+    """Counts the 1F1 series passes of K-type evaluation, one per call of
+    ``ktypes.hyp1f1``."""
+    calls = []
+    original = ktypes.hyp1f1
+
+    def counting(a, b, z):
+        calls.append((a, b))
+        return original(a, b, z)
+
+    monkeypatch.setattr(ktypes, "hyp1f1", counting)
+    return calls
+
+
+def test_ladder_reads_kappa_from_the_identity_row(hyp1f1_calls):
+    # per weight string of V K-types: one fd_apply table (one series per
+    # K-type) and one evaluation of the eta targets F_{m-4} .. F_{m+4V},
+    # V + 2 series; kappa costs none, and a target two K-types share is
+    # summed once
     params = ParameterSet(n=3, q=0, s=0.5j)
     closed, kills = sweep_ladder(params, 12, 6, 20, 2027)
     assert closed["status"] == kills["status"] == "PASS"
     assert closed["ktypes"] == 30
-    assert len(eval_compact_calls) == 90
+    assert len(hyp1f1_calls) == 78
+
+
+def test_heisenberg_sums_each_string_column_once(hyp1f1_calls):
+    # per weight string: one series per K-type for the fd_apply table, and
+    # one per distinct column (a', b') of all the string's fits, so the
+    # column that E^+ F_m and E^- F_{m+4} share is summed once
+    params = ParameterSet(n=3, q=0, s=0.5j)
+    checks = {c["check"]: c for c in sweep_heisenberg(params, 12, 10, 40, 5)}
+    assert checks["operators/heisenberg-lsq"]["status"] == "PASS"
+    assert len(hyp1f1_calls) == 108
 
 
 def test_contiguous_reports_worst_point():
