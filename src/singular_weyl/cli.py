@@ -205,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
         # s given as a value or as a preset, never both: beside --s the
         # preset would go unread
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--s", type=str, default=None, help="complex s, 're+imi' syntax")
+        group.add_argument(
+            "--s", type=str, default=None,
+            help="complex s in 're+imi' syntax; write --s=VALUE when VALUE starts with '-'",
+        )
         group.add_argument(
             "--preset", choices=sorted(S_PRESETS), default=None,
             help="s preset (schrodinger: i/2, heat: -1/4)",

@@ -19,15 +19,20 @@ compact and the non-compact picture, each vector on its own block of
 points; both split the blocks the same way and share the one evaluator
 ``_eval_rows``.  A point that is the same, bit for bit, in every block is
 evaluated once for every factor that does not depend on m: the picture
-transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Each
-vector then forms its own e^{-im theta/2}, its own 1F1 and the products, in
-the order of the one-vector formula, so every value is bit for bit the
-one-vector value.  Only identical (a, b) on identical points share a 1F1
-call: the series stops a batch when every entry has converged, so a value
-can depend in its last bits on the rest of its batch, and stacking other z
-or (a, b) into one batch would move reported residuals.  So the K-types of
-a weight string (fixed l, k and h, m stepping by 4) share every factor but
-e^{-im theta/2} and 1F1 at the points they have in common.
+transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Blocks that are the
+same bit for bit are one block, on which vectors of equal m share
+e^{-im theta/2} and vectors of equal (a, b) one 1F1 call.  Each vector
+forms the products in the order of the one-vector formula, so every value
+is bit for bit the one-vector value.  Only identical (a, b) on identical
+points share a 1F1 call: the series stops a batch when every entry has
+converged, so a value can depend in its last bits on the rest of its
+batch, and stacking other z or (a, b) into one batch would move reported
+residuals.  So the K-types of a weight string (fixed l, k and h, m
+stepping by 4) share every factor but e^{-im theta/2} and 1F1 at the
+points they have in common.  Since the steps, a and b depend on (l, k)
+only through 2l + k, K-types of equal m and 2l + k (a radial group, see
+``verify.sweep_pde_kernel``) share their whole block, and with it every
+factor but rho^{2l} and h(y).
 
 (l, k) is a pair with k in range (``admissibility.k_in_range``): k >= 0,
 and k <= 1 at n = 1.  At n = 2 the O(2)-weight +-k lives in h, e.g. in
@@ -61,21 +66,31 @@ def _as_batch(t, x):
     return np.broadcast_to(t_arr, (x_arr.shape[0],)), x_arr, False
 
 
-def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, index) with ``rows[index] == pts`` for a (V, M, d) stack of V
-    blocks of M points: first, once, each row that is the same bit for bit
-    in every block, then the other rows of each block.  index is (V, M)."""
+def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, index, blocks) with ``rows[index[blocks[v]]] == pts[v]`` for a
+    (V, M, d) stack of V blocks of M points: first, once, each row that is
+    the same bit for bit in every block, then the other rows of each
+    distinct block.  Blocks that are the same bit for bit are one distinct
+    block and share one row of the (B, M) index; ``blocks`` maps each of the
+    V blocks to its index row, in order of first appearance."""
     if len(pts) == 1:
-        return pts[0], np.arange(pts.shape[1])[None]
+        return pts[0], np.arange(pts.shape[1])[None], np.zeros(1, dtype=np.intp)
     pts = np.ascontiguousarray(pts)
     bits = pts.view(np.int64)
     common = (bits == bits[:1]).all(axis=0).all(axis=1)
-    rows = np.concatenate([pts[0, common], pts[:, ~common].reshape(-1, pts.shape[2])])
-    index = np.empty(pts.shape[:2], dtype=np.intp)
+    own = bits[:, ~common].reshape(len(pts), -1)
+    blocks = np.full(len(pts), -1, dtype=np.intp)
+    firsts = []
+    for v in range(len(pts)):
+        if blocks[v] < 0:
+            blocks[(own == own[v]).all(axis=1)] = len(firsts)
+            firsts.append(v)
+    rows = np.concatenate([pts[0, common], pts[firsts][:, ~common].reshape(-1, pts.shape[2])])
+    index = np.empty((len(firsts), pts.shape[1]), dtype=np.intp)
     shared = np.count_nonzero(common)
     index[:, common] = np.arange(shared)
-    index[:, ~common] = np.arange(shared, len(rows)).reshape(len(pts), -1)
-    return rows, index
+    index[:, ~common] = np.arange(shared, len(rows)).reshape(len(firsts), -1)
+    return rows, index, blocks
 
 
 @dataclass
@@ -156,30 +171,30 @@ def eval_compact_all(vectors: Sequence[KTypeVector], theta, y) -> list:
     batch; each is bit for bit the one-vector value (see ``_eval_rows``).
     """
     theta_arr, y_arr, single = _as_batch(theta, y)
-    values = _eval_rows(vectors, theta_arr, y_arr, np.arange(len(y_arr))[None])
+    values = _eval_rows(vectors, theta_arr, y_arr, np.arange(len(y_arr))[None], [0] * len(vectors))
     return [complex(value[0]) if single else value for value in values]
 
 
-def _eval_rows(vectors: Sequence[KTypeVector], theta, y, index) -> list:
-    """F_v(theta[index[v]], y[index[v]]) for each vector v, as (M,) arrays;
-    an index with one row serves every vector.
+def _eval_rows(vectors: Sequence[KTypeVector], theta, y, index, blocks) -> list:
+    """F_v(theta[index[blocks[v]]], y[index[blocks[v]]]) for each vector v,
+    as (M,) arrays.
 
     rho^2, e^{-is rho^2} (per s), rho^{2l} (per l) and h(y) (per harmonic
-    object) are formed once per row; the prefix e^{-im theta/2}
-    e^{-is rho^2} rho^{2l} once per (m, s, l) and 1F1 once per (a, b, s)
-    among vectors on the same index row.  Each value is the one-vector
-    product prefix * h(y) * 1F1, left to right, and each 1F1 call has the
-    a, b and z of a call for the vector alone, so every value is bit for
-    bit the one-vector value.
+    object) are formed once per row; among vectors on the same index row,
+    e^{-im theta/2} e^{-is rho^2} once per (m, s) and 1F1 once per (a, b,
+    s).  So vectors of equal m and 2l + k on one index row share the series
+    and every factor but rho^{2l} and h(y).  Each value is the one-vector
+    product e^{-im theta/2} e^{-is rho^2} rho^{2l} h(y) 1F1, left to right,
+    and each 1F1 call has the a, b and z of a call for the vector alone, so
+    every value is bit for bit the one-vector value.
     """
     rho2 = (y**2).sum(axis=1)
-    blocks = range(len(vectors)) if len(index) > 1 else [0] * len(vectors)
     phases = {}
     powers = {}
     # keyed by object, not by value: equal polynomials may carry different
     # evaluators, which give different bits
     harmonics = {}
-    prefixes = {}
+    heads = {}
     hyps = {}
     out = []
     for vec, block in zip(vectors, blocks):
@@ -190,18 +205,16 @@ def _eval_rows(vectors: Sequence[KTypeVector], theta, y, index) -> list:
         key = (float(vec.a), float(vec.b), s, block)
         if key not in hyps:
             hyps[key] = hyp1f1(key[0], key[1], 2j * s * rho2[rows])
-        prefix = (vec.m, s, vec.l, block)
-        if prefix not in prefixes:
+        head = (vec.m, s, block)
+        if head not in heads:
             if s not in phases:
                 phases[s] = np.exp(-1j * s * rho2)
-            if vec.l not in powers:
-                powers[vec.l] = rho2**vec.l
-            prefixes[prefix] = (
-                np.exp(-0.5j * vec.m * theta[rows]) * phases[s][rows] * powers[vec.l][rows]
-            )
+            heads[head] = np.exp(-0.5j * vec.m * theta[rows]) * phases[s][rows]
+        if vec.l not in powers:
+            powers[vec.l] = rho2**vec.l
         if id(vec.h) not in harmonics:
             harmonics[id(vec.h)] = vec.h(y)
-        out.append(prefixes[prefix] * harmonics[id(vec.h)][rows] * hyps[key])
+        out.append(heads[head] * powers[vec.l][rows] * harmonics[id(vec.h)][rows] * hyps[key])
     return out
 
 
@@ -239,12 +252,15 @@ def _blockwise(vectors: Sequence[KTypeVector], picture: Callable) -> SpaceTimeFu
 
     def batch(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        rows, index = _distinct_rows(pts.reshape(len(vectors), -1, pts.shape[1]))
+        rows, index, blocks = _distinct_rows(pts.reshape(len(vectors), -1, pts.shape[1]))
         theta, y, scale = picture(rows)
-        values = _eval_rows(vectors, theta, y, index)
-        if scale is None:
-            return np.concatenate(values)
-        return np.concatenate([scale[block] * value for block, value in zip(index, values)])
+        values = _eval_rows(vectors, theta, y, index, blocks)
+        if scale is not None:
+            # in place, so no second copy of the values is held; the
+            # operand order is that of the one-vector product
+            for b, value in zip(blocks, values):
+                np.multiply(scale[index[b]], value, out=value)
+        return np.concatenate(values)
 
     return SpaceTimeFunction(vectors[0].params.n, batch)
 

@@ -146,9 +146,11 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
     """Steps adapted to the oscillation rate of a specific K-type.
 
     Balances the h^6 truncation term against roundoff for functions whose
-    log-derivative is of order (2l + k)/rho + |s| rho.  Only the theta/t
-    column depends on m (through |m|); the space columns are the same for
-    every K-type of a weight string.
+    log-derivative is of order (2l + k)/rho + |s| rho.  The steps depend on
+    (l, k) only through 2l + k.  Only the theta/t column depends on m
+    (through |m|); the space columns are the same for every K-type of equal
+    2l + k, not only along one weight string, and K-types of equal m and
+    2l + k have the same steps.
     """
     P = np.asarray(P, dtype=float)
     n = F.params.n

@@ -21,11 +21,13 @@ through ``np.random.default_rng``, which returns a Generator unchanged, so
 callers can draw the sample points of several sweeps from one stream.
 
 The periodicity sweep evaluates each K-type once, taking F and its four
-shifted copies from one stacked ``periodicity_residual`` batch.  The
-PDE-kernel, ladder and Heisenberg sweeps walk the lattice by weight strings
-(fixed l, k and h, m stepping by 4): one ``fd_apply`` call per string, so
-the factors its K-types share are formed once (see ``ktypes``), and each
-value keeps the bits it has for the K-type alone.  The ladder sweep reads
+shifted copies from one stacked ``periodicity_residual`` batch.  The ladder
+and Heisenberg sweeps walk the lattice by weight strings (fixed l, k and h,
+m stepping by 4): one ``fd_apply`` call per string, so the factors its
+K-types share are formed once (see ``ktypes``), and each value keeps the
+bits it has for the K-type alone.  The PDE-kernel sweep walks it by radial
+groups, the strings of equal 2l + k, whose K-types of equal m also share
+their stencil and their 1F1 series.  The ladder sweep reads
 the kappa closed form off the identity row of the ``fd_apply`` table, and
 evaluates the eta closed forms of a string at the sample points in one
 ``eval_combinations`` call, so a neighbour F_{m+4} that eta^+ F_m and
@@ -111,6 +113,16 @@ def _weight_strings(lattice: list) -> list[list]:
     """The weight strings of a lattice: its consecutive runs of equal
     (l, k, h), each a list of K-types with m stepping by 4."""
     return [list(string) for _, string in groupby(lattice, key=lambda F: (F.l, F.k, id(F.h)))]
+
+
+def _radial_groups(strings: list[list]) -> list[list[list]]:
+    """The radial groups of the weight strings of a lattice: the strings of
+    equal 2l + k, each group in lattice order and the groups in order of
+    first appearance."""
+    groups: dict[int, list[list]] = {}
+    for string in strings:
+        groups.setdefault(2 * string[0].l + string[0].k, []).append(string)
+    return list(groups.values())
 
 
 def _relative(diff: np.ndarray, f0: np.ndarray) -> float:
@@ -205,23 +217,35 @@ def sweep_pde_kernel(
 ) -> list[dict]:
     """Non-compact PDE residual of every lattice K-type at seeded points.
 
-    The lattice is walked by weight strings, its consecutive runs of equal
-    (l, k, h): one ``fd_apply`` call per string, each K-type with its own
-    ``ktype_steps``.
+    The lattice is walked by radial groups, its weight strings of equal
+    2l + k: one ``fd_apply`` call per group, each K-type with its own
+    ``ktype_steps``.  The steps and the 1F1 factor depend on (l, k) only
+    through 2l + k, so K-types of one group with equal m have the same
+    stencil and share its series (see ``ktypes``); each value keeps the
+    bits it has for the K-type alone.  The table holds one PDE row per
+    string of the group, and each K-type reads the row of its own
+    eigenvalue.  The residuals are reduced in lattice order, so
+    ``worst_index`` is the first K-type of largest residual.
     """
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
     P = _sample_points(params.n, points, rng, r_min=0.3)
+    residuals = {}
+    for group in _radial_groups(_weight_strings(lattice)):
+        members = [F for string in group for F in string]
+        specs = [OperatorSpec.identity(params)]
+        specs += [OperatorSpec.pde(params, float(string[0].lam)) for string in group]
+        steps = np.stack([ktype_steps(F, P, "noncompact") for F in members])
+        f0, *pdes = fd_apply(specs, to_noncompact(*members), P, steps)
+        # the PDE row of each member's own string, hence its own eigenvalue
+        own = [pde for pde, string in zip(pdes, group) for _ in string]
+        for v, F in enumerate(members):
+            residuals[id(F)] = _relative(own[v][v], f0[v])
     worst = 0.0
     worst_index = None
-    for string in _weight_strings(lattice):
-        specs = (OperatorSpec.identity(params), OperatorSpec.pde(params, float(string[0].lam)))
-        steps = np.stack([ktype_steps(F, P, "noncompact") for F in string])
-        table = fd_apply(specs, to_noncompact(*string), P, steps)
-        for F, f0, res in zip(string, *table):
-            rel = _relative(res, f0)
-            if rel > worst:
-                worst, worst_index = rel, (F.m, F.l, F.k)
+    for F in lattice:
+        if residuals[id(F)] > worst:
+            worst, worst_index = residuals[id(F)], (F.m, F.l, F.k)
     return _covered(len(lattice), [
         _check(
             "operators/pde-kernel", worst, DEFAULT_TOLERANCES.pde_residual,

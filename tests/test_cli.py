@@ -167,6 +167,11 @@ class TestStructureCommand:
         assert data["case"] == 4
         assert len(data["chain"]) == 7
 
+    def test_s_starting_with_minus_in_equals_form(self):
+        out = run_cli("structure", "--n", "3", "--q", "3", "--s=-1i")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["case"] == 2
+
     def test_decomposition_flags(self):
         out = run_cli("structure", "--n", "3", "--q", "0", "--lambda", "75")
         data = json.loads(out.stdout)
@@ -240,6 +245,15 @@ class TestVerifyCommand:
         # one line: no traceback and no numpy overflow warnings above it
         (line,) = out.stderr.splitlines()
         assert line.startswith("invalid parameters: 1F1 series")
+
+    def test_s_starting_with_minus_in_equals_form(self):
+        # the documented spelling of an s whose text starts with "-"
+        out = run_cli(
+            "verify", "--n", "2", "--q", "0", "--s=-0.25+0.3i", "--lambda-max", "4",
+            "--m-max", "2", "--seed", "1",
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["params"]["s"] == [-0.25, 0.3]
 
     def test_seed_comes_from_the_command_line_only(self, tmp_path):
         report_path = tmp_path / "report.json"

@@ -47,8 +47,7 @@ def _shipped_changed(label, factor):
 
 def _phase_shifted(mp):
     # e^{-i(m+2) theta/2} in place of e^{-im theta/2}: one more e^{-i theta}
-    def change(values, vectors, theta, y, index):
-        blocks = range(len(vectors)) if len(index) > 1 else [0] * len(vectors)
+    def change(values, vectors, theta, y, index, blocks):
         return [value * np.exp(-1j * theta[index[b]]) for value, b in zip(values, blocks)]
 
     _wrap(mp, ktypes, "_eval_rows", change)

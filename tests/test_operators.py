@@ -19,6 +19,7 @@ from singular_weyl import (
     fd_apply,
     group_action_noncompact,
     group_parameter_derivative,
+    harmonic_basis,
     harmonic_representative,
     hyp1f1,
     make_ktype,
@@ -438,6 +439,47 @@ class TestWeightStrings:
                 assert np.array_equal(row, alone), (F.m, F.l, F.k)
                 ((a1, b1, z1),) = calls
                 assert (a, b) == (a1, b1) and np.array_equal(z, z1)
+
+    @pytest.mark.parametrize("s", [S_PRESETS["schrodinger"], S_PRESETS["heat"], 0.3 + 0.5j])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_radial_group_rows_equal_single_ktypes(self, n, s, monkeypatch):
+        # the strings of (2, 0) and (1, 2), the latter twice with different
+        # harmonics: 2l + k = 4 for all, so K-types of equal m share one
+        # stencil block and one 1F1 call per (a, b, block); the string of
+        # (1, 0) has the same weights m on blocks of its own
+        params = ParameterSet(n=n, q=n % 4, s=s)
+        P = _sample_points(n, 15, np.random.default_rng(300 + n), r_min=0.3)
+        calls = []
+        original = ktypes.hyp1f1
+
+        def recording(a, b, z):
+            calls.append((a, b, np.array(z)))
+            return original(a, b, z)
+
+        monkeypatch.setattr(ktypes, "hyp1f1", recording)
+        other = harmonic_basis(n, 2)[-1]
+        assert other is not harmonic_representative(n, 2)
+        group = weight_string(params, 2, 0, 10) + weight_string(params, 1, 2, 10)
+        group += [make_ktype(params, F.m, 1, 2, other) for F in weight_string(params, 1, 2, 10)]
+        assert len({F.m for F in group}) == len(group) // 3
+        lower = weight_string(params, 1, 0, 10)
+        assert {F.m for F in lower} == {F.m for F in group}
+        group += lower
+        lams = dict.fromkeys(F.lam for F in group)
+        specs = [OperatorSpec.identity(params)] + [OperatorSpec.pde(params, lam) for lam in lams]
+        steps = np.stack([ktype_steps(F, P, "noncompact") for F in group])
+        table = fd_apply(specs, to_noncompact(*group), P, steps)
+        group_calls = list(calls)
+        assert table.shape == (len(specs), len(group), len(P))
+        assert len(group_calls) == len({(F.a, F.b, F.m) for F in group})
+        for F, row in zip(group, table.transpose(1, 0, 2)):
+            calls.clear()
+            alone = fd_apply(specs, to_noncompact(F), P, ktype_steps(F, P, "noncompact"))
+            assert np.array_equal(row, alone), (F.m, F.l, F.k)
+            ((a1, b1, z1),) = calls
+            assert sum(
+                (a, b) == (a1, b1) and np.array_equal(z, z1) for a, b, z in group_calls
+            ) == 1, (F.m, F.l, F.k)
 
     @pytest.mark.parametrize("s", [S_PRESETS["schrodinger"], S_PRESETS["heat"], 0.3 + 0.5j])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from singular_weyl import ParameterSet, contiguous_residuals_scaled, hypergeometric, ktypes
+from singular_weyl import (
+    S_PRESETS,
+    ParameterSet,
+    contiguous_residuals_scaled,
+    hypergeometric,
+    ktypes,
+)
 from singular_weyl.verify import (
     run_verification,
     sweep_contiguous,
     sweep_harmonicity,
     sweep_heisenberg,
     sweep_ladder,
+    sweep_pde_kernel,
     sweep_periodicity,
 )
 
@@ -136,6 +143,24 @@ def test_heisenberg_sums_each_string_column_once(hyp1f1_calls):
     checks = {c["check"]: c for c in sweep_heisenberg(params, 12, 10, 40, 5)}
     assert checks["operators/heisenberg-lsq"]["status"] == "PASS"
     assert len(hyp1f1_calls) == 108
+
+
+@pytest.mark.parametrize("preset, worst, worst_index", [
+    ("schrodinger", 7.705127136009306e-09, [9, 1, 13]),
+    ("heat", 4.315750005188393e-09, [-1, 1, 12]),
+])
+def test_pde_kernel_sums_each_radial_series_once(hyp1f1_calls, preset, worst, worst_index):
+    # one fd_apply per radial group (the strings of equal 2l + k), where
+    # K-types of equal m share their stencil and one series: 98 series for
+    # 154 K-types, against one per K-type when each string is its own call;
+    # the residual and the first K-type reaching it are those of the
+    # one-K-type evaluation
+    params = ParameterSet(3, 3, S_PRESETS[preset])
+    (check,) = sweep_pde_kernel(params, 30, 14, 50, 2027)
+    assert check["status"] == "PASS" and check["ktypes"] == 154
+    assert len(hyp1f1_calls) == 98
+    assert check["max_residual"] == worst
+    assert check["worst_index"] == worst_index
 
 
 def test_contiguous_reports_worst_point():
