@@ -179,17 +179,26 @@ def _eval_rows(vectors: Sequence[KTypeVector], theta, y, index, blocks) -> list:
     """F_v(theta[index[blocks[v]]], y[index[blocks[v]]]) for each vector v,
     as (M,) arrays.
 
-    rho^2, e^{-is rho^2} (per s), rho^{2l} (per l) and h(y) (per harmonic
-    object) are formed once per row; among vectors on the same index row,
-    e^{-im theta/2} e^{-is rho^2} once per (m, s) and 1F1 once per (a, b,
-    s).  So vectors of equal m and 2l + k on one index row share the series
-    and every factor but rho^{2l} and h(y).  Each value is the one-vector
-    product e^{-im theta/2} e^{-is rho^2} rho^{2l} h(y) 1F1, left to right,
-    and each 1F1 call has the a, b and z of a call for the vector alone, so
+    Every evaluation path reaches here; it raises ValueError unless the
+    vectors share one parameter set and y has n columns.  rho^2, e^{-is
+    rho^2}, rho^{2l} (per l) and h(y) (per harmonic object) are formed once
+    per row; among vectors on the same index row, e^{-im theta/2} e^{-is
+    rho^2} once per m and 1F1 once per (a, b).  So vectors of equal m and
+    2l + k on one index row share the series and every factor but rho^{2l}
+    and h(y).  Each value is the one-vector product, left to right, and
+    each 1F1 call has the a, b and z of a call for the vector alone, so
     every value is bit for bit the one-vector value.
     """
+    if not vectors:
+        return []
+    params = vectors[0].params
+    if any(vec.params != params for vec in vectors):
+        raise ValueError("K-types evaluated together must share one parameter set")
+    if y.shape[1] != params.n:
+        raise ValueError(f"points have {y.shape[1]} space coordinates, expected n = {params.n}")
+    s = params.s
     rho2 = (y**2).sum(axis=1)
-    phases = {}
+    phase = None
     powers = {}
     # keyed by object, not by value: equal polynomials may carry different
     # evaluators, which give different bits
@@ -199,17 +208,16 @@ def _eval_rows(vectors: Sequence[KTypeVector], theta, y, index, blocks) -> list:
     out = []
     for vec, block in zip(vectors, blocks):
         rows = index[block]
-        s = vec.params.s
         # the series first: a SeriesError then leaves no overflow warning
         # of the prefix on stderr
-        key = (float(vec.a), float(vec.b), s, block)
+        key = (float(vec.a), float(vec.b), block)
         if key not in hyps:
             hyps[key] = hyp1f1(key[0], key[1], 2j * s * rho2[rows])
-        head = (vec.m, s, block)
+        head = (vec.m, block)
         if head not in heads:
-            if s not in phases:
-                phases[s] = np.exp(-1j * s * rho2)
-            heads[head] = np.exp(-0.5j * vec.m * theta[rows]) * phases[s][rows]
+            if phase is None:
+                phase = np.exp(-1j * s * rho2)
+            heads[head] = np.exp(-0.5j * vec.m * theta[rows]) * phase[rows]
         if vec.l not in powers:
             powers[vec.l] = rho2**vec.l
         if id(vec.h) not in harmonics:
@@ -247,8 +255,6 @@ def _blockwise(vectors: Sequence[KTypeVector], picture: Callable) -> SpaceTimeFu
     set: ``batch`` evaluates vectors[v] on block v.  ``picture`` maps the
     distinct rows to (theta, y, scale) of the compact picture, with scale
     None for the compact picture itself."""
-    if len({F.params for F in vectors}) != 1:
-        raise ValueError("a picture function takes vectors of one parameter set")
 
     def batch(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

@@ -27,6 +27,10 @@ steps apply it to every K-type of a weight string at once, through
 ``ktypes.compact_function(*string)`` or ``ktypes.to_noncompact(*string)``;
 ``recover_E_coefficients`` fits a whole string from one such call.
 
+Each operator and group element is one record whose factory holds its
+whole definition: an ``OperatorSpec`` carries the axes it differentiates
+and its formula, a ``GroupElement`` its point map.
+
 Direction normalization for E: targets with k+1 carry the harmonic
 projection h_plus of y_j h, targets with k-1 carry c_{k,n} * d_j h.  With
 this scaling all four coefficients are (i or s) times a rational with
@@ -182,122 +186,121 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _euler(x: np.ndarray, d1: dict) -> np.ndarray:
+    """The Euler operator sum_j x_j d_j applied through the first partials."""
+    return sum(x[:, j - 1] * d1[j] for j in range(1, 1 + x.shape[1]))
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A first- or second-order operator in one of the two pictures.
+    """A first- or second-order operator in one of the two pictures: the
+    axes it differentiates once (``first``) and twice (``second``), and its
+    ``formula``, which maps (theta or t, x, f, {axis: first partial},
+    {axis: second partial}) at the rows of P to its values there.
 
-    Build through the factory classmethods so kind-specific parameters are
-    arity-checked.  Coordinates j are 1-based.
+    Each factory classmethod is the whole definition of its operator: it
+    checks its arguments and closes the formula over n, s and them.  Axis 0
+    is theta or t; coordinates j are 1-based, so axis j is x_j.  Only the
+    PDE operator is ``singular_at_origin``: ``fd_apply`` refuses points
+    whose stencils come near x = 0.
     """
 
-    kind: str
     n: int
-    s: complex
-    j: int = 0
-    sl2_coeffs: tuple[complex, complex, complex] = (0, 0, 0)
-    heis_coeffs: tuple = ()
-    lam: complex = 0.0
+    first: tuple[int, ...]
+    second: tuple[int, ...]
+    formula: Callable[..., np.ndarray]
+    singular_at_origin: bool = False
 
     @classmethod
     def identity(cls, params: ParameterSet) -> "OperatorSpec":
         """f itself: f(P) from the same table as the other operators."""
-        return cls("identity", params.n, params.s)
+        return cls(params.n, (), (), lambda t, x, f0, d1, d2: f0)
 
     @classmethod
     def kappa(cls, params: ParameterSet) -> "OperatorSpec":
-        return cls("kappa", params.n, params.s)
+        return cls(params.n, (0,), (), lambda t, x, f0, d1, d2: 1j * d1[0])
 
     @classmethod
     def eta(cls, params: ParameterSet, sign: int) -> "OperatorSpec":
-        return cls("eta_plus" if sign > 0 else "eta_minus", params.n, params.s)
+        n, s = params.n, params.s
+        sign = 1 if sign > 0 else -1
+
+        def formula(t, x, f0, d1, d2):
+            rho2 = (x**2).sum(axis=1)
+            return 0.5 * np.exp(-sign * 2j * t) * (
+                -_euler(x, d1) - sign * 1j * d1[0] - (n / 2 + sign * 2j * s * rho2) * f0
+            )
+
+        return cls(n, tuple(range(1, 1 + n)) + (0,), (), formula)
 
     @classmethod
     def omega(cls, params: ParameterSet) -> "OperatorSpec":
-        return cls("omega", params.n, params.s)
+        s = params.s
+        space = tuple(range(1, 1 + params.n))
+
+        def formula(t, x, f0, d1, d2):
+            rho2 = (x**2).sum(axis=1)
+            return rho2 * (4 * s * d1[0] + 4 * s**2 * rho2 * f0 + sum(d2[j] for j in space))
+
+        return cls(params.n, (0,), space, formula)
 
     @classmethod
     def heisenberg_ladder(cls, params: ParameterSet, j: int, sign: int) -> "OperatorSpec":
         if not 1 <= j <= params.n:
             raise ValueError(f"coordinate j = {j} out of range 1..{params.n}")
-        return cls("e_plus" if sign > 0 else "e_minus", params.n, params.s, j=j)
+        s = params.s
+        sign = 1 if sign > 0 else -1
+
+        def formula(t, x, f0, d1, d2):
+            return np.exp(-sign * 1j * t) * (sign * 1j * d1[j] - 2 * s * x[:, j - 1] * f0)
+
+        return cls(params.n, (j,), (), formula)
 
     @classmethod
     def sl2(cls, params: ParameterSet, alpha, beta, gamma) -> "OperatorSpec":
-        return cls(
-            "sl2", params.n, params.s, sl2_coeffs=(complex(alpha), complex(beta), complex(gamma))
-        )
+        n, s = params.n, params.s
+        alpha, beta, gamma = complex(alpha), complex(beta), complex(gamma)
+        r = -n / 2
+
+        def formula(t, x, f0, d1, d2):
+            rho2 = (x**2).sum(axis=1)
+            return (
+                (gamma * t - alpha) * _euler(x, d1)
+                + (gamma * t**2 - 2 * alpha * t - beta) * d1[0]
+                + (r * alpha - gamma * s * rho2 - r * gamma * t) * f0
+            )
+
+        return cls(n, tuple(range(1, 1 + n)) + (0,), (), formula)
 
     @classmethod
     def heisenberg(cls, params: ParameterSet, u: Sequence, v: Sequence, w) -> "OperatorSpec":
         u = tuple(complex(c) for c in u)
         v = tuple(complex(c) for c in v)
+        w = complex(w)
         if len(u) != params.n or len(v) != params.n:
             raise ValueError("u and v must have length n")
-        return cls("heisenberg", params.n, params.s, heis_coeffs=(u, v, complex(w)))
+        s = params.s
+        axes = tuple(1 + j for j in range(params.n) if u[j] != 0 or v[j] != 0)
+
+        def formula(t, x, f0, d1, d2):
+            out = s * (w - 2 * (np.asarray(v)[None, :] * x).sum(axis=1)) * f0
+            for ax in axes:
+                out += (-u[ax - 1] + t * v[ax - 1]) * d1[ax]
+            return out
+
+        return cls(params.n, axes, (), formula)
 
     @classmethod
     def pde(cls, params: ParameterSet, lam) -> "OperatorSpec":
-        return cls("pde", params.n, params.s, lam=complex(lam))
+        s = params.s
+        lam = complex(lam)
+        space = tuple(range(1, 1 + params.n))
 
+        def formula(t, x, f0, d1, d2):
+            rho2 = (x**2).sum(axis=1)
+            return 4 * s * d1[0] + sum(d2[j] for j in space) - 2 * lam / rho2 * f0
 
-def _differentiated_axes(spec: OperatorSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The axes ``spec`` differentiates once and twice."""
-    kind = spec.kind
-    space = tuple(range(1, 1 + spec.n))
-    if kind == "identity":
-        return (), ()
-    if kind == "kappa":
-        return (0,), ()
-    if kind in ("eta_plus", "eta_minus", "sl2"):
-        return space + (0,), ()
-    if kind in ("e_plus", "e_minus"):
-        return (spec.j,), ()  # 1-based j is the column index in P
-    if kind in ("omega", "pde"):
-        return (0,), space
-    if kind == "heisenberg":
-        u, v, _ = spec.heis_coeffs
-        return tuple(1 + j for j in range(spec.n) if u[j] != 0 or v[j] != 0), ()
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _assemble(spec: OperatorSpec, P: np.ndarray, f0, d1, d2) -> np.ndarray:
-    """The operator's value at the rows of P from f(P) and the partials."""
-    kind = spec.kind
-    if kind == "identity":
-        return f0
-    n, s = spec.n, spec.s
-    t, x = P[:, 0], P[:, 1:]
-    rho2 = (x**2).sum(axis=1)
-    space = range(1, 1 + n)
-    if kind == "kappa":
-        return 1j * d1[0]
-    if kind in ("eta_plus", "eta_minus"):
-        sign = 1 if kind == "eta_plus" else -1
-        euler = sum(x[:, j - 1] * d1[j] for j in space)
-        return 0.5 * np.exp(-sign * 2j * t) * (
-            -euler - sign * 1j * d1[0] - (n / 2 + sign * 2j * s * rho2) * f0
-        )
-    if kind in ("e_plus", "e_minus"):
-        sign = 1 if kind == "e_plus" else -1
-        return np.exp(-sign * 1j * t) * (sign * 1j * d1[spec.j] - 2 * s * x[:, spec.j - 1] * f0)
-    if kind == "omega":
-        return rho2 * (4 * s * d1[0] + 4 * s**2 * rho2 * f0 + sum(d2[j] for j in space))
-    if kind == "sl2":
-        alpha, beta, gamma = spec.sl2_coeffs
-        r = -n / 2
-        euler = sum(x[:, j - 1] * d1[j] for j in space)
-        return (
-            (gamma * t - alpha) * euler
-            + (gamma * t**2 - 2 * alpha * t - beta) * d1[0]
-            + (r * alpha - gamma * s * rho2 - r * gamma * t) * f0
-        )
-    if kind == "heisenberg":
-        u, v, w = spec.heis_coeffs
-        out = s * (w - 2 * (np.asarray(v)[None, :] * x).sum(axis=1)) * f0
-        for ax in _differentiated_axes(spec)[0]:
-            out += (-u[ax - 1] + t * v[ax - 1]) * d1[ax]
-        return out
-    return 4 * s * d1[0] + sum(d2[j] for j in space) - 2 * spec.lam / rho2 * f0
+        return cls(params.n, (0,), space, formula, singular_at_origin=True)
 
 
 def fd_apply(
@@ -321,14 +324,13 @@ def fd_apply(
     if P.ndim != 2 or any(P.shape[1] != 1 + sp.n for sp in specs):
         raise ValueError(f"points must be an (N, {1 + specs[0].n}) array")
     h = np.asarray(steps, dtype=float)
-    axes = [_differentiated_axes(sp) for sp in specs]
-    if any(sp.kind == "pde" for sp in specs):
+    if any(sp.singular_at_origin for sp in specs):
         if np.any(np.sqrt((P[:, 1:] ** 2).sum(axis=1)) < 10 * np.max(h[..., 1:], axis=-1)):
             raise SingularityError("point too close to x = 0 for the potential term")
-    first = tuple(dict.fromkeys(a for a1, _ in axes for a in a1))
-    second = tuple(dict.fromkeys(a for _, a2 in axes for a in a2))
+    first = tuple(dict.fromkeys(a for sp in specs for a in sp.first))
+    second = tuple(dict.fromkeys(a for sp in specs for a in sp.second))
     f0, d1, d2 = _partials(f, P, h, first, second)
-    return np.array([_assemble(sp, P, f0, d1, d2) for sp in specs])
+    return np.array([sp.formula(P[:, 0], P[:, 1:], f0, d1, d2) for sp in specs])
 
 
 # ---------------------------------------------------------------------------
@@ -597,78 +599,68 @@ def recover_E_coefficients(
 # ---------------------------------------------------------------------------
 
 
+def _sl2_map(a: float, b: float, c: float, d: float) -> Callable:
+    """The point map of the SL2 element [[a, b], [c, d]]."""
+
+    def point_map(pts: np.ndarray, s: complex):
+        t, x = pts[:, 0], pts[:, 1:]
+        w = a - c * t
+        if np.any(w <= 0):
+            raise ValueError("a - ct <= 0: outside the principal-branch domain")
+        r = -x.shape[1] / 2
+        nx2 = (x**2).sum(axis=1)
+        inner = np.concatenate([((d * t - b) / w)[:, None], x / w[:, None]], axis=1)
+        return inner, w**r * np.exp(-s * c * nx2 / w)
+
+    return point_map
+
+
 @dataclass(frozen=True)
 class GroupElement:
-    """A supported group element: one-parameter SL2 families, Heisenberg
-    elements, or orthogonal matrices."""
+    """A supported group element (one-parameter SL2 families, Heisenberg
+    elements, orthogonal matrices) as its ``point_map``: (N, 1+n) rows pts
+    and s -> (the points where g . f evaluates f, the multiplier of f).  It
+    raises ValueError on rows outside its domain or of the wrong width,
+    before f is evaluated."""
 
-    kind: str
-    matrix: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 1.0)
-    v1: tuple = ()
-    v2: tuple = ()
-    w: float = 0.0
-    rotation: tuple = ()
+    point_map: Callable[[np.ndarray, complex], tuple]
 
     @classmethod
     def sl2_diag(cls, tau: float) -> "GroupElement":
-        return cls("sl2", matrix=(float(np.exp(tau)), 0.0, 0.0, float(np.exp(-tau))))
+        return cls(_sl2_map(float(np.exp(tau)), 0.0, 0.0, float(np.exp(-tau))))
 
     @classmethod
     def sl2_upper(cls, tau: float) -> "GroupElement":
-        return cls("sl2", matrix=(1.0, float(tau), 0.0, 1.0))
+        return cls(_sl2_map(1.0, float(tau), 0.0, 1.0))
 
     @classmethod
     def sl2_lower(cls, tau: float) -> "GroupElement":
-        return cls("sl2", matrix=(1.0, 0.0, float(tau), 1.0))
+        return cls(_sl2_map(1.0, 0.0, float(tau), 1.0))
 
     @classmethod
     def heisenberg(cls, v1: Sequence[float], v2: Sequence[float], w: float) -> "GroupElement":
-        return cls("heisenberg", v1=tuple(float(a) for a in v1), v2=tuple(float(a) for a in v2), w=float(w))
+        v1 = np.array([float(a) for a in v1])
+        v2 = np.array([float(a) for a in v2])
+        w = float(w)
+
+        def point_map(pts: np.ndarray, s: complex):
+            t, x = pts[:, 0], pts[:, 1:]
+            if v1.shape != (x.shape[1],) or v2.shape != (x.shape[1],):
+                raise ValueError("Heisenberg element dimension mismatch")
+            shift = x - v1[None, :] + t[:, None] * v2[None, :]
+            inner = np.concatenate([t[:, None], shift], axis=1)
+            return inner, np.exp(s * (w - 2 * x @ v2 + v1 @ v2 - t * (v2 @ v2)))
+
+        return cls(point_map)
 
     @classmethod
     def orthogonal(cls, u: np.ndarray) -> "GroupElement":
-        u = np.asarray(u, dtype=float)
+        u = np.array(u, dtype=float)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValueError(f"an orthogonal matrix is square, got shape {u.shape}")
         if not np.allclose(u @ u.T, np.eye(u.shape[0]), atol=1e-12):
             raise ValueError("matrix is not orthogonal")
-        return cls("orthogonal", rotation=tuple(map(tuple, u)))
-
-
-def _group_map(g: GroupElement, n: int, s: complex) -> Callable:
-    """pts -> (the points f is evaluated at, the multiplier of f there) for g . f."""
-    if g.kind == "sl2":
-        a, b, c, d = g.matrix
-        r = -n / 2
-
-        def point_map(pts: np.ndarray):
-            t = pts[:, 0]
-            x = pts[:, 1:]
-            w = a - c * t
-            if np.any(w <= 0):
-                raise ValueError("a - ct <= 0: outside the principal-branch domain")
-            nx2 = (x**2).sum(axis=1)
-            inner = np.concatenate([((d * t - b) / w)[:, None], x / w[:, None]], axis=1)
-            return inner, w**r * np.exp(-s * c * nx2 / w)
-
-        return point_map
-    if g.kind == "heisenberg":
-        v1 = np.asarray(g.v1, dtype=float)
-        v2 = np.asarray(g.v2, dtype=float)
-        w0 = g.w
-        if v1.shape != (n,) or v2.shape != (n,):
-            raise ValueError("Heisenberg element dimension mismatch")
-
-        def point_map(pts: np.ndarray):
-            t = pts[:, 0]
-            x = pts[:, 1:]
-            shift = x - v1[None, :] + t[:, None] * v2[None, :]
-            inner = np.concatenate([t[:, None], shift], axis=1)
-            return inner, np.exp(s * (w0 - 2 * x @ v2 + v1 @ v2 - t * (v2 @ v2)))
-
-        return point_map
-    if g.kind == "orthogonal":
-        u = np.asarray(g.rotation, dtype=float)
-        return lambda pts: (np.concatenate([pts[:, :1], pts[:, 1:] @ u], axis=1), 1.0)
-    raise ValueError(f"unknown group element kind {g.kind!r}")
+        return cls(lambda pts, s: (np.concatenate([pts[:, :1], pts[:, 1:] @ u], axis=1), 1.0))
 
 
 def group_action_noncompact(g: GroupElement, f: SpaceTimeFunction, s: complex) -> SpaceTimeFunction:
@@ -682,10 +674,8 @@ def group_action_noncompact(g: GroupElement, f: SpaceTimeFunction, s: complex) -
 
     and orthogonal u by f(t, u^{-1} x).
     """
-    point_map = _group_map(g, f.n, s)
-
     def batch(pts: np.ndarray) -> np.ndarray:
-        inner, multiplier = point_map(np.asarray(pts, dtype=float))
+        inner, multiplier = g.point_map(np.asarray(pts, dtype=float), s)
         return multiplier * f.batch(inner)
 
     return SpaceTimeFunction(f.n, batch)
@@ -701,6 +691,6 @@ def group_parameter_derivative(
     f is evaluated at the transformed points of all six flows in one batch."""
     P = np.asarray(P, dtype=float)
     h = DEFAULT_FD.group_step
-    mapped = [_group_map(family(c * h), f.n, s)(P) for c in _FIRST_OFFSETS]
+    mapped = [family(c * h).point_map(P, s) for c in _FIRST_OFFSETS]
     vals = f.batch(np.concatenate([inner for inner, _ in mapped])).reshape(len(mapped), -1)
     return _first_richardson([m * v for (_, m), v in zip(mapped, vals)], h)

@@ -3,6 +3,8 @@
 other record keeps the status it has without the fault.  A record that no
 fault can turn to FAIL proves nothing."""
 
+import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +12,18 @@ import pytest
 
 from singular_weyl import hypergeometric, ktypes, operators, verify
 from singular_weyl.admissibility import ParameterSet
-from singular_weyl.ktypes import LinearCombination, SpaceTimeFunction
-from singular_weyl.operators import GroupElement
+from singular_weyl.ktypes import KTypeVector, LinearCombination, SpaceTimeFunction
+from singular_weyl.operators import GroupElement, OperatorSpec
 from singular_weyl.polynomials import HarmonicPolynomial, Polynomial
 
+# q = 0 is not +-n (mod 4), so no K-type of this run sits at a boundary
+# weight; with q = 3 = n the weight strings reach their lowest weights
+DEFAULT = ParameterSet(n=3, q=0, s=0.5j)
+BOUNDARY = ParameterSet(n=3, q=3, s=0.5j)
 
-def _statuses() -> dict[str, str]:
-    report = verify.run_verification(ParameterSet(n=3, q=0, s=0.5j), 12, 6, 1)
+
+def _statuses(params: ParameterSet) -> dict[str, str]:
+    report = verify.run_verification(params, 12, 6, 1)
     return {check["check"]: check["status"] for check in report["checks"]}
 
 
@@ -93,6 +100,33 @@ def _sl2_upper_scaled(mp):
     mp.setattr(GroupElement, "sl2_upper", staticmethod(lambda tau: original(1.001 * tau)))
 
 
+def _last_direction_dropped(mp):
+    # one least-squares column fewer wherever there is more than one
+    _wrap(mp, operators, "_e_directions", lambda dirs, *_: dirs[:-1] if len(dirs) > 1 else dirs)
+
+
+def _e_ladder_position_scaled(mp):
+    # 2.002 s y_j in place of 2 s y_j in the E_j^{+-} operator
+    original = OperatorSpec.heisenberg_ladder
+
+    def changed(params, j, sign):
+        spec = original(params, j, sign)
+        s = params.s
+
+        def formula(t, x, f0, d1, d2):
+            extra = np.exp(-sign * 1j * t) * (0.002 * s * x[:, j - 1] * f0)
+            return spec.formula(t, x, f0, d1, d2) - extra
+
+        return dataclasses.replace(spec, formula=formula)
+
+    mp.setattr(OperatorSpec, "heisenberg_ladder", staticmethod(changed))
+
+
+def _lowest_weight_moved(mp):
+    # the lowest weight one step inside the string: m = boundary - 4
+    mp.setattr(KTypeVector, "is_lowest_weight", property(lambda F: F.m == F.boundary - 4))
+
+
 def _basis_not_harmonic(mp):
     # rho^2 added to one element of H_2: construction's harmonicity proof raises
     def change(basis, n, k):
@@ -103,6 +137,12 @@ def _basis_not_harmonic(mp):
 
     _wrap(mp, verify, "harmonic_basis", change)
 
+
+HEISENBERG_FITS = {
+    "operators/heisenberg-lsq",
+    "operators/heisenberg-rational-coefficients",
+    "operators/heisenberg-shipped-match",
+}
 
 FAULTS = {
     "eta-coefficient": (_eta_scaled, {"operators/ladder-closed-form"}),
@@ -129,21 +169,28 @@ FAULTS = {
     "eigenvalue-shift": (_shift_moved, {"operators/eigenvalue-shifts"}),
     "sl2-upper-flow": (_sl2_upper_scaled, {"operators/group-vs-algebra"}),
     "harmonic-basis": (_basis_not_harmonic, {"harmonic/laplacian-kernel"}),
+    "e-directions-dropped": (_last_direction_dropped, HEISENBERG_FITS),
+    "e-ladder-position": (_e_ladder_position_scaled, HEISENBERG_FITS),
+    "eta-lowest-weight": (_lowest_weight_moved, {"operators/eta-boundary-kills"}),
 }
+# the run of a fault whose records no fault can reach on DEFAULT
+PARAMS = {"eta-lowest-weight": BOUNDARY}
 
 
-@pytest.fixture(scope="module")
-def unfaulted():
-    statuses = _statuses()
+@functools.cache
+def _unfaulted(params: ParameterSet) -> dict[str, str]:
+    statuses = _statuses(params)
     assert "FAIL" not in statuses.values()
     return statuses
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-def test_fault_fails_exactly_its_records(fault, unfaulted, monkeypatch):
+def test_fault_fails_exactly_its_records(fault, monkeypatch):
     inject, failing = FAULTS[fault]
+    params = PARAMS.get(fault, DEFAULT)
+    unfaulted = _unfaulted(params)
     inject(monkeypatch)
-    statuses = _statuses()
+    statuses = _statuses(params)
     assert {name for name, status in statuses.items() if status == "FAIL"} == failing
     others = {name: status for name, status in statuses.items() if name not in failing}
     assert others == {name: status for name, status in unfaulted.items() if name not in failing}

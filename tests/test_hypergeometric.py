@@ -4,8 +4,6 @@ import pytest
 from singular_weyl import SeriesError, contiguous_residuals_scaled, hyp1f1
 from singular_weyl.hypergeometric import RELATIONS, hyp1f1_precise
 
-mpmath = pytest.importorskip("mpmath")
-
 
 def test_hyp1f1_at_zero_is_one():
     assert hyp1f1(1.7 - 0.3j, 2.2 + 1j, 0) == 1.0
@@ -20,6 +18,7 @@ def test_kummer_collapse_identities(rng):
 
 
 def test_matches_mpmath_oracle(rng):
+    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     for _ in range(60):
         a = complex(rng.uniform(-8, 8), rng.uniform(-4, 4))
@@ -81,6 +80,7 @@ def test_derivative_bad_denominator_raises(b, order):
 
 
 def test_termwise_derivatives_satisfy_ode(rng):
+    mpmath = pytest.importorskip("mpmath")
     # F' against a 30-digit derivative, on both branches (Re z of either
     # sign), and z F'' + (b - z) F' - a F = 0 with F'' from the same reference
     for i in range(40):
@@ -175,6 +175,7 @@ def test_derivative_orders_in_range(z):
 @pytest.mark.xfail(strict=True, reason="the series loses every digit at large |Im z| and "
                    "returns the value without an error")
 def test_large_imaginary_argument_is_right_or_raises():
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         ref = complex(mpmath.hyp1f1(2.25, 3.5, 40j))
     try:

@@ -16,7 +16,7 @@ from singular_weyl import (
     to_noncompact,
 )
 from singular_weyl.hypergeometric import hyp1f1
-from singular_weyl.ktypes import eval_compact_all
+from singular_weyl.ktypes import compact_function, eval_compact_all
 
 
 @pytest.fixture
@@ -126,6 +126,28 @@ class TestEvalCompact:
                 * (y[0] + 1j * y[1]) ** k
             )
             assert abs(F.eval_compact(theta, y) - expected) <= 1e-12 * abs(expected)
+
+
+class TestPointWidth:
+    """Points whose width is not n raise on every evaluation path, rather
+    than give a number from the wrong count of variables."""
+
+    @pytest.fixture
+    def F(self):
+        return make_ktype(ParameterSet(3, 0, 0.5j), 4, 1, 2, harmonic_representative(3, 2))
+
+    ENTRY_POINTS = {
+        "eval_compact": lambda F, y: F.eval_compact(0.1, y),
+        "eval_compact_all": lambda F, y: eval_compact_all([F, F], [0.1, 0.2], np.stack([y, y])),
+        "compact_function": lambda F, y: compact_function(F)(0.1, y),
+        "to_noncompact": lambda F, y: to_noncompact(F)(0.1, y),
+    }
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_entry_point_raises(self, F, entry, width):
+        with pytest.raises(ValueError, match="space coordinates"):
+            self.ENTRY_POINTS[entry](F, np.linspace(0.3, 0.6, width))
 
 
 def separate_eval(F, theta, y):

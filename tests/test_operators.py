@@ -524,9 +524,11 @@ class TestWeightStrings:
     def test_one_parameter_set(self, params3):
         h = harmonic_representative(3, 0)
         other = ParameterSet(n=3, q=1, s=-0.25)
+        P = noncompact_points(3, np.random.default_rng(0), 2)
         for picture in (to_noncompact, compact_function):
+            f = picture(make_ktype(params3, 1, 1, 0, h), make_ktype(other, 1, 1, 0, h))
             with pytest.raises(ValueError):
-                picture(make_ktype(params3, 1, 1, 0, h), make_ktype(other, 1, 1, 0, h))
+                f.batch(np.concatenate([P, P]))
 
 
 class TestGroupAction:
@@ -572,6 +574,28 @@ class TestGroupAction:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
             GroupElement.orthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_non_square_rejected(self):
+        # rows orthonormal, so u @ u.T = I: only the shape tells it apart
+        with pytest.raises(ValueError, match="square"):
+            GroupElement.orthogonal(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_heisenberg_dimension_mismatch(self, width, F311, rng):
+        # raised by the point map, before f is evaluated
+        calls = []
+        f = to_noncompact(F311)
+        counted = SpaceTimeFunction(3, lambda pts: calls.append(pts) or f.batch(pts))
+        g = GroupElement.heisenberg(np.full(width, 0.1), np.zeros(width), 0.0)
+        P = noncompact_points(3, rng, 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            group_action_noncompact(g, counted, 0.5j).batch(P)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            group_parameter_derivative(
+                lambda tau: GroupElement.heisenberg(np.full(width, tau), np.zeros(width), 0.0),
+                counted, P, 0.5j,
+            )
+        assert calls == []
 
     @pytest.mark.parametrize(
         "family,coeffs",
@@ -708,10 +732,11 @@ def _quadratic_exponential(n):
     return SpaceTimeFunction(n, batch)
 
 
-def _composed_fd_apply(spec, f, P, h):
-    """fd_apply written, as before the single batch, as one stencil call per
+def _composed_fd_apply(name, args, params, f, P, h):
+    """The reference for ``getattr(OperatorSpec, name)(params, *args)``:
+    fd_apply written, as before the single batch, as one stencil call per
     partial; the arithmetic is the same operation for operation."""
-    n, s, kind = spec.n, spec.s, spec.kind
+    n, s = params.n, params.s
     t, x = P[:, 0], P[:, 1:]
     rho2 = (x**2).sum(axis=1)
     f0 = f.batch(P)
@@ -731,24 +756,24 @@ def _composed_fd_apply(spec, f, P, h):
             out += _partials(f, P, h, second=(1 + j,))[2][1 + j]
         return out
 
-    if kind == "identity":
+    if name == "identity":
         return f0
-    if kind == "kappa":
+    if name == "kappa":
         return 1j * d1(0)
-    if kind in ("eta_plus", "eta_minus"):
-        sign = 1 if kind == "eta_plus" else -1
+    if name == "eta":
+        (sign,) = args
         e = euler()
         return 0.5 * np.exp(-sign * 2j * t) * (
             -e - sign * 1j * d1(0) - (n / 2 + sign * 2j * s * rho2) * f0
         )
-    if kind in ("e_plus", "e_minus"):
-        sign = 1 if kind == "e_plus" else -1
-        return np.exp(-sign * 1j * t) * (sign * 1j * d1(spec.j) - 2 * s * x[:, spec.j - 1] * f0)
-    if kind == "omega":
+    if name == "heisenberg_ladder":
+        j, sign = args
+        return np.exp(-sign * 1j * t) * (sign * 1j * d1(j) - 2 * s * x[:, j - 1] * f0)
+    if name == "omega":
         lp = lap()
         return rho2 * (4 * s * d1(0) + 4 * s**2 * rho2 * f0 + lp)
-    if kind == "sl2":
-        alpha, beta, gamma = spec.sl2_coeffs
+    if name == "sl2":
+        alpha, beta, gamma = (complex(c) for c in args)
         r = -n / 2
         e = euler()
         return (
@@ -756,16 +781,17 @@ def _composed_fd_apply(spec, f, P, h):
             + (gamma * t**2 - 2 * alpha * t - beta) * d1(0)
             + (r * alpha - gamma * s * rho2 - r * gamma * t) * f0
         )
-    if kind == "heisenberg":
-        u, v, w = spec.heis_coeffs
+    if name == "heisenberg":
+        u, v = (tuple(complex(c) for c in vec) for vec in args[:2])
+        w = complex(args[2])
         out = s * (w - 2 * (np.asarray(v)[None, :] * x).sum(axis=1)) * f0
         for j in range(n):
             if u[j] != 0 or v[j] != 0:
                 out += (-u[j] + t * v[j]) * d1(1 + j)
         return out
-    assert kind == "pde"
+    assert name == "pde"
     lp = lap()
-    return 4 * s * d1(0) + lp - 2 * spec.lam / rho2 * f0
+    return 4 * s * d1(0) + lp - 2 * complex(args[0]) / rho2 * f0
 
 
 class TestFdSingleBatch:
@@ -773,35 +799,41 @@ class TestFdSingleBatch:
     displaced copies of P per differentiated axis."""
 
     N = 10
+    PARAMS = ParameterSet(n=3, q=1, s=0.5j)
+    # (factory, its arguments after params, number of differentiated axes)
+    SPECS = [
+        ("identity", (), 0),
+        ("kappa", (), 1),
+        ("eta", (+1,), 4),
+        ("eta", (-1,), 4),
+        ("heisenberg_ladder", (2, +1), 1),
+        ("heisenberg_ladder", (3, -1), 1),
+        ("omega", (), 4),
+        ("sl2", (0.3, -0.7j, 1.1), 4),
+        # u_2 = v_2 = 0: axis 2 is not differentiated
+        ("heisenberg", ([0.4, 0, -0.3], [0, 0, 0.5], 0.8), 2),
+        ("heisenberg", ([0, 0, 0], [0, 0, 0], 1.0), 0),
+        ("pde", (7.0,), 4),
+    ]
 
     @pytest.fixture
     def setup(self, rng):
-        params = ParameterSet(n=3, q=1, s=0.5j)
         P = noncompact_points(3, rng, self.N)
         h = 2e-3 * (1 + np.abs(P))
-        # (spec, number of differentiated axes)
         specs = [
-            (OperatorSpec.identity(params), 0),
-            (OperatorSpec.kappa(params), 1),
-            (OperatorSpec.eta(params, +1), 4),
-            (OperatorSpec.eta(params, -1), 4),
-            (OperatorSpec.heisenberg_ladder(params, 2, +1), 1),
-            (OperatorSpec.heisenberg_ladder(params, 3, -1), 1),
-            (OperatorSpec.omega(params), 4),
-            (OperatorSpec.sl2(params, 0.3, -0.7j, 1.1), 4),
-            # u_2 = v_2 = 0: axis 2 is not differentiated
-            (OperatorSpec.heisenberg(params, [0.4, 0, -0.3], [0, 0, 0.5], 0.8), 2),
-            (OperatorSpec.heisenberg(params, [0, 0, 0], [0, 0, 0], 1.0), 0),
-            (OperatorSpec.pde(params, 7.0), 4),
+            (getattr(OperatorSpec, name)(self.PARAMS, *args), axes)
+            for name, args, axes in self.SPECS
         ]
         return _quadratic_exponential(3), P, h, specs
 
+    def test_every_factory_is_covered(self):
+        factories = {
+            name for name, member in vars(OperatorSpec).items() if isinstance(member, classmethod)
+        }
+        assert {name for name, _, _ in self.SPECS} == factories
+
     def test_one_batch_call_per_application(self, setup):
         f, P, h, specs = setup
-        assert {spec.kind for spec, _ in specs} == {
-            "identity", "kappa", "eta_plus", "eta_minus", "e_plus", "e_minus",
-            "omega", "sl2", "heisenberg", "pde",
-        }
         sequence = [spec for spec, _ in specs]
         # the sequence differentiates t and the three x axes; an axis that one
         # operator differentiates once and another twice (eta, sl2 against
@@ -822,11 +854,11 @@ class TestFdSingleBatch:
         table = fd_apply(sequence, f, P, steps=h)
         assert table.shape == (len(sequence), self.N)
         assert np.array_equal(table[0], f.batch(P))
-        for spec, row in zip(sequence, table):
-            assert np.array_equal(row, fd_apply([spec], f, P, h)[0]), spec.kind
+        for (name, args, _), spec, row in zip(self.SPECS, sequence, table):
+            assert np.array_equal(row, fd_apply([spec], f, P, h)[0]), (name, args)
 
     def test_matches_per_axis_composition(self, setup):
         f, P, h, specs = setup
-        for spec, _ in specs:
-            expected = _composed_fd_apply(spec, f, P, h)
-            assert np.array_equal(fd_apply([spec], f, P, h)[0], expected), spec.kind
+        for (name, args, _), (spec, _) in zip(self.SPECS, specs):
+            expected = _composed_fd_apply(name, args, self.PARAMS, f, P, h)
+            assert np.array_equal(fd_apply([spec], f, P, h)[0], expected), (name, args)
