@@ -95,9 +95,6 @@ def cmd_admissible(args) -> int:
 def cmd_ktypes(args) -> int:
     params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
     if args.lam is not None:
-        if not is_admissible(params.n, args.lam) or args.lam == 0:
-            print(f"lambda = {args.lam} is not admissible for n = {params.n}", file=sys.stderr)
-            return 2
         vectors = [
             F for l, k in admissible_pairs(params.n, args.lam)
             for F in weight_string(params, l, k, args.m_max)
@@ -122,12 +119,7 @@ def cmd_verify(args) -> int:
 def cmd_structure(args) -> int:
     params = ParameterSet(n=args.n, q=args.q, s=_resolve_s(args))
     series = composition_series(params)
-    out = {
-        "n": params.n,
-        "q": params.q,
-        "case": series.case,
-        "chain": list(series.chain),
-    }
+    out = {"n": params.n, "q": params.q, **series.to_json()}
     if args.lam is not None:
         out["decomposition"] = [d.to_json() for d in decompose(params, args.lam)]
     if args.format == "json":

@@ -73,8 +73,6 @@ def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     distinct block.  Blocks that are the same bit for bit are one distinct
     block and share one row of the (B, M) index; ``blocks`` maps each of the
     V blocks to its index row, in order of first appearance."""
-    if len(pts) == 1:
-        return pts[0], np.arange(pts.shape[1])[None], np.zeros(1, dtype=np.intp)
     pts = np.ascontiguousarray(pts)
     bits = pts.view(np.int64)
     common = (bits == bits[:1]).all(axis=0).all(axis=1)

@@ -172,7 +172,7 @@ class Polynomial:
     to nonzero GaussianRational coefficients.
     """
 
-    __slots__ = ("nvars", "terms", "_compiled")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, GaussianRational] | None = None):
         self.nvars = nvars
@@ -185,7 +185,6 @@ class Polynomial:
                         raise ValueError("exponent tuple length does not match nvars")
                     clean[tuple(exps)] = coeff
         self.terms = clean
-        self._compiled = None
 
     @classmethod
     def _of(cls, nvars: int, terms: dict[Exponents, GaussianRational]) -> "Polynomial":
@@ -193,7 +192,6 @@ class Polynomial:
         out = _new(cls)
         out.nvars = nvars
         out.terms = {e: c for e, c in terms.items() if c}
-        out._compiled = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -297,15 +295,6 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def _compile(self):
-        if self._compiled is None:
-            exps = np.array(sorted(self.terms), dtype=np.int64).reshape(-1, self.nvars)
-            coeffs = np.array(
-                [complex(self.terms[tuple(e)]) for e in exps], dtype=np.complex128
-            )
-            self._compiled = (exps, coeffs)
-        return self._compiled
-
     def __call__(self, y: np.ndarray) -> np.ndarray | complex:
         """Evaluate at y of shape (nvars,) or (N, nvars)."""
         y = np.asarray(y, dtype=np.complex128)
@@ -315,7 +304,9 @@ class Polynomial:
         if not self.terms:
             out = np.zeros(y.shape[0], dtype=np.complex128)
             return out[0] if single else out
-        exps, coeffs = self._compile()
+        keys = sorted(self.terms)
+        exps = np.array(keys, dtype=np.int64)
+        coeffs = np.array([complex(self.terms[e]) for e in keys], dtype=np.complex128)
         # (N, T, nvars) powers; y may contain zeros, 0**0 == 1 as required
         powers = y[:, None, :] ** exps[None, :, :]
         out = powers.prod(axis=2) @ coeffs
@@ -372,20 +363,13 @@ class HarmonicPolynomial:
     exact-arithmetic source of truth.  ``power`` marks polynomials that are
     literally (y1 + i y2)^power (conjugated for power < 0).
 
-    Harmonicity is proved exactly, once, when the object is built.  The
-    results of ``decompose_yj`` and ``scaled_partial_harmonic`` on it are
-    computed once and cached on the object, so repeated calls return the
-    same shared objects; callers must not mutate ``poly.terms``.  The cache
-    stays out of equality, hashing and repr.
+    Harmonicity is proved exactly, once, when the object is built.
     """
 
     poly: Polynomial
     degree: int
     evaluator: "Callable | None" = field(default=None, compare=False, repr=False)
     power: int | None = field(default=None, compare=False)
-    # keyed by the call, never by value: equal polynomials may differ in
-    # power/evaluator, which decide the evaluator of the derived harmonics
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.poly.is_zero():
@@ -481,7 +465,8 @@ def _power_evaluator(k: int) -> Callable:
     return ev
 
 
-def _power_terms(k: int) -> dict[Exponents, GaussianRational]:
+def circular_harmonic(k: int) -> HarmonicPolynomial:
+    """The n = 2 harmonic of O(2)-weight k: (y1 + i y2)^k, conjugated for k < 0."""
     unit = GR_I if k >= 0 else GaussianRational(0, -1)
     deg = abs(k)
     terms: dict[Exponents, GaussianRational] = {}
@@ -489,17 +474,7 @@ def _power_terms(k: int) -> dict[Exponents, GaussianRational]:
     for j in range(deg + 1):
         terms[(deg - j, j)] = power * comb(deg, j)
         power = power * unit
-    return terms
-
-
-def circular_harmonic(k: int) -> HarmonicPolynomial:
-    """The n = 2 harmonic of O(2)-weight k: (y1 + i y2)^k, conjugated for k < 0."""
-    return HarmonicPolynomial(
-        Polynomial(2, _power_terms(k)),
-        abs(k),
-        evaluator=_power_evaluator(k),
-        power=k,
-    )
+    return HarmonicPolynomial(Polynomial(2, terms), deg, evaluator=_power_evaluator(k), power=k)
 
 
 def harmonic_representative(n: int, k: int) -> HarmonicPolynomial:
@@ -508,8 +483,7 @@ def harmonic_representative(n: int, k: int) -> HarmonicPolynomial:
     Used by verification sweeps that need a single basis vector per K-type
     without building the full ``harmonic_basis``.  Every call with the same
     (n, k) returns the same shared instance, built and proved harmonic once
-    per process, together with the ``decompose_yj`` results cached on it;
-    callers must not mutate its ``poly.terms``.
+    per process.
     """
     return _representative(n, k)
 
@@ -521,13 +495,10 @@ def _representative(n: int, k: int) -> HarmonicPolynomial:
     if n == 1:
         mono = Polynomial.constant(1, 1) if k == 0 else Polynomial.variable(1, 0)
         return HarmonicPolynomial(mono, k)
-    if n == 2:
-        return circular_harmonic(k)
-    two_var = _power_terms(k)
-    terms = {e + (0,) * (n - 2): c for e, c in two_var.items()}
-    return HarmonicPolynomial(
-        Polynomial(n, terms), k, evaluator=_power_evaluator(k), power=k
-    )
+    # the circular harmonic, padded by the variables it does not read
+    circle = circular_harmonic(k)
+    terms = {e + (0,) * (n - 2): c for e, c in circle.poly.terms.items()}
+    return HarmonicPolynomial(Polynomial(n, terms), k, evaluator=circle.evaluator, power=k)
 
 
 def c_const(k: int, n: int) -> Fraction:
@@ -545,19 +516,9 @@ def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fra
     Returns (h_plus, c) with ``y_j h = h_plus + c rho^2 d_j h`` as an exact
     polynomial identity, h_plus harmonic of degree k+1 (possibly zero) and
     c = c_const(k, n).  When h carries a stable power-form evaluator, one is
-    attached to h_plus as well.
-
-    The result is computed once per (h, j) and cached on h: a repeated call
-    returns the same tuple, and h_plus is proved harmonic only when first
-    built.  Callers must not mutate ``h_plus.poly.terms``.
+    attached to h_plus as well.  Each call builds h_plus anew and proves it
+    harmonic.
     """
-    key = ("yj", j)
-    if key not in h._derived:
-        h._derived[key] = _decompose_yj(h, j)
-    return h._derived[key]
-
-
-def _decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fraction]:
     n = h.nvars
     k = h.degree
     c = c_const(k, n)
@@ -590,17 +551,8 @@ def _decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fr
 def scaled_partial_harmonic(h: HarmonicPolynomial, j: int, scale: Fraction) -> HarmonicPolynomial | None:
     """The harmonic ``scale * d_j h`` of degree k-1, or None when zero.
 
-    Propagates a stable power-form evaluator when h has one.  Like
-    ``decompose_yj``, the result is computed once per (h, j, scale) and
-    cached on h.
+    Propagates a stable power-form evaluator when h has one.
     """
-    key = ("d", j, scale)
-    if key not in h._derived:
-        h._derived[key] = _scaled_partial_harmonic(h, j, scale)
-    return h._derived[key]
-
-
-def _scaled_partial_harmonic(h: HarmonicPolynomial, j: int, scale: Fraction) -> HarmonicPolynomial | None:
     d_poly = h.poly.partial(j).scale(scale)
     if d_poly.is_zero():
         return None

@@ -144,6 +144,10 @@ class TestKtypesCommand:
     def test_invalid_lambda_exit_2(self):
         out = run_cli("ktypes", "--n", "3", "--q", "1", "--lambda", "4")
         assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "invalid parameters: lambda = 4 is not admissible for n = 3"
+        ]
 
 
 @pytest.mark.parametrize("command", ["ktypes", "verify"])

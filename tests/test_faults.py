@@ -79,14 +79,17 @@ def _split_constant_scaled(mp):
         _wrap(mp, module, "decompose_yj", change)
 
 
-def _u3_sign_flipped(mp):
-    original = hypergeometric.RELATIONS["U3"]
+def _last_term_sign_flipped(relation):
+    def inject(mp):
+        original = hypergeometric.RELATIONS[relation]
 
-    def flipped(*args):
-        *terms, last = original(*args)
-        return [*terms, -last]
+        def flipped(*args):
+            *terms, last = original(*args)
+            return [*terms, -last]
 
-    mp.setitem(hypergeometric.RELATIONS, "U3", flipped)
+        mp.setitem(hypergeometric.RELATIONS, relation, flipped)
+
+    return inject
 
 
 def _shift_moved(mp):
@@ -165,7 +168,12 @@ FAULTS = {
         "operators/heisenberg-rational-coefficients",
         "operators/heisenberg-shipped-match",
     }),
-    "contiguous-U3-sign": (_u3_sign_flipped, {"contiguous/U3"}),
+    **{
+        f"contiguous-{relation}-sign": (
+            _last_term_sign_flipped(relation), {f"contiguous/{relation}"}
+        )
+        for relation in hypergeometric.RELATIONS
+    },
     "eigenvalue-shift": (_shift_moved, {"operators/eigenvalue-shifts"}),
     "sl2-upper-flow": (_sl2_upper_scaled, {"operators/group-vs-algebra"}),
     "harmonic-basis": (_basis_not_harmonic, {"harmonic/laplacian-kernel"}),

@@ -16,7 +16,7 @@ from singular_weyl import (
     to_noncompact,
 )
 from singular_weyl.hypergeometric import hyp1f1
-from singular_weyl.ktypes import compact_function, eval_compact_all
+from singular_weyl.ktypes import _distinct_rows, compact_function, eval_compact_all
 
 
 @pytest.fixture
@@ -334,3 +334,15 @@ class TestSerialization:
         assert data["n"] == 3 and data["m"] == 3 and data["lambda"] == [5, 1]
         assert data["s"] == [0.0, 0.5]
         assert isinstance(data["h"], list)
+
+
+def test_distinct_rows_of_one_block(rng):
+    # one block shares every row with itself: the rows are the block's own,
+    # in order and with repeats kept, under one index row
+    pts = rng.uniform(-1, 1, size=(1, 7, 4))
+    pts[0, 5] = pts[0, 2]
+    rows, index, blocks = _distinct_rows(pts)
+    assert rows.tobytes() == pts[0].tobytes()
+    assert np.array_equal(index, np.arange(7)[None])
+    assert np.array_equal(blocks, [0])
+    assert index.dtype == blocks.dtype == np.intp

@@ -268,18 +268,28 @@ class TestDecomposeYj:
                     else:
                         assert nonzero
 
-    def test_result_cached_per_object(self):
+    def test_repeated_calls_agree(self, rng):
+        # the representative is one shared instance; the derived harmonics
+        # are built anew on each call, equal by value and bit for bit in
+        # their evaluator output
         h = harmonic_representative(3, 2)
         assert h is harmonic_representative(3, 2)
         rho2 = Polynomial.radius_squared(3)
+        Y = rng.uniform(-1.5, 1.5, size=(20, 3))
         for j in range(3):
             first = decompose_yj(h, j)
-            assert decompose_yj(h, j) is first
+            again = decompose_yj(h, j)
+            assert again == first
+            assert again[0](Y).tobytes() == first[0](Y).tobytes()
             h_plus, c = first
             assert Polynomial.variable(3, j) * h.poly == h_plus.poly + rho2.scale(c) * h.poly.partial(j)
-            assert scaled_partial_harmonic(h, j, c) is scaled_partial_harmonic(h, j, c)
+            d_h = scaled_partial_harmonic(h, j, c)
+            d_again = scaled_partial_harmonic(h, j, c)
+            assert d_again == d_h
+            if d_h is not None:
+                assert d_again(Y).tobytes() == d_h(Y).tobytes()
 
-    def test_cache_not_keyed_by_value(self):
+    def test_derived_evaluator_follows_power_not_value(self):
         # equal by value, but without the power form: its h_plus must not
         # inherit the representative's stable evaluator
         rep = harmonic_representative(3, 2)
