@@ -16,23 +16,24 @@ angle/time in column 0.
 call.  ``compact_function`` and ``to_noncompact`` give the function of
 several vectors of one parameter set (such as a weight string) in the
 compact and the non-compact picture, each vector on its own block of
-points; both split the blocks the same way and share the one evaluator
-``_eval_rows``.  A point that is the same, bit for bit, in every block is
-evaluated once for every factor that does not depend on m: the picture
-transform, rho^2, e^{-is rho^2}, rho^{2l} and h(y).  Blocks that are the
-same bit for bit are one block, on which vectors of equal m share
+points; both share the one evaluator ``_eval_rows``.  The points may come
+as a ``Stencil``, the plan that ``operators.fd_apply`` builds from its step
+tables before any point exists: each point once, as a row, and one index
+row per distinct block.  Each row is evaluated once for every factor that
+does not depend on m: the picture transform, rho^2, e^{-is rho^2},
+rho^{2l} and h(y).  On one index row, vectors of equal m share
 e^{-im theta/2} and vectors of equal (a, b) one 1F1 call.  Each vector
-forms the products in the order of the one-vector formula, so every value
-is bit for bit the one-vector value.  Only identical (a, b) on identical
-points share a 1F1 call: the series stops a batch when every entry has
-converged, so a value can depend in its last bits on the rest of its
-batch, and stacking other z or (a, b) into one batch would move reported
-residuals.  So the K-types of a weight string (fixed l, k and h, m
-stepping by 4) share every factor but e^{-im theta/2} and 1F1 at the
-points they have in common.  Since the steps, a and b depend on (l, k)
-only through 2l + k, K-types of equal m and 2l + k (a radial group, see
-``verify.sweep_pde_kernel``) share their whole block, and with it every
-factor but rho^{2l} and h(y).
+forms the products in the order of the one-vector formula, and each 1F1
+call takes the z of its block in block order, so every value is bit for
+bit the one-vector value.  Only identical (a, b) on one index row share a
+1F1 call: the series stops a batch when every entry has converged, so a
+value can depend in its last bits on the rest of its batch, and stacking
+other z or (a, b) into one batch would move reported residuals.  So the
+K-types of a weight string (fixed l, k and h, m stepping by 4) share every
+factor but e^{-im theta/2} and 1F1 at the rows their stencils share.  Since
+the steps, a and b depend on (l, k) only through 2l + k, K-types of equal
+|m| and 2l + k (a radial group, see ``verify.sweep_pde_kernel``) share one
+index row, and those of equal m with it every factor but rho^{2l} and h(y).
 
 (l, k) is a pair with k in range (``admissibility.k_in_range``): k >= 0,
 and k <= 1 at n = 1.  At n = 2 the O(2)-weight +-k lives in h, e.g. in
@@ -66,29 +67,28 @@ def _as_batch(t, x):
     return np.broadcast_to(t_arr, (x_arr.shape[0],)), x_arr, False
 
 
-def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, index, blocks) with ``rows[index[blocks[v]]] == pts[v]`` for a
-    (V, M, d) stack of V blocks of M points: first, once, each row that is
-    the same bit for bit in every block, then the other rows of each
-    distinct block.  Blocks that are the same bit for bit are one distinct
-    block and share one row of the (B, M) index; ``blocks`` maps each of the
-    V blocks to its index row, in order of first appearance."""
-    pts = np.ascontiguousarray(pts)
-    bits = pts.view(np.int64)
-    common = (bits == bits[:1]).all(axis=0).all(axis=1)
-    own = bits[:, ~common].reshape(len(pts), -1)
-    blocks = np.full(len(pts), -1, dtype=np.intp)
-    firsts = []
-    for v in range(len(pts)):
-        if blocks[v] < 0:
-            blocks[(own == own[v]).all(axis=1)] = len(firsts)
-            firsts.append(v)
-    rows = np.concatenate([pts[0, common], pts[firsts][:, ~common].reshape(-1, pts.shape[2])])
-    index = np.empty((len(firsts), pts.shape[1]), dtype=np.intp)
-    shared = np.count_nonzero(common)
-    index[:, common] = np.arange(shared)
-    index[:, ~common] = np.arange(shared, len(rows)).reshape(len(firsts), -1)
-    return rows, index, blocks
+@dataclass(eq=False)
+class Stencil:
+    """The points of V stacked blocks of M points each, as a plan: ``rows``
+    holds each point once, the (B, M) ``index`` the rows of each distinct
+    block in block order, and ``blocks`` maps each of the V blocks to its
+    index row.  As an array it is the (V * M, d) stack
+    ``rows[index[blocks]]``, so a function that is not a K-type function
+    reads it as plain points; a K-type function evaluates ``rows`` once."""
+
+    rows: np.ndarray
+    index: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.blocks) * self.index.shape[1], self.rows.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.rows[self.index[self.blocks]].reshape(self.shape), dtype=dtype)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
 
 
 @dataclass
@@ -250,14 +250,18 @@ def make_ktype(
 
 def _blockwise(vectors: Sequence[KTypeVector], picture: Callable) -> SpaceTimeFunction:
     """One function of V equal blocks of rows for V vectors of one parameter
-    set: ``batch`` evaluates vectors[v] on block v.  ``picture`` maps the
-    distinct rows to (theta, y, scale) of the compact picture, with scale
-    None for the compact picture itself."""
+    set: ``batch`` evaluates vectors[v] on block v.  A ``Stencil`` of V
+    blocks is evaluated on its plan; any other points are split into V
+    blocks of their own.  ``picture`` maps the rows to (theta, y, scale) of
+    the compact picture, with scale None for the compact picture itself."""
 
-    def batch(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        rows, index, blocks = _distinct_rows(pts.reshape(len(vectors), -1, pts.shape[1]))
-        theta, y, scale = picture(rows)
+    def batch(pts) -> np.ndarray:
+        if not isinstance(pts, Stencil) or len(pts.blocks) != len(vectors):
+            pts = np.asarray(pts, dtype=float)
+            index = np.arange(len(pts)).reshape(len(vectors), -1)
+            pts = Stencil(pts, index, np.arange(len(vectors)))
+        index, blocks = pts.index, pts.blocks
+        theta, y, scale = picture(pts.rows)
         values = _eval_rows(vectors, theta, y, index, blocks)
         if scale is not None:
             # in place, so no second copy of the values is held; the
@@ -289,9 +293,9 @@ def to_noncompact(*vectors: KTypeVector) -> SpaceTimeFunction:
 
     Several vectors of one parameter set, such as a weight string, give one
     function of V equal blocks of rows: ``batch`` evaluates the image of
-    vectors[v] on block v.  The transform is computed once per point that
-    every block shares, and each value is bit for bit that of the vector
-    alone.
+    vectors[v] on block v.  The transform is computed once per row of the
+    points' plan (see ``Stencil``), and each value is bit for bit that of
+    the vector alone.
     """
     def picture(rows: np.ndarray):
         n, s = vectors[0].params.n, vectors[0].params.s

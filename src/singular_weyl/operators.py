@@ -23,9 +23,12 @@ reported rather than silently adopted).
 The oracle has one stencil path: ``fd_apply`` evaluates a sequence of
 operators (``OperatorSpec.identity`` is f itself) from one ``f.batch``, with
 the steps the caller passes (``ktype_steps`` in every sweep).  Stacked
-steps apply it to every K-type of a weight string at once, through
-``ktypes.compact_function(*string)`` or ``ktypes.to_noncompact(*string)``;
-``recover_E_coefficients`` fits a whole string from one such call.
+steps (``stacked_steps``, once per distinct |m|) apply it to every K-type
+of a weight string at once, through ``ktypes.compact_function(*string)``
+or ``ktypes.to_noncompact(*string)``; ``recover_E_coefficients`` fits a
+whole string from one such call.  The stencils reach ``f.batch`` as a
+``ktypes.Stencil``, a plan decided from the step tables before any point
+is built, so each distinct stencil point is built and evaluated once.
 
 Each operator and group element is one record whose factory holds its
 whole definition: an ``OperatorSpec`` carries the axes it differentiates
@@ -51,6 +54,7 @@ from .ktypes import (
     KTypeVector,
     LinearCombination,
     SpaceTimeFunction,
+    Stencil,
     compact_function,
     eval_compact_all,
     make_ktype,
@@ -124,19 +128,47 @@ def _partials(f: SpaceTimeFunction, P: np.ndarray, h: np.ndarray, first=(), seco
 
     h holds a step per point and axis: the shape of P, or (V, *P.shape) for
     V K-types at the points P, which stacks their stencils in one batch and
-    gives each result a leading K-type axis.  Per K-type the batch stacks P,
+    gives each result a leading K-type axis.  Per K-type the stencil is P,
     then one ``_FIRST_OFFSETS`` block per distinct axis of ``first`` and
     ``second``, in that order; an axis in both shares its block.
+
+    f.batch receives the stencils as a ``Stencil`` plan, decided from the
+    steps before any point is built: K-types of equal step tables share one
+    index row, and the rows are P, then each axis block once where every
+    distinct table has the same steps on that axis, and once per distinct
+    table where not.
     """
     axes = tuple(dict.fromkeys((*first, *second)))
     K = len(_FIRST_OFFSETS)
     N, d = P.shape
     lead = h.shape[:-2]
-    stacked = np.broadcast_to(P, (*lead, 1 + K * len(axes), N, d)).copy()
+    tables = h.reshape(-1, N, d)
+    # steps are positive, so equal bytes are equal steps
+    keys = [table.tobytes() for table in tables]
+    distinct = list(dict.fromkeys(keys))
+    table_of = np.array([distinct.index(key) for key in keys])
+    tables = tables[[keys.index(key) for key in distinct]]
+    shared = (tables == tables[0]).all(axis=(0, 1))
     offsets = np.array(_FIRST_OFFSETS)[:, None]
+    rows = [P]
+    size = N
+    # the first row of each table's block of each axis
+    starts = np.empty((len(tables), len(axes)), dtype=np.intp)
     for i, a in enumerate(axes):
-        stacked[..., 1 + K * i : 1 + K * (i + 1), :, a] += offsets * h[..., None, :, a]
-    vals = f.batch(stacked.reshape(-1, d)).reshape(stacked.shape[:-1])
+        # the K * N displaced copies of P along a: once per distinct table,
+        # or once for all when every table has the same steps on a
+        own = tables[:1] if shared[a] else tables
+        block = np.broadcast_to(P, (len(own), K, N, d)).copy()
+        block[..., a] += offsets * own[:, None, :, a]
+        starts[:, i] = size + K * N * np.arange(len(own))
+        rows.append(block.reshape(-1, d))
+        size += len(rows[-1])
+    index = np.concatenate([
+        np.broadcast_to(np.arange(N), (len(tables), N)),
+        (starts[..., None] + np.arange(K * N)).reshape(len(tables), -1),
+    ], axis=1)
+    vals = f.batch(Stencil(np.concatenate(rows), index, table_of))
+    vals = vals.reshape(*lead, 1 + K * len(axes), N)
     f0 = vals[..., 0, :]
     # (axis, offset, ..., point): the six displaced values of an axis lead
     blocks = np.moveaxis(vals[..., 1:, :].reshape(*lead, len(axes), K, N), (-3, -2), (0, 1))
@@ -153,7 +185,7 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
     log-derivative is of order (2l + k)/rho + |s| rho.  The steps depend on
     (l, k) only through 2l + k.  Only the theta/t column depends on m
     (through |m|); the space columns are the same for every K-type of equal
-    2l + k, not only along one weight string, and K-types of equal m and
+    2l + k, not only along one weight string, and K-types of equal |m| and
     2l + k have the same steps.
     """
     P = np.asarray(P, dtype=float)
@@ -179,6 +211,18 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown picture {picture!r}")
     return np.clip(out, DEFAULT_FD.min_step, DEFAULT_FD.base_step * 10)
+
+
+def stacked_steps(vectors: Sequence[KTypeVector], P: np.ndarray, picture: str) -> np.ndarray:
+    """The ``ktype_steps`` of K-types of one parameter set, stacked to
+    (V, *P.shape) for one ``fd_apply`` call.  The steps depend on a K-type
+    only through |m| and 2l + k, so each distinct pair is computed once."""
+    tables = {}
+    for F in vectors:
+        key = abs(F.m), 2 * F.l + F.k
+        if key not in tables:
+            tables[key] = ktype_steps(F, P, picture)
+    return np.stack([tables[abs(F.m), 2 * F.l + F.k] for F in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +361,9 @@ def fd_apply(
 
     Steps of shape (V, N, 1+n) apply the operators to V functions at once,
     such as the K-types of a weight string under ``to_noncompact``: f.batch
-    then takes V such stencils in turn, one per step table, and the result
-    is (len(specs), V, N), row v bit for bit the table of step table v alone.
+    then takes V such stencils in turn, one per step table, as one
+    ``Stencil`` plan (see ``_partials``), and the result is
+    (len(specs), V, N), row v bit for bit the table of step table v alone.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or any(P.shape[1] != 1 + sp.n for sp in specs):
@@ -521,8 +566,7 @@ def recover_E_coefficients(
     keys = [(j, sign) for j in range(1, n + 1) for sign in (1, -1)]
     specs = [OperatorSpec.identity(params)]
     specs += [OperatorSpec.heisenberg_ladder(params, j, sign) for j, sign in keys]
-    steps = np.stack([ktype_steps(F, P, "compact") for F in string])
-    table = fd_apply(specs, compact_function(*string), P, steps)
+    table = fd_apply(specs, compact_function(*string), P, stacked_steps(string, P, "compact"))
     units = _e_units(s)
     denominator_bound = max(1, abs((4 * F0.b * (F0.b - 1)).numerator))
     # the directions depend on (l, k, h) only, so on the string.  Each

@@ -23,11 +23,13 @@ callers can draw the sample points of several sweeps from one stream.
 The periodicity sweep evaluates each K-type once, taking F and its four
 shifted copies from one stacked ``periodicity_residual`` batch.  The ladder
 and Heisenberg sweeps walk the lattice by weight strings (fixed l, k and h,
-m stepping by 4): one ``fd_apply`` call per string, so the factors its
-K-types share are formed once (see ``ktypes``), and each value keeps the
-bits it has for the K-type alone.  The PDE-kernel sweep walks it by radial
-groups, the strings of equal 2l + k, whose K-types of equal m also share
-their stencil and their 1F1 series.  The ladder sweep reads
+m stepping by 4): one ``fd_apply`` call per string, with the steps of each
+distinct |m| computed once (``stacked_steps``), so each stencil point is
+built and evaluated once and the factors its K-types share are formed
+once (see ``ktypes``); each value keeps the bits it has for the K-type
+alone.  The PDE-kernel sweep walks it by radial groups, the strings of
+equal 2l + k, whose K-types of equal |m| also share their stencil, and
+those of equal m their 1F1 series.  The ladder sweep reads
 the kappa closed form off the identity row of the ``fd_apply`` table, and
 evaluates the eta closed forms of a string at the sample points in one
 ``eval_combinations`` call, so a neighbour F_{m+4} that eta^+ F_m and
@@ -62,6 +64,7 @@ from .operators import (
     group_parameter_derivative,
     ktype_steps,
     recover_E_coefficients,
+    stacked_steps,
 )
 from .polynomials import (
     Polynomial,
@@ -219,13 +222,14 @@ def sweep_pde_kernel(
 
     The lattice is walked by radial groups, its weight strings of equal
     2l + k: one ``fd_apply`` call per group, each K-type with its own
-    ``ktype_steps``.  The steps and the 1F1 factor depend on (l, k) only
-    through 2l + k, so K-types of one group with equal m have the same
-    stencil and share its series (see ``ktypes``); each value keeps the
-    bits it has for the K-type alone.  The table holds one PDE row per
-    string of the group, and each K-type reads the row of its own
-    eigenvalue.  The residuals are reduced in lattice order, so
-    ``worst_index`` is the first K-type of largest residual.
+    ``ktype_steps``, computed once per distinct |m|.  The steps and the 1F1
+    factor depend on (l, k) only through 2l + k, so K-types of one group
+    with equal |m| have the same stencil, and those with equal m share its
+    series (see ``ktypes``); each value keeps the bits it has for the
+    K-type alone.  The table holds one PDE row per string of the group,
+    and each K-type reads the row of its own eigenvalue.  The residuals are
+    reduced in lattice order, so ``worst_index`` is the first K-type of
+    largest residual.
     """
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
@@ -235,7 +239,7 @@ def sweep_pde_kernel(
         members = [F for string in group for F in string]
         specs = [OperatorSpec.identity(params)]
         specs += [OperatorSpec.pde(params, float(string[0].lam)) for string in group]
-        steps = np.stack([ktype_steps(F, P, "noncompact") for F in members])
+        steps = stacked_steps(members, P, "noncompact")
         f0, *pdes = fd_apply(specs, to_noncompact(*members), P, steps)
         # the PDE row of each member's own string, hence its own eigenvalue
         own = [pde for pde, string in zip(pdes, group) for _ in string]
@@ -262,10 +266,10 @@ def sweep_ladder(
     """kappa and eta closed forms against the finite-difference oracle.
 
     One ``fd_apply`` call per weight string, each K-type with its own
-    ``ktype_steps``.  The eta closed forms c F_{m+-4} are evaluated at the
-    sample points alone, not read off the neighbours' identity rows: those
-    come from one 1F1 batch with the stencil points, whose batch-wide stop
-    can give them other last bits.
+    ``ktype_steps``, computed once per distinct |m|.  The eta closed forms
+    c F_{m+-4} are evaluated at the sample points alone, not read off the
+    neighbours' identity rows: those come from one 1F1 batch with the
+    stencil points, whose batch-wide stop can give them other last bits.
 
     Also asserts the exact boundary kills: the eta coefficient vanishes if
     and only if m is at the corresponding boundary weight +-(2k+4l+n).
@@ -278,8 +282,7 @@ def sweep_ladder(
     specs = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
     specs += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
     for string in _weight_strings(lattice):
-        steps = np.stack([ktype_steps(F, P, "compact") for F in string])
-        table = fd_apply(specs, compact_function(*string), P, steps)
+        table = fd_apply(specs, compact_function(*string), P, stacked_steps(string, P, "compact"))
         etas = [(apply_eta(F, 1), apply_eta(F, -1)) for F in string]
         eta_values = iter(eval_combinations([c for pair in etas for c in pair], P[:, 0], P[:, 1:]))
         for F, pair, f0, *oracles in zip(string, etas, *table):

@@ -16,7 +16,7 @@ from singular_weyl import (
     to_noncompact,
 )
 from singular_weyl.hypergeometric import hyp1f1
-from singular_weyl.ktypes import _distinct_rows, compact_function, eval_compact_all
+from singular_weyl.ktypes import compact_function, eval_compact_all
 
 
 @pytest.fixture
@@ -281,14 +281,26 @@ class TestPeriodicity:
         res, _ = periodicity_residual(F, theta, Y)
         assert np.max(np.abs(res[0])) <= 1e-12
 
-    def test_broken_congruence_negative_control(self, rng, sample_points):
-        # bypass validation: m = 1 with 2k+q = 0 violates the congruence
-        params = ParameterSet(n=3, q=0, s=0.5j)
-        h = harmonic_representative(3, 0)
-        bad = KTypeVector(params, 1, 1, 0, h)
-        theta, Y = sample_points
-        res, _ = periodicity_residual(bad, theta, Y)
-        assert np.max(np.abs(res[0])) > 1e-3
+    def test_broken_congruence_negative_control(self, rng):
+        # each wrong residue m != 2k + q (mod 4), built past make_ktype's
+        # CongruenceError: F(theta + pi, -y) = i^{2k-m} F(theta, y), and
+        # i^{2k-m} != i^{-q}, so the law fails by |i^{2k-m} - i^{-q}| >= sqrt(2)
+        # times |F| at every point
+        for n in (1, 2, 3):
+            theta = rng.uniform(-1.2, 1.2, 10)
+            Y = rng.uniform(-1, 1, (10, n))
+            for q in range(4):
+                params = ParameterSet(n=n, q=q, s=0.5j)
+                for k in range(2 if n == 1 else 3):
+                    h = harmonic_representative(n, k)
+                    for m in (2 * k + q + 1, 2 * k + q + 2, 2 * k + q - 1):
+                        with pytest.raises(CongruenceError):
+                            make_ktype(params, m, 1, k, h)
+                        res, f = periodicity_residual(KTypeVector(params, m, 1, k, h), theta, Y)
+                        shifted = res[0] + 1j ** (-q % 4) * f
+                        expected = 1j ** ((2 * k - m) % 4) * f
+                        np.testing.assert_allclose(shifted, expected, rtol=1e-12, atol=0)
+                        assert np.all(np.abs(res[0]) >= np.sqrt(2) * np.abs(f) * (1 - 1e-12))
 
 
 class TestOriginBehavior:
@@ -335,14 +347,3 @@ class TestSerialization:
         assert data["s"] == [0.0, 0.5]
         assert isinstance(data["h"], list)
 
-
-def test_distinct_rows_of_one_block(rng):
-    # one block shares every row with itself: the rows are the block's own,
-    # in order and with repeats kept, under one index row
-    pts = rng.uniform(-1, 1, size=(1, 7, 4))
-    pts[0, 5] = pts[0, 2]
-    rows, index, blocks = _distinct_rows(pts)
-    assert rows.tobytes() == pts[0].tobytes()
-    assert np.array_equal(index, np.arange(7)[None])
-    assert np.array_equal(blocks, [0])
-    assert index.dtype == blocks.dtype == np.intp

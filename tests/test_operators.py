@@ -28,10 +28,11 @@ from singular_weyl import (
     weight_string,
 )
 from singular_weyl import ktypes
-from singular_weyl.ktypes import SpaceTimeFunction, eval_combinations
+from singular_weyl.ktypes import SpaceTimeFunction, Stencil, eval_combinations
 from singular_weyl.polynomials import decompose_yj
 from singular_weyl.operators import (
     E_MOVES,
+    _FIRST_OFFSETS,
     SingularityError,
     _e_directions,
     _partials,
@@ -40,6 +41,7 @@ from singular_weyl.operators import (
     ktype_steps,
     printed_E_coefficients,
     shipped_E_coefficients,
+    stacked_steps,
 )
 from singular_weyl.verify import _relative, _sample_points
 
@@ -714,6 +716,70 @@ class TestFdInfrastructure:
             OperatorSpec.heisenberg_ladder(params3, 5, 1)
         with pytest.raises(ValueError):
             OperatorSpec.heisenberg(params3, [1, 2], [1, 2, 3], 0)
+
+
+class TestStencilPlan:
+    """``_partials`` hands f.batch its stencils as a ``Stencil`` plan, decided
+    from the steps alone; as an array it is the stacked stencils."""
+
+    @staticmethod
+    def _stacked(P, h, axes):
+        """The stencils stacked point by point, per step table of h: P, then
+        one ``_FIRST_OFFSETS`` block per axis."""
+        K = len(_FIRST_OFFSETS)
+        stacked = np.broadcast_to(P, (*h.shape[:-2], 1 + K * len(axes), *P.shape)).copy()
+        offsets = np.array(_FIRST_OFFSETS)[:, None]
+        for i, a in enumerate(axes):
+            stacked[..., 1 + K * i : 1 + K * (i + 1), :, a] += offsets * h[..., None, :, a]
+        return stacked.reshape(-1, P.shape[1])
+
+    @staticmethod
+    def _plan(P, h, first=(), second=()) -> Stencil:
+        seen = []
+
+        def batch(pts):
+            seen.append(pts)
+            return np.zeros(pts.shape[0], dtype=complex)
+
+        _partials(SpaceTimeFunction(P.shape[1] - 1, batch), P, h, first, second)
+        (stencil,) = seen
+        assert isinstance(stencil, Stencil)
+        return stencil
+
+    def test_random_steps(self, rng):
+        N = 7
+        P = rng.uniform(-1, 1, (N, 4))
+        tables = rng.uniform(1e-3, 1e-2, (3, N, 4))
+        tables[:, :, 2] = tables[0, :, 2]  # axis 2 has the same steps in every table
+        h = tables[[0, 1, 0, 2, 1]]  # five K-types on three tables
+        stencil = self._plan(P, h, first=(0, 2), second=(2, 3))
+        assert np.asarray(stencil).tobytes() == self._stacked(P, h, (0, 2, 3)).tobytes()
+        assert stencil.shape == (5 * N * (1 + 6 * 3), 4)
+        assert stencil[:, 1:].tobytes() == np.asarray(stencil)[:, 1:].tobytes()
+        assert np.array_equal(stencil.blocks, [0, 1, 0, 2, 1])
+        # P and the shared axis 2 once, axes 0 and 3 once per table
+        assert len(stencil.rows) == N * (1 + 6 + 3 * 2 * 6)
+        # one table, without a K-type axis
+        stencil = self._plan(P, h[0], first=(0, 2), second=(2, 3))
+        assert np.asarray(stencil).tobytes() == self._stacked(P, h[0], (0, 2, 3)).tobytes()
+        assert len(stencil.rows) == N * (1 + 3 * 6)
+
+    @pytest.mark.parametrize("picture", ["compact", "noncompact"])
+    def test_ktype_steps_of_mixed_radial_degrees(self, picture):
+        # 2l + k = 4 and 2: no space axis has the same steps in every table
+        n = 3
+        params = ParameterSet(n=n, q=n % 4, s=S_PRESETS["heat"])
+        P = _sample_points(n, 11, np.random.default_rng(7), r_min=0.3)
+        group = weight_string(params, 2, 0, 10) + weight_string(params, 1, 2, 10)
+        group += weight_string(params, 1, 0, 10)
+        h = stacked_steps(group, P, picture)
+        assert h.tobytes() == np.stack([ktype_steps(F, P, picture) for F in group]).tobytes()
+        stencil = self._plan(P, h, first=(0,), second=(1, 2, 3))
+        assert np.asarray(stencil).tobytes() == self._stacked(P, h, (0, 1, 2, 3)).tobytes()
+        # K-types of equal steps share one index row: those of equal |m|
+        # and 2l + k, and any others whose steps come out equal, such as
+        # t-steps clipped to one bound
+        assert len(stencil.index) == len({table.tobytes() for table in h}) < len(group)
 
 
 def _quadratic_exponential(n):

@@ -166,6 +166,26 @@ class TestPolynomial:
 
 
 
+def test_laplacian_reduces_radial_powers_exactly():
+    # Delta(rho^{2mu} h) = 2mu(2mu + 2k + n - 2) rho^{2mu - 2} h for h in
+    # H_k(R^n): the radial reduction behind the indicial equation of lambda,
+    # over every shipped basis element with n <= 5, k <= 6 and mu <= 3
+    cases = 0
+    for n in range(1, 6):
+        rho2 = Polynomial.radius_squared(n)
+        powers = [Polynomial.constant(n, 1)]
+        for _ in range(3):
+            powers.append(powers[-1] * rho2)
+        for k in range(7):
+            for h in harmonic_basis(n, k):
+                assert laplacian(h.poly).is_zero()
+                for mu in range(1, 4):
+                    rhs = (powers[mu - 1] * h.poly).scale(2 * mu * (2 * mu + 2 * k + n - 2))
+                    assert laplacian(powers[mu] * h.poly) == rhs, (n, k, mu, h)
+                cases += 4
+    assert cases == 2160
+
+
 class TestHarmonicBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])

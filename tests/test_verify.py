@@ -6,9 +6,15 @@ from singular_weyl import (
     ParameterSet,
     contiguous_residuals_scaled,
     hypergeometric,
+    ktype_lattice,
     ktypes,
+    operators,
+    recover_E_coefficients,
 )
 from singular_weyl.verify import (
+    _radial_groups,
+    _sample_points,
+    _weight_strings,
     run_verification,
     sweep_contiguous,
     sweep_harmonicity,
@@ -161,6 +167,61 @@ def test_pde_kernel_sums_each_radial_series_once(hyp1f1_calls, preset, worst, wo
     assert len(hyp1f1_calls) == 98
     assert check["max_residual"] == worst
     assert check["worst_index"] == worst_index
+
+
+def test_pde_kernel_evaluates_each_stencil_row_once(monkeypatch):
+    # per radial group of N points in R^n: P and the n space-axis blocks,
+    # whose steps do not depend on m, are N(1 + 6n) rows shared by every
+    # K-type; the t-axis block is 6N rows per distinct |m|, and the K-types
+    # of one |m| share one index row
+    n, N = 3, 20
+    seen = []
+    original = ktypes._eval_rows
+
+    def recording(vectors, theta, y, index, blocks):
+        shared = set.intersection(*map(set, index))
+        seen.append((len({abs(F.m) for F in vectors}), len(y), len(index), len(shared)))
+        return original(vectors, theta, y, index, blocks)
+
+    monkeypatch.setattr(ktypes, "_eval_rows", recording)
+    params = ParameterSet(n, 3, S_PRESETS["heat"])
+    (check,) = sweep_pde_kernel(params, 30, 14, N, 2027)
+    assert check["status"] == "PASS"
+    lattice = ktype_lattice(params, 30, 14)
+    assert len(seen) == len(_radial_groups(_weight_strings(lattice)))
+    assert max(weights for weights, *_ in seen) > 1
+    for weights, rows, index, shared in seen:
+        assert rows == N * (1 + 6 * n) + 6 * N * weights
+        assert index == weights
+        assert shared == (N * (1 + 6 * n) if weights > 1 else rows)
+
+
+def test_steps_once_per_distinct_abs_m(monkeypatch):
+    # the steps depend on a K-type only through |m| and 2l + k, so each
+    # fd_apply call computes them once per distinct |m| of its K-types
+    calls = []
+    original = operators.ktype_steps
+
+    def counting(F, P, picture):
+        calls.append(F)
+        return original(F, P, picture)
+
+    monkeypatch.setattr(operators, "ktype_steps", counting)
+    params = ParameterSet(3, 0, S_PRESETS["schrodinger"])
+    lattice = ktype_lattice(params, 30, 14)
+    groups = _radial_groups(_weight_strings(lattice))
+    sweep_pde_kernel(params, 30, 14, 10, 5)
+    assert len(calls) == sum(len({abs(F.m) for s in group for F in s}) for group in groups)
+    assert len(calls) < len(lattice)
+    calls.clear()
+    lattice = ktype_lattice(params, 12, 6, include_zero_family=True)
+    sweep_ladder(params, 12, 6, 10, 5)
+    assert len(calls) == sum(len({abs(F.m) for F in s}) for s in _weight_strings(lattice))
+    assert len(calls) < len(lattice)
+    string = _weight_strings(ktype_lattice(params, 12, 10))[0]
+    calls.clear()
+    recover_E_coefficients(string, _sample_points(3, 10, np.random.default_rng(5), 0.2))
+    assert len(calls) == len({abs(F.m) for F in string}) < len(string)
 
 
 def test_contiguous_reports_worst_point():
