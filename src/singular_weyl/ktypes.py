@@ -14,7 +14,7 @@ angle/time in column 0.
 ``eval_compact_all`` evaluates several vectors at shared points, and
 ``eval_combinations`` several ``LinearCombination`` objects through one such
 call.  ``compact_function`` and ``to_noncompact`` give the function of
-several vectors of one parameter set (such as a weight string) in the
+several vectors of one parameter set (such as a radial group) in the
 compact and the non-compact picture, each vector on its own block of
 points; both share the one evaluator ``_eval_rows``.  The points may come
 as a ``Stencil``, the plan that ``operators.fd_apply`` builds from its step
@@ -28,11 +28,10 @@ call takes the z of its block in block order, so every value is bit for
 bit the one-vector value.  Only identical (a, b) on one index row share a
 1F1 call: the series stops a batch when every entry has converged, so a
 value can depend in its last bits on the rest of its batch, and stacking
-other z or (a, b) into one batch would move reported residuals.  So the
-K-types of a weight string (fixed l, k and h, m stepping by 4) share every
-factor but e^{-im theta/2} and 1F1 at the rows their stencils share.  Since
-the steps, a and b depend on (l, k) only through 2l + k, K-types of equal
-|m| and 2l + k (a radial group, see ``verify.sweep_pde_kernel``) share one
+other z or (a, b) into one batch would move reported residuals.  The
+unit of the finite-difference sweeps is the radial group, the K-types of
+equal 2l + k (see ``verify._radial_groups``).  The steps, a and b depend on
+(l, k) only through 2l + k, so K-types of a group with equal |m| share one
 index row, and those of equal m with it every factor but rho^{2l} and h(y).
 
 (l, k) is a pair with k in range (``admissibility.k_in_range``): k >= 0,
@@ -277,7 +276,7 @@ def compact_function(*vectors: KTypeVector) -> SpaceTimeFunction:
     """F(theta, y) as a function of the (theta, y) rows.
 
     ``compact_function(F)`` evaluates F.  Several vectors of one parameter
-    set, such as a weight string, give one function of V equal blocks of
+    set, such as a radial group, give one function of V equal blocks of
     rows, block v evaluated by vectors[v], as in ``to_noncompact``; each
     value is bit for bit that of the vector alone.
     """
@@ -291,7 +290,7 @@ def to_noncompact(*vectors: KTypeVector) -> SpaceTimeFunction:
     f(t,x) = (1+t^2)^{-n/4} e^{s t |x|^2 / (1+t^2)} F(arctan t, x (1+t^2)^{-1/2});
     smooth across all of R^{1,n}.
 
-    Several vectors of one parameter set, such as a weight string, give one
+    Several vectors of one parameter set, such as a radial group, give one
     function of V equal blocks of rows: ``batch`` evaluates the image of
     vectors[v] on block v.  The transform is computed once per row of the
     points' plan (see ``Stencil``), and each value is bit for bit that of
@@ -359,9 +358,6 @@ class LinearCombination:
 
     def is_empty(self) -> bool:
         return not self.terms
-
-    def eval_compact(self, theta, y):
-        return eval_combinations([self], theta, y)[0]
 
     def coefficient(self, m: int, l: int, k: int) -> complex:
         total = 0j

@@ -24,11 +24,12 @@ The oracle has one stencil path: ``fd_apply`` evaluates a sequence of
 operators (``OperatorSpec.identity`` is f itself) from one ``f.batch``, with
 the steps the caller passes (``ktype_steps`` in every sweep).  Stacked
 steps (``stacked_steps``, once per distinct |m|) apply it to every K-type
-of a weight string at once, through ``ktypes.compact_function(*string)``
-or ``ktypes.to_noncompact(*string)``; ``recover_E_coefficients`` fits a
-whole string from one such call.  The stencils reach ``f.batch`` as a
-``ktypes.Stencil``, a plan decided from the step tables before any point
-is built, so each distinct stencil point is built and evaluated once.
+of a radial group (equal 2l + k) at once, through
+``ktypes.compact_function(*group)`` or ``ktypes.to_noncompact(*group)``;
+``recover_E_coefficients`` fits a whole group from one such call.  The
+stencils reach ``f.batch`` as a ``ktypes.Stencil``, a plan decided from the
+step tables before any point is built, so each distinct stencil point is
+built and evaluated once.
 
 Each operator and group element is one record whose factory holds its
 whole definition: an ``OperatorSpec`` carries the axes it differentiates
@@ -184,9 +185,9 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
     Balances the h^6 truncation term against roundoff for functions whose
     log-derivative is of order (2l + k)/rho + |s| rho.  The steps depend on
     (l, k) only through 2l + k.  Only the theta/t column depends on m
-    (through |m|); the space columns are the same for every K-type of equal
-    2l + k, not only along one weight string, and K-types of equal |m| and
-    2l + k have the same steps.
+    (through |m|); the space columns are the same for every K-type of one
+    radial group (equal 2l + k), and K-types of a group with equal |m| have
+    the same steps.
     """
     P = np.asarray(P, dtype=float)
     n = F.params.n
@@ -214,9 +215,10 @@ def ktype_steps(F: KTypeVector, P: np.ndarray, picture: str) -> np.ndarray:
 
 
 def stacked_steps(vectors: Sequence[KTypeVector], P: np.ndarray, picture: str) -> np.ndarray:
-    """The ``ktype_steps`` of K-types of one parameter set, stacked to
-    (V, *P.shape) for one ``fd_apply`` call.  The steps depend on a K-type
-    only through |m| and 2l + k, so each distinct pair is computed once."""
+    """The ``ktype_steps`` of K-types of one parameter set, such as a radial
+    group, stacked to (V, *P.shape) for one ``fd_apply`` call.  The steps
+    depend on a K-type only through |m| and 2l + k, so each distinct pair
+    is computed once."""
     tables = {}
     for F in vectors:
         key = abs(F.m), 2 * F.l + F.k
@@ -267,7 +269,8 @@ class OperatorSpec:
     @classmethod
     def eta(cls, params: ParameterSet, sign: int) -> "OperatorSpec":
         n, s = params.n, params.s
-        sign = 1 if sign > 0 else -1
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
         def formula(t, x, f0, d1, d2):
             rho2 = (x**2).sum(axis=1)
@@ -293,7 +296,8 @@ class OperatorSpec:
         if not 1 <= j <= params.n:
             raise ValueError(f"coordinate j = {j} out of range 1..{params.n}")
         s = params.s
-        sign = 1 if sign > 0 else -1
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
         def formula(t, x, f0, d1, d2):
             return np.exp(-sign * 1j * t) * (sign * 1j * d1[j] - 2 * s * x[:, j - 1] * f0)
@@ -360,7 +364,7 @@ def fd_apply(
     the operators differentiates.
 
     Steps of shape (V, N, 1+n) apply the operators to V functions at once,
-    such as the K-types of a weight string under ``to_noncompact``: f.batch
+    such as the K-types of a radial group under ``to_noncompact``: f.batch
     then takes V such stencils in turn, one per step table, as one
     ``Stencil`` plan (see ``_partials``), and the result is
     (len(specs), V, N), row v bit for bit the table of step table v alone.
@@ -400,8 +404,6 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
     The combination is empty exactly at the killed boundary weights
     m = -(2k+4l+n) for eta^+ and m = 2k+4l+n for eta^-.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     coeff = eta_coefficient(F.params.n, F.m, F.l, F.k, sign)
     if coeff == 0:
         return LinearCombination()
@@ -411,7 +413,10 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
 
 def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[Fraction, int, int]:
     """(B, edge, ladder) of the E table: B = k + 2l + n/2 (half the boundary
-    weight), edge = 2l + 2k + n - 2 and ladder = (sign m) + boundary weight."""
+    weight), edge = 2l + 2k + n - 2 and ladder = (sign m) + boundary weight;
+    every eta and E table starts here, so a sign other than +-1 raises."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     boundary = boundary_weight(n, l, k)
     return Fraction(boundary, 2), 2 * l + 2 * k + n - 2, sign * m + boundary
 
@@ -545,45 +550,48 @@ def _matches(recovered: dict[str, complex], table: dict[str, complex]) -> bool:
 
 
 def recover_E_coefficients(
-    string: Sequence[KTypeVector], points: np.ndarray
+    vectors: Sequence[KTypeVector], points: np.ndarray
 ) -> list[dict[tuple[int, int], ERecovery]]:
     """Least-squares projections of the finite-difference E_j^{+-}
-    applications to each K-type of a weight string (fixed l, k and h, m
-    stepping by 4; a single K-type F is the string [F]).  Returns one dict
+    applications to each K-type of one radial group (equal 2l + k, else
+    ValueError; a weight string and [F] are such groups).  Returns one dict
     per K-type, keyed by (j, sign) for j = 1..n and sign = +1, -1.
 
-    One ``fd_apply`` call over the string gives f and every E_j^{+-} of
+    One ``fd_apply`` call over the group gives f and every E_j^{+-} of
     each K-type at the compact-picture points.  Each fit solves
     min ||A c - rhs|| over the ``_e_directions`` targets, then rationalizes
     each coefficient against its ``E_MOVES`` unit (i or s) with
-    denominators up to 4 B (B-1), B = ``F.b``.
+    denominators up to the group's 4 B (B-1), B = ``F.b`` = 2l + k + n/2.
     """
     P = np.asarray(points, dtype=float)
-    F0 = string[0]
-    if any((F.l, F.k) != (F0.l, F0.k) or F.h is not F0.h for F in string):
-        raise ValueError("recover_E_coefficients takes the K-types of one weight string")
+    F0 = vectors[0]
+    if any(2 * F.l + F.k != 2 * F0.l + F0.k for F in vectors):
+        raise ValueError("recover_E_coefficients takes the K-types of one radial group")
     params, n, s = F0.params, F0.params.n, F0.params.s
     keys = [(j, sign) for j in range(1, n + 1) for sign in (1, -1)]
     specs = [OperatorSpec.identity(params)]
     specs += [OperatorSpec.heisenberg_ladder(params, j, sign) for j, sign in keys]
-    table = fd_apply(specs, compact_function(*string), P, stacked_steps(string, P, "compact"))
+    table = fd_apply(specs, compact_function(*vectors), P, stacked_steps(vectors, P, "compact"))
     units = _e_units(s)
     denominator_bound = max(1, abs((4 * F0.b * (F0.b - 1)).numerator))
-    # the directions depend on (l, k, h) only, so on the string.  Each
-    # distinct column of the string's fits is evaluated once (E^+ F_m and
-    # E^- F_{m+4} share theirs), all in one evaluation, where columns of
-    # equal (a', b') share one 1F1 series pass
-    directions = {j: _e_directions(F0, j) for j in range(1, n + 1)}
+    # the directions depend on (l, k, h) and j only.  Each distinct column
+    # of the group's fits is evaluated once (E^+ F_m and E^- F_{m+4} share
+    # theirs), all in one evaluation, where columns of equal (a', b') share
+    # one 1F1 series pass
+    ktype_of = {(F.l, F.k, id(F.h)): F for F in vectors}
+    directions = {
+        (*key, j): _e_directions(F, j) for key, F in ktype_of.items() for j in range(1, n + 1)
+    }
     columns = {
         (F.m + 2 * sign, l2, k2, id(harm)): (l2, k2, harm)
-        for F in string
+        for F in vectors
         for j, sign in keys
-        for _, l2, k2, harm in directions[j]
+        for _, l2, k2, harm in directions[F.l, F.k, id(F.h), j]
     }
-    vectors = [make_ktype(params, key[0], *column) for key, column in columns.items()]
-    values = dict(zip(columns, eval_compact_all(vectors, P[:, 0], P[:, 1:])))
+    targets = [make_ktype(params, key[0], *column) for key, column in columns.items()]
+    values = dict(zip(columns, eval_compact_all(targets, P[:, 0], P[:, 1:])))
     out = []
-    for F, f0, *rows in zip(string, *table):
+    for F, f0, *rows in zip(vectors, *table):
         scale_f = max(1.0, float(np.max(np.abs(f0))))
         # the tables depend on the sign only, not on j
         tables = {
@@ -595,7 +603,7 @@ def recover_E_coefficients(
         }
         recoveries = {}
         for (j, sign), rhs in zip(keys, rows):
-            dirs = directions[j]
+            dirs = directions[F.l, F.k, id(F.h), j]
             A = np.stack(
                 [values[F.m + 2 * sign, l2, k2, id(harm)] for _, l2, k2, harm in dirs], axis=1
             )

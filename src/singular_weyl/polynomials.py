@@ -511,7 +511,7 @@ def c_const(k: int, n: int) -> Fraction:
 
 
 def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fraction]:
-    """Harmonic part of y_j * h.
+    """Harmonic part of y_j * h, for 0 <= j < n (ValueError otherwise).
 
     Returns (h_plus, c) with ``y_j h = h_plus + c rho^2 d_j h`` as an exact
     polynomial identity, h_plus harmonic of degree k+1 (possibly zero) and
@@ -519,6 +519,8 @@ def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fra
     attached to h_plus as well.  Each call builds h_plus anew and proves it
     harmonic.
     """
+    if not 0 <= j < h.nvars:
+        raise ValueError(f"coordinate j = {j} out of range 0..{h.nvars - 1}")
     n = h.nvars
     k = h.degree
     c = c_const(k, n)
@@ -551,8 +553,11 @@ def decompose_yj(h: HarmonicPolynomial, j: int) -> tuple[HarmonicPolynomial, Fra
 def scaled_partial_harmonic(h: HarmonicPolynomial, j: int, scale: Fraction) -> HarmonicPolynomial | None:
     """The harmonic ``scale * d_j h`` of degree k-1, or None when zero.
 
-    Propagates a stable power-form evaluator when h has one.
+    j is 0 <= j < n (ValueError otherwise).  Propagates a stable power-form
+    evaluator when h has one.
     """
+    if not 0 <= j < h.nvars:
+        raise ValueError(f"coordinate j = {j} out of range 0..{h.nvars - 1}")
     d_poly = h.poly.partial(j).scale(scale)
     if d_poly.is_zero():
         return None

@@ -21,26 +21,23 @@ through ``np.random.default_rng``, which returns a Generator unchanged, so
 callers can draw the sample points of several sweeps from one stream.
 
 The periodicity sweep evaluates each K-type once, taking F and its four
-shifted copies from one stacked ``periodicity_residual`` batch.  The ladder
-and Heisenberg sweeps walk the lattice by weight strings (fixed l, k and h,
-m stepping by 4): one ``fd_apply`` call per string, with the steps of each
-distinct |m| computed once (``stacked_steps``), so each stencil point is
-built and evaluated once and the factors its K-types share are formed
-once (see ``ktypes``); each value keeps the bits it has for the K-type
-alone.  The PDE-kernel sweep walks it by radial groups, the strings of
-equal 2l + k, whose K-types of equal |m| also share their stencil, and
-those of equal m their 1F1 series.  The ladder sweep reads
+shifted copies from one stacked ``periodicity_residual`` batch.  The three
+finite-difference sweeps (PDE kernel, ladder, Heisenberg) walk the lattice
+by radial groups, its K-types of equal 2l + k (``_radial_groups``): one
+``fd_apply`` call per group, with the steps of each distinct |m| computed
+once (``stacked_steps``).  The steps, a and b of a K-type depend on (l, k)
+only through 2l + k, so K-types of a group with equal |m| share their
+stencil, and those of equal m their 1F1 series (see ``ktypes``); each
+value keeps the bits it has for the K-type alone.  The ladder sweep reads
 the kappa closed form off the identity row of the ``fd_apply`` table, and
-evaluates the eta closed forms of a string at the sample points in one
+evaluates the eta closed forms of a group at the sample points in one
 ``eval_combinations`` call, so a neighbour F_{m+4} that eta^+ F_m and
-eta^- F_{m+8} share is summed once.  The Heisenberg sweep fits a string in
+eta^- F_{m+8} share is summed once.  The Heisenberg sweep fits a group in
 one ``recover_E_coefficients`` call, where the column that E^+ F_m and
 E^- F_{m+4} share is evaluated once.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
 
 import numpy as np
 
@@ -112,19 +109,12 @@ def _sample_points(n: int, count: int, rng: np.random.Generator, r_min: float) -
     return np.concatenate([t[:, None], r[:, None] * dirs], axis=1)
 
 
-def _weight_strings(lattice: list) -> list[list]:
-    """The weight strings of a lattice: its consecutive runs of equal
-    (l, k, h), each a list of K-types with m stepping by 4."""
-    return [list(string) for _, string in groupby(lattice, key=lambda F: (F.l, F.k, id(F.h)))]
-
-
-def _radial_groups(strings: list[list]) -> list[list[list]]:
-    """The radial groups of the weight strings of a lattice: the strings of
-    equal 2l + k, each group in lattice order and the groups in order of
-    first appearance."""
-    groups: dict[int, list[list]] = {}
-    for string in strings:
-        groups.setdefault(2 * string[0].l + string[0].k, []).append(string)
+def _radial_groups(lattice: list) -> list[list]:
+    """The radial groups of a lattice: its K-types of equal 2l + k, each
+    group in lattice order and the groups in order of first appearance."""
+    groups: dict[int, list] = {}
+    for F in lattice:
+        groups.setdefault(2 * F.l + F.k, []).append(F)
     return list(groups.values())
 
 
@@ -220,31 +210,24 @@ def sweep_pde_kernel(
 ) -> list[dict]:
     """Non-compact PDE residual of every lattice K-type at seeded points.
 
-    The lattice is walked by radial groups, its weight strings of equal
-    2l + k: one ``fd_apply`` call per group, each K-type with its own
-    ``ktype_steps``, computed once per distinct |m|.  The steps and the 1F1
-    factor depend on (l, k) only through 2l + k, so K-types of one group
-    with equal |m| have the same stencil, and those with equal m share its
-    series (see ``ktypes``); each value keeps the bits it has for the
-    K-type alone.  The table holds one PDE row per string of the group,
-    and each K-type reads the row of its own eigenvalue.  The residuals are
-    reduced in lattice order, so ``worst_index`` is the first K-type of
-    largest residual.
+    One ``fd_apply`` call per radial group (see ``_radial_groups``), with
+    one PDE row per distinct eigenvalue of the group; each K-type reads the
+    row of its own ``F.lam``.  The residuals are reduced in lattice order,
+    so ``worst_index`` is the first K-type of largest residual.
     """
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
     P = _sample_points(params.n, points, rng, r_min=0.3)
     residuals = {}
-    for group in _radial_groups(_weight_strings(lattice)):
-        members = [F for string in group for F in string]
+    for group in _radial_groups(lattice):
+        lams = [F.lam for F in group]
+        rows = list(dict.fromkeys(lams))
         specs = [OperatorSpec.identity(params)]
-        specs += [OperatorSpec.pde(params, float(string[0].lam)) for string in group]
-        steps = stacked_steps(members, P, "noncompact")
-        f0, *pdes = fd_apply(specs, to_noncompact(*members), P, steps)
-        # the PDE row of each member's own string, hence its own eigenvalue
-        own = [pde for pde, string in zip(pdes, group) for _ in string]
-        for v, F in enumerate(members):
-            residuals[id(F)] = _relative(own[v][v], f0[v])
+        specs += [OperatorSpec.pde(params, float(lam)) for lam in rows]
+        steps = stacked_steps(group, P, "noncompact")
+        f0, *pdes = fd_apply(specs, to_noncompact(*group), P, steps)
+        for v, (F, lam) in enumerate(zip(group, lams)):
+            residuals[id(F)] = _relative(pdes[rows.index(lam)][v], f0[v])
     worst = 0.0
     worst_index = None
     for F in lattice:
@@ -265,11 +248,12 @@ def sweep_ladder(
 ) -> list[dict]:
     """kappa and eta closed forms against the finite-difference oracle.
 
-    One ``fd_apply`` call per weight string, each K-type with its own
-    ``ktype_steps``, computed once per distinct |m|.  The eta closed forms
-    c F_{m+-4} are evaluated at the sample points alone, not read off the
-    neighbours' identity rows: those come from one 1F1 batch with the
-    stencil points, whose batch-wide stop can give them other last bits.
+    One ``fd_apply`` call per radial group (see ``_radial_groups``).  The
+    kappa closed form scales the identity row of the table.  The eta closed
+    forms c F_{m+-4} of a group are evaluated at the sample points in one
+    ``eval_combinations`` call, not read off the neighbours' identity rows:
+    those come from one 1F1 batch with the stencil points, whose batch-wide
+    stop can give them other last bits.
 
     Also asserts the exact boundary kills: the eta coefficient vanishes if
     and only if m is at the corresponding boundary weight +-(2k+4l+n).
@@ -281,11 +265,11 @@ def sweep_ladder(
     kills_ok = True
     specs = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
     specs += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
-    for string in _weight_strings(lattice):
-        table = fd_apply(specs, compact_function(*string), P, stacked_steps(string, P, "compact"))
-        etas = [(apply_eta(F, 1), apply_eta(F, -1)) for F in string]
+    for group in _radial_groups(lattice):
+        table = fd_apply(specs, compact_function(*group), P, stacked_steps(group, P, "compact"))
+        etas = [(apply_eta(F, 1), apply_eta(F, -1)) for F in group]
         eta_values = iter(eval_combinations([c for pair in etas for c in pair], P[:, 0], P[:, 1:]))
-        for F, pair, f0, *oracles in zip(string, etas, *table):
+        for F, pair, f0, *oracles in zip(group, etas, *table):
             # kappa . F is a multiple of F, so its closed form scales the identity row
             closed = [apply_kappa(F).coefficient(F.m, F.l, F.k) * f0]
             closed += [next(eta_values) for _ in pair]
@@ -311,8 +295,10 @@ def sweep_heisenberg(
     """Least-squares recovery of the E_j coefficients, with the WARN diff
     against the published table and the eigenvalue-shift bookkeeping.
 
-    One ``recover_E_coefficients`` call per weight string; the shifts depend
-    on (l, k) only, so they are checked once per string."""
+    One ``recover_E_coefficients`` call per radial group (see
+    ``_radial_groups``); the recoveries are reduced in lattice order.  The
+    shifts depend on (l, k) only, so they are checked once per distinct
+    pair."""
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
     P = _sample_points(params.n, points, rng, r_min=0.2)
@@ -323,27 +309,28 @@ def sweep_heisenberg(
     recoveries = 0
     shift_ok = True
     details = []
-    for string in _weight_strings(lattice):
-        F = string[0]
-        targets = {(l2, k2): lam2 for l2, k2, lam2 in heisenberg_targets(params.n, F.l, F.k)}
+    for F in {(F.l, F.k): F for F in lattice}.values():
         edge = 2 * F.l + 2 * F.k + params.n - 2
-        for (l2, k2), lam2 in targets.items():
+        for l2, _, lam2 in heisenberg_targets(params.n, F.l, F.k):
             shift = lam2 - F.lam
             if abs(l2 - F.l) == 1:
                 if abs(shift) != edge:
                     shift_ok = False
             elif shift != 0 and abs(shift) != 2 * F.l:
                 shift_ok = False
-        for recs in recover_E_coefficients(string, P):
-            for rec in recs.values():
-                recoveries += 1
-                worst_lsq = max(worst_lsq, rec.lsq_residual)
-                worst_rational = max(worst_rational, max(rec.rational_errors.values(), default=0.0))
-                if not rec.matches_shipped:
-                    shipped_ok = False
-                    details.append(rec.to_json())
-                if not rec.matches_printed:
-                    printed_diffs += 1
+    fits = {}
+    for group in _radial_groups(lattice):
+        fits.update(zip(map(id, group), recover_E_coefficients(group, P)))
+    for F in lattice:
+        for rec in fits[id(F)].values():
+            recoveries += 1
+            worst_lsq = max(worst_lsq, rec.lsq_residual)
+            worst_rational = max(worst_rational, max(rec.rational_errors.values(), default=0.0))
+            if not rec.matches_shipped:
+                shipped_ok = False
+                details.append(rec.to_json())
+            if not rec.matches_printed:
+                printed_diffs += 1
     tol = DEFAULT_TOLERANCES
     checks = _covered(len(lattice), [
         _check(

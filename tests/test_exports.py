@@ -12,9 +12,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "singular_weyl"
 # tests; no module reads them yet.  A class member is named "Class.member".
 KEPT_UNREAD = {
     "apply_E",  # item 5: the closed-form Heisenberg action beside its lsq oracle
-    # the one-combination form of eval_combinations, which the tests check
-    # closed forms with (apply_E's among them)
-    "LinearCombination.eval_compact",
     "compact_of_noncompact",  # item 7: the inverse picture transform
     "group_action_noncompact",  # item 7: the integrated group action
     "OperatorSpec.omega",  # item 3: the Casimir record of sweep_ladder

@@ -87,7 +87,7 @@ class TestKappa:
     def test_against_fd_oracle(self, F311, params3, rng):
         P = compact_points(3, rng)
         steps = ktype_steps(F311, P, "compact")
-        closed = apply_kappa(F311).eval_compact(P[:, 0], P[:, 1:])
+        closed = eval_combinations([apply_kappa(F311)], P[:, 0], P[:, 1:])[0]
         oracle = fd_apply([OperatorSpec.kappa(params3)], compact_function(F311), P, steps)[0]
         assert np.max(np.abs(closed - oracle)) <= 1e-8 * np.max(np.abs(closed))
 
@@ -119,10 +119,33 @@ class TestEta:
         steps = ktype_steps(F311, P, "compact")
         fc = compact_function(F311)
         for sign in (1, -1):
-            closed = apply_eta(F311, sign).eval_compact(P[:, 0], P[:, 1:])
+            closed = eval_combinations([apply_eta(F311, sign)], P[:, 0], P[:, 1:])[0]
             oracle = fd_apply([OperatorSpec.eta(params3, sign)], fc, P, steps)[0]
             scale = np.maximum(1, np.abs(closed))
             assert np.max(np.abs(closed - oracle) / scale) <= 1e-8
+
+
+class TestSignChecked:
+    """A sign other than +-1 raises at every ladder entry point, instead of
+    building the operator of another sign or a ladder of another step."""
+
+    @pytest.mark.parametrize("sign", [0, 3])
+    def test_every_entry_point_raises(self, sign):
+        params = ParameterSet(3, 0, 0.5j)
+        F = make_ktype(params, 4, 5, 2, harmonic_representative(3, 2))
+        entry_points = [
+            lambda: eta_coefficient(3, 4, 5, 2, sign),
+            lambda: shipped_E_coefficients(3, 4, 5, 2, sign),
+            lambda: printed_E_coefficients(3, 4, 5, 2, sign),
+            lambda: printed_E_coefficients(2, 4, 0, 0, sign),
+            lambda: apply_eta(F, sign),
+            lambda: apply_E(F, 1, sign),
+            lambda: OperatorSpec.eta(params, sign),
+            lambda: OperatorSpec.heisenberg_ladder(params, 1, sign),
+        ]
+        for entry in entry_points:
+            with pytest.raises(ValueError, match="sign"):
+                entry()
 
 
 class TestCommutationRelations:
@@ -172,7 +195,7 @@ class TestApplyE:
         fc = compact_function(F)
         for j in (1, 2):
             for sign in (1, -1):
-                closed = apply_E(F, j, sign).eval_compact(P[:, 0], P[:, 1:])
+                closed = eval_combinations([apply_E(F, j, sign)], P[:, 0], P[:, 1:])[0]
                 oracle = fd_apply(
                     [OperatorSpec.heisenberg_ladder(params, j, sign)], fc, P, steps
                 )[0]
@@ -216,7 +239,7 @@ class TestApplyE:
             else:
                 assert len(lc.terms) == 1
                 assert abs(lc.terms[0][0] - expect) < 1e-14
-            closed = lc.eval_compact(P[:, 0], P[:, 1:])
+            closed = eval_combinations([lc], P[:, 0], P[:, 1:])[0]
             oracle = fd_apply(
                 [OperatorSpec.heisenberg_ladder(params, 1, sign)], fc, P, steps
             )[0]
@@ -267,7 +290,8 @@ class TestERecovery:
         # one call for the finite-difference table, one per distinct column (a', b')
         assert len(seen) == 1 + len(columns) == 5
 
-    def test_one_weight_string(self, rng):
+    def test_mixed_radial_degree_raises(self, rng):
+        # 2l + k is 3 and 5: two radial groups, so no one denominator bound
         params = ParameterSet(n=3, q=1, s=0.5j)
         h = harmonic_representative(3, 1)
         P = compact_points(3, rng, 40)
@@ -487,14 +511,17 @@ class TestWeightStrings:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_compact_rows_equal_single_ktypes(self, n, s):
         # the ladder and Heisenberg sweeps: the kappa/eta and E_j tables of a
-        # string, its eta closed forms and its E recoveries, each bit for bit
-        # the K-type's alone
+        # string or radial group, its eta closed forms and its E recoveries,
+        # each bit for bit the K-type's alone
         params = ParameterSet(n=n, q=n % 4, s=s)
         P = _sample_points(n, 15, np.random.default_rng(200 + n), r_min=0.2)
         pairs = [p for lam in enumerate_admissible(n, 20) for p in admissible_pairs(n, lam)]
         strings = [weight_string(params, l, k, 10) for l, k in pairs[:3]]
         strings.append(strings[-1][1:2])  # a string of one
         assert all(len(string) >= 5 for string in strings[:3])
+        if n > 1:
+            # a radial group of two strings: 2l + k = 4 for (1, 2) and (2, 0)
+            strings.append(weight_string(params, 1, 2, 10) + weight_string(params, 2, 0, 10))
         ladder = [OperatorSpec.identity(params), OperatorSpec.kappa(params)]
         ladder += [OperatorSpec.eta(params, sign) for sign in (1, -1)]
         heisenberg = [OperatorSpec.identity(params)] + [
@@ -513,7 +540,7 @@ class TestWeightStrings:
                     assert np.array_equal(row, alone), (F.m, F.l, F.k)
             etas = [apply_eta(F, sign) for F in string for sign in (1, -1)]
             for combo, value in zip(etas, eval_combinations(etas, theta, y)):
-                assert np.array_equal(value, combo.eval_compact(theta, y)), combo
+                assert np.array_equal(value, eval_combinations([combo], theta, y)[0]), combo
             together = recover_E_coefficients(string, P)
             assert len(together) == len(string)
             for F, recs in zip(string, together):

@@ -309,6 +309,15 @@ class TestDecomposeYj:
             if d_h is not None:
                 assert d_again(Y).tobytes() == d_h(Y).tobytes()
 
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_coordinate_out_of_range_raises(self, j):
+        # j = -1 would read y_3 through negative indexing, j = n has no y_j
+        h = harmonic_representative(3, 2)
+        with pytest.raises(ValueError, match="coordinate"):
+            decompose_yj(h, j)
+        with pytest.raises(ValueError, match="coordinate"):
+            scaled_partial_harmonic(h, j, Fraction(1))
+
     def test_derived_evaluator_follows_power_not_value(self):
         # equal by value, but without the power form: its h_plus must not
         # inherit the representative's stable evaluator

@@ -14,7 +14,6 @@ from singular_weyl import (
 from singular_weyl.verify import (
     _radial_groups,
     _sample_points,
-    _weight_strings,
     run_verification,
     sweep_contiguous,
     sweep_harmonicity,
@@ -93,7 +92,7 @@ def test_sweeps_standalone():
 def eval_compact_calls(monkeypatch):
     """Counts K-type evaluations, closed-form combinations included: every
     vector passed to the shared evaluator, which ``KTypeVector.eval_compact``
-    and ``LinearCombination.eval_compact`` both call."""
+    and ``eval_combinations`` both call."""
     calls = []
     original = ktypes.eval_compact_all
 
@@ -130,25 +129,31 @@ def hyp1f1_calls(monkeypatch):
 
 
 def test_ladder_reads_kappa_from_the_identity_row(hyp1f1_calls):
-    # per weight string of V K-types: one fd_apply table (one series per
-    # K-type) and one evaluation of the eta targets F_{m-4} .. F_{m+4V},
-    # V + 2 series; kappa costs none, and a target two K-types share is
-    # summed once
+    # per radial group: one fd_apply table, with one series per distinct m
+    # of the group, and one evaluation of the eta targets F_{m+-4}, one
+    # series per distinct target m (no weight here is a boundary weight, so
+    # no eta is killed); kappa costs none, and a target that several K-types
+    # share is summed once
     params = ParameterSet(n=3, q=0, s=0.5j)
+    lattice = ktype_lattice(params, 12, 6, include_zero_family=True)
     closed, kills = sweep_ladder(params, 12, 6, 20, 2027)
     assert closed["status"] == kills["status"] == "PASS"
     assert closed["ktypes"] == 30
-    assert len(hyp1f1_calls) == 78
+    assert len(hyp1f1_calls) == sum(
+        len({F.m for F in group}) + len({F.m + d for F in group for d in (-4, 4)})
+        for group in _radial_groups(lattice)
+    ) == 62
 
 
 def test_heisenberg_sums_each_string_column_once(hyp1f1_calls):
-    # per weight string: one series per K-type for the fd_apply table, and
-    # one per distinct column (a', b') of all the string's fits, so the
-    # column that E^+ F_m and E^- F_{m+4} share is summed once
+    # per radial group: one series per distinct m for the fd_apply table,
+    # and one per distinct column (a', b') of all the group's fits, so the
+    # column that E^+ F_m and E^- F_{m+4} share is summed once, and columns
+    # of equal (a', b') from different strings of the group share a series
     params = ParameterSet(n=3, q=0, s=0.5j)
     checks = {c["check"]: c for c in sweep_heisenberg(params, 12, 10, 40, 5)}
     assert checks["operators/heisenberg-lsq"]["status"] == "PASS"
-    assert len(hyp1f1_calls) == 108
+    assert len(hyp1f1_calls) == 91
 
 
 @pytest.mark.parametrize("preset, worst, worst_index", [
@@ -188,7 +193,7 @@ def test_pde_kernel_evaluates_each_stencil_row_once(monkeypatch):
     (check,) = sweep_pde_kernel(params, 30, 14, N, 2027)
     assert check["status"] == "PASS"
     lattice = ktype_lattice(params, 30, 14)
-    assert len(seen) == len(_radial_groups(_weight_strings(lattice)))
+    assert len(seen) == len(_radial_groups(lattice))
     assert max(weights for weights, *_ in seen) > 1
     for weights, rows, index, shared in seen:
         assert rows == N * (1 + 6 * n) + 6 * N * weights
@@ -209,19 +214,19 @@ def test_steps_once_per_distinct_abs_m(monkeypatch):
     monkeypatch.setattr(operators, "ktype_steps", counting)
     params = ParameterSet(3, 0, S_PRESETS["schrodinger"])
     lattice = ktype_lattice(params, 30, 14)
-    groups = _radial_groups(_weight_strings(lattice))
     sweep_pde_kernel(params, 30, 14, 10, 5)
-    assert len(calls) == sum(len({abs(F.m) for s in group for F in s}) for group in groups)
+    assert len(calls) == sum(len({abs(F.m) for F in g}) for g in _radial_groups(lattice))
     assert len(calls) < len(lattice)
     calls.clear()
     lattice = ktype_lattice(params, 12, 6, include_zero_family=True)
     sweep_ladder(params, 12, 6, 10, 5)
-    assert len(calls) == sum(len({abs(F.m) for F in s}) for s in _weight_strings(lattice))
+    assert len(calls) == sum(len({abs(F.m) for F in g}) for g in _radial_groups(lattice))
     assert len(calls) < len(lattice)
-    string = _weight_strings(ktype_lattice(params, 12, 10))[0]
+    group = max(_radial_groups(ktype_lattice(params, 12, 10)), key=len)
+    assert len({(F.l, F.k) for F in group}) > 1
     calls.clear()
-    recover_E_coefficients(string, _sample_points(3, 10, np.random.default_rng(5), 0.2))
-    assert len(calls) == len({abs(F.m) for F in string}) < len(string)
+    recover_E_coefficients(group, _sample_points(3, 10, np.random.default_rng(5), 0.2))
+    assert len(calls) == len({abs(F.m) for F in group}) < len(group)
 
 
 def test_contiguous_reports_worst_point():
