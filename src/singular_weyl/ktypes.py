@@ -253,6 +253,8 @@ def _blockwise(vectors: Sequence[KTypeVector], picture: Callable) -> SpaceTimeFu
     blocks is evaluated on its plan; any other points are split into V
     blocks of their own.  ``picture`` maps the rows to (theta, y, scale) of
     the compact picture, with scale None for the compact picture itself."""
+    if not vectors:
+        raise ValueError("a K-type function takes at least one K-type")
 
     def batch(pts) -> np.ndarray:
         if not isinstance(pts, Stencil) or len(pts.blocks) != len(vectors):

@@ -37,8 +37,8 @@ and its formula, a ``GroupElement`` its point map.
 
 Direction normalization for E: targets with k+1 carry the harmonic
 projection h_plus of y_j h, targets with k-1 carry c_{k,n} * d_j h.  With
-this scaling all four coefficients are (i or s) times a rational with
-denominator at most 4 B (B-1), B = k + 2l + n/2.
+this scaling all four coefficients are (i or s) times an integer over
+D = w (w - 2), w = 2k + 4l + n the boundary weight (``_e_table_terms``).
 """
 
 from __future__ import annotations
@@ -411,21 +411,21 @@ def apply_eta(F: KTypeVector, sign: int) -> LinearCombination:
     return LinearCombination([(complex(coeff), target)])
 
 
-def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[Fraction, int, int]:
-    """(B, edge, ladder) of the E table: B = k + 2l + n/2 (half the boundary
-    weight), edge = 2l + 2k + n - 2 and ladder = (sign m) + boundary weight;
-    every eta and E table starts here, so a sign other than +-1 raises."""
+def _e_table_terms(n: int, m: int, l: int, k: int, sign: int) -> tuple[int, int, int]:
+    """(D, edge, ladder) of the E table: every entry is an integer over D =
+    w (w - 2), w = 2k + 4l + n; edge = 2l + 2k + n - 2, ladder = (sign m) + w.
+    Every eta and E table starts here, so a sign other than +-1 raises."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     boundary = boundary_weight(n, l, k)
-    return Fraction(boundary, 2), 2 * l + 2 * k + n - 2, sign * m + boundary
+    return boundary * (boundary - 2), 2 * l + 2 * k + n - 2, sign * m + boundary
 
 
 def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> dict[str, Fraction]:
     """Oracle-confirmed E_j^{+-} coefficients: label -> rational part."""
-    B, edge, ladder = _e_table_terms(n, m, l, k, sign)
+    D, edge, ladder = _e_table_terms(n, m, l, k, sign)
     if (l, k, n) == (0, 0, 2):
-        # degenerate point of the generic formula (edge = B - 1 = 0): only
+        # degenerate point of the generic formula (edge = D = 0): only
         # the (l, k+1) move survives, with coefficient -s * ladder
         return {
             "down_up": Fraction(0),
@@ -435,9 +435,9 @@ def shipped_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> dict[st
         }
     return {
         "down_up": Fraction(sign * 2 * l),
-        "same_up": -Fraction(edge * ladder, 2) / (B * (B - 1)),
+        "same_up": Fraction(-2 * edge * ladder, D),
         "same_down": Fraction(sign * edge),
-        "up_down": -Fraction(l * ladder) / (B * (B - 1)),
+        "up_down": Fraction(-4 * l * ladder, D),
     }
 
 
@@ -450,12 +450,13 @@ def printed_E_coefficients(n: int, m: int, l: int, k: int, sign: int) -> dict[st
     """
     if sign > 0 or (l, k, n) == (0, 0, 2):
         return shipped_E_coefficients(n, m, l, k, sign)
-    B, edge, ladder = _e_table_terms(n, m, l, k, sign)
+    D, edge, ladder = _e_table_terms(n, m, l, k, sign)
+    boundary = boundary_weight(n, l, k)
     return {
         "down_up": Fraction(-2 * l),
-        "same_up": Fraction(edge * ladder, 2) / (B - 1),
+        "same_up": Fraction(edge * ladder * boundary, D),
         "same_down": Fraction(-edge),
-        "up_down": -Fraction(l * ladder, 2) / (B - 1),
+        "up_down": Fraction(-l * ladder * boundary, D),
     }
 
 
@@ -559,21 +560,21 @@ def recover_E_coefficients(
 
     One ``fd_apply`` call over the group gives f and every E_j^{+-} of
     each K-type at the compact-picture points.  Each fit solves
-    min ||A c - rhs|| over the ``_e_directions`` targets, then rationalizes
-    each coefficient against its ``E_MOVES`` unit (i or s) with
-    denominators up to the group's 4 B (B-1), B = ``F.b`` = 2l + k + n/2.
+    min ||A c - rhs|| over the ``_e_directions`` targets, then snaps each
+    coefficient over its ``E_MOVES`` unit (i or s) to the nearest integer
+    over the group's |D| (``_e_table_terms``; 1 where D = 0).
     """
     P = np.asarray(points, dtype=float)
+    if not vectors or any(2 * F.l + F.k != 2 * vectors[0].l + vectors[0].k for F in vectors):
+        raise ValueError("recover_E_coefficients takes the K-types of one non-empty radial group")
     F0 = vectors[0]
-    if any(2 * F.l + F.k != 2 * F0.l + F0.k for F in vectors):
-        raise ValueError("recover_E_coefficients takes the K-types of one radial group")
     params, n, s = F0.params, F0.params.n, F0.params.s
     keys = [(j, sign) for j in range(1, n + 1) for sign in (1, -1)]
     specs = [OperatorSpec.identity(params)]
     specs += [OperatorSpec.heisenberg_ladder(params, j, sign) for j, sign in keys]
     table = fd_apply(specs, compact_function(*vectors), P, stacked_steps(vectors, P, "compact"))
     units = _e_units(s)
-    denominator_bound = max(1, abs((4 * F0.b * (F0.b - 1)).numerator))
+    denominator_bound = max(1, abs(_e_table_terms(n, F0.m, F0.l, F0.k, 1)[0]))
     # the directions depend on (l, k, h) and j only.  Each distinct column
     # of the group's fits is evaluated once (E^+ F_m and E^- F_{m+4} share
     # theirs), all in one evaluation, where columns of equal (a', b') share
@@ -621,7 +622,7 @@ def recover_E_coefficients(
             printed = {label: printed_values[label] for label in recovered}
             ratios = {label: c / units[label] for label, c in recovered.items()}
             rationals = {
-                label: Fraction(ratio.real).limit_denominator(denominator_bound)
+                label: Fraction(round(denominator_bound * ratio.real), denominator_bound)
                 for label, ratio in ratios.items()
             }
             rational_errors = {

@@ -20,7 +20,8 @@ is defaulted.  ``seed`` is an int or a ``np.random.Generator``.  It goes
 through ``np.random.default_rng``, which returns a Generator unchanged, so
 callers can draw the sample points of several sweeps from one stream.
 
-The periodicity sweep evaluates each K-type once, taking F and its four
+The contiguous sweep draws and screens its samples as arrays.  The
+periodicity sweep evaluates each K-type once, taking F and its four
 shifted copies from one stacked ``periodicity_residual`` batch.  The three
 finite-difference sweeps (PDE kernel, ladder, Heisenberg) walk the lattice
 by radial groups, its K-types of equal 2l + k (``_radial_groups``): one
@@ -102,6 +103,8 @@ def _covered(ktypes: int, checks: list[dict]) -> list[dict]:
 def _sample_points(n: int, count: int, rng: np.random.Generator, r_min: float) -> np.ndarray:
     """Seeded (N, 1+n) samples: column 0 (theta or t) in [-1.2, 1.2], then a
     uniform direction of norm in [r_min, 2.0]."""
+    if count < 1:
+        raise ValueError(f"points must be positive, got {count}")
     t = rng.uniform(-1.2, 1.2, count)
     dirs = rng.normal(size=(count, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -127,29 +130,29 @@ def sweep_contiguous(samples: int, seed: int | np.random.Generator) -> list[dict
     """Residuals of all seven contiguous relations on seeded random samples.
 
     a, b complex with |a|, |b| <= 20, b kept 0.1 away from {1, 0, -1, ...}
-    (so every shifted denominator parameter stays valid), |z| <= 10.
+    (so every shifted denominator parameter stays valid), |z| <= 10.  Each
+    round draws the missing samples as one array, as one at a time would.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < samples:
-        a = complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) / np.sqrt(2)
-        b = complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) / np.sqrt(2)
-        z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10)) / np.sqrt(2)
-        dist = min(abs(b - 1), min(abs(b + j) for j in range(0, 25)))
-        if dist < 0.1:
-            continue
-        pts.append((a, b, z))
-    a, b, z = np.array(pts, dtype=np.complex128).reshape(-1, 3).T
+    low = np.array([-20.0, -20.0, -20.0, -20.0, -10.0, -10.0])
+    kept, need = [], samples
+    while need:
+        # rows (a, b, z) from (real, imag) pairs of draws; b off the poles 1, 0, ..., -24
+        abz = (rng.uniform(low, -low, (need, 6)) / np.sqrt(2)).view(np.complex128)
+        abz = abz[np.abs(abz[:, 1:2] - np.arange(1, -25, -1)).min(axis=1) >= 0.1]
+        kept.append(abz)
+        need -= len(abz)
+    a, b, z = np.concatenate(kept).T
     checks = []
     for name, (res, scale) in contiguous_residuals_scaled(a, b, z).items():
         ratio = np.abs(res) / scale
-        worst_point = None
-        if ratio.size:
-            i = int(np.argmax(ratio))
-            worst_point = [[float(v.real), float(v.imag)] for v in (a[i], b[i], z[i])]
+        i = int(np.argmax(ratio))
         checks.append(_check(
-            f"contiguous/{name}", float(ratio.max(initial=0.0)), DEFAULT_TOLERANCES.contiguous,
-            points=len(pts), worst_point=worst_point,
+            f"contiguous/{name}", float(ratio[i]), DEFAULT_TOLERANCES.contiguous,
+            points=samples,
+            worst_point=[[float(v.real), float(v.imag)] for v in (a[i], b[i], z[i])],
         ))
     return checks
 

@@ -133,8 +133,8 @@ def test_criterion_6_ladder_closed_forms(capsys):
 
 def test_criterion_7_heisenberg_action(capsys):
     # fd(E_j) decomposes into the four predicted directions with rational
-    # coefficients (denominator <= 4(k+2l+n/2)(k+2l+n/2-1)) matching the
-    # shipped table; eigenvalue shifts +-(2l+2k+n-2) and +-2l; WARN diff vs
+    # coefficients (each an integer over D = w(w-2), w = 2k+4l+n) matching
+    # the shipped table; eigenvalue shifts +-(2l+2k+n-2) and +-2l; WARN diff vs
     # printed table
     start = time.time()
     rng = np.random.default_rng(20244)

@@ -35,6 +35,7 @@ from singular_weyl.operators import (
     _FIRST_OFFSETS,
     SingularityError,
     _e_directions,
+    _e_table_terms,
     _partials,
     e_targets,
     eta_coefficient,
@@ -318,7 +319,22 @@ class TestERecovery:
                 assert frac == table[label]
                 assert rec.rational_errors[label] <= 1e-6
                 B = Fraction(2 * F.l + F.k) + Fraction(4, 2)
-                assert frac.denominator <= (4 * B * (B - 1)).numerator
+                assert (4 * B * (B - 1)).numerator % frac.denominator == 0
+
+    def test_tables_are_integers_over_D(self):
+        # D = w (w - 2), w = 2k + 4l + n: every entry of both tables is an
+        # integer over D, and D is what _e_table_terms states
+        for n in range(1, 7):
+            for l in range(6):
+                for k in range(7):
+                    w = 2 * k + 4 * l + n
+                    D = w * (w - 2)
+                    for m in range(-20, 21):
+                        for sign in (1, -1):
+                            assert _e_table_terms(n, m, l, k, sign)[0] == D
+                            for table in (shipped_E_coefficients, printed_E_coefficients):
+                                for label, c in table(n, m, l, k, sign).items():
+                                    assert (D * c).denominator == 1, (n, m, l, k, sign, label)
 
     def test_printed_tables_differ_only_for_lowering(self):
         for m, l, k in [(3, 1, 1), (2, 2, 1), (0, 1, 2)]:
@@ -431,8 +447,9 @@ class TestPdeResidual:
 
 
 class TestWeightStrings:
-    """One ``fd_apply`` call over a weight string gives each K-type the table,
-    and the 1F1 call, of the K-type alone, bit for bit."""
+    """One ``fd_apply`` call over a weight string or a radial group (equal
+    2l + k, the unit of every finite-difference sweep) gives each K-type the
+    table, and the 1F1 call, of the K-type alone, bit for bit."""
 
     @pytest.mark.parametrize("s", [S_PRESETS["schrodinger"], S_PRESETS["heat"], 0.3 + 0.5j])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

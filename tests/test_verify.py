@@ -10,12 +10,14 @@ from singular_weyl import (
     ktypes,
     operators,
     recover_E_coefficients,
+    to_noncompact,
 )
 from singular_weyl.verify import (
     _radial_groups,
     _sample_points,
     run_verification,
     sweep_contiguous,
+    sweep_group_algebra,
     sweep_harmonicity,
     sweep_heisenberg,
     sweep_ladder,
@@ -55,6 +57,31 @@ def test_sweeps_over_no_ktype_warn():
         assert check["status"] == ("WARN" if name in empty else "PASS"), name
         assert ("note" in check) == (name in empty)
     assert report["ok"] and report["summary"] == {"PASS": 14, "FAIL": 0, "WARN": 5}
+
+
+_PARAMS = ParameterSet(n=2, q=0, s=0.5j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sweep_contiguous(0, 1),
+    lambda: sweep_contiguous(-3, 1),
+    lambda: sweep_periodicity(_PARAMS, 6, 4, 0, 1),
+    lambda: sweep_pde_kernel(_PARAMS, 6, 4, 0, 1),
+    lambda: sweep_ladder(_PARAMS, 6, 4, 0, 1),
+    lambda: sweep_heisenberg(_PARAMS, 6, 4, 0, 1),
+    lambda: sweep_group_algebra(_PARAMS, 0, 1),
+    lambda: recover_E_coefficients([], np.ones((4, 3))),
+    lambda: ktypes.compact_function(),
+    lambda: to_noncompact(),
+], ids=[
+    "contiguous-0", "contiguous-negative", "periodicity", "pde-kernel", "ladder",
+    "heisenberg", "group-algebra", "recover-E", "compact-function", "to-noncompact",
+])
+def test_empty_input_raises(call):
+    # no samples, no points or no K-type: a ValueError naming the input,
+    # not a PASS over nothing or an IndexError deep inside
+    with pytest.raises(ValueError, match="samples|points|K-type"):
+        call()
 
 
 def test_periodicity_and_ladder_over_no_ktype_warn():
@@ -145,7 +172,7 @@ def test_ladder_reads_kappa_from_the_identity_row(hyp1f1_calls):
     ) == 62
 
 
-def test_heisenberg_sums_each_string_column_once(hyp1f1_calls):
+def test_heisenberg_sums_each_group_column_once(hyp1f1_calls):
     # per radial group: one series per distinct m for the fd_apply table,
     # and one per distinct column (a', b') of all the group's fits, so the
     # column that E^+ F_m and E^- F_{m+4} share is summed once, and columns
