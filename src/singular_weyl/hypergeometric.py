@@ -7,10 +7,15 @@ non-cancelling sum.  One series kernel serves two precisions: ``hyp1f1``
 sums in complex128 to the fixed ``config.DEFAULT_TOLERANCES.series_rtol``
 and ``hyp1f1_precise`` in extended precision (``numpy.clongdouble``).  Both
 take a, b and z that broadcast.  A batch stops when every entry has had
-three quiet terms; the kernel runs that batch-wide test only when it can
-pass, skipping it while the entry that failed it worst last time (the
-witness) still fails it by a factor 2, so every value is the one the test
-on every term gives.
+three quiet terms.  The kernel sums every term into buffers allocated once
+per call, and runs that batch-wide test only where its outcome is not
+already proven: not while the entry that failed it worst (the witness,
+first the entry of largest |z|) still fails it by a factor 2, and not on
+the terms after a passed test that shrink to at most half their
+predecessor (see ``_series``).  So every value is the one the test on
+every term gives.  Non-finite input raises ValueError before any term is
+summed, and SeriesError names the caller's (a, b, z) of the entry that
+ended farthest from the stop.
 
 Desk-scale arguments only (|z| = 2|s|rho^2 stays small); there is no
 asymptotic regime and no second-kind function.  Results at large |Im z| are
@@ -28,6 +33,7 @@ implemented and verified, not the misprinted ones.
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable
 
 import numpy as np
@@ -37,6 +43,15 @@ from .config import DEFAULT_TOLERANCES
 
 class SeriesError(ArithmeticError):
     """The power series failed to converge within the term budget."""
+
+
+class _Unconverged(SeriesError):
+    """Raised by ``_series``: the term budget ran out, and entry ``index``
+    of its batch ended farthest from the stop."""
+
+    def __init__(self, index: int):
+        super().__init__(f"1F1 series did not converge (batch entry {index})")
+        self.index = index
 
 
 def _param(x):
@@ -73,56 +88,91 @@ def _series(a, b, z: np.ndarray, derivatives: int):
     precision: complex128 stops at ``tol.series_rtol``, clongdouble at
     ``_LD_STOP``.  The sums stop when three consecutive terms satisfy
     |term| <= stop * (|partial sum| + 1e-300) for every entry.  Caller
-    handles the Re(z) < 0 transformation.
+    handles the Re(z) < 0 transformation.  Every term is summed; the
+    batch-wide test is run only when its outcome is not already proven,
+    by three rules:
 
-    The batch-wide test is skipped, and counted as failed, while its
-    witness still fails it by a clear margin.  The witness is the entry
-    that failed the last full test worst (largest |term| / bound).  A skip
-    needs the witness's |term| finite and above twice its bound, which no
-    rounding of scalar against array ``abs`` can undo; inf or nan there
-    falls through to the full test.  So every skipped test is one the full
-    test would fail, and the stop and every value are those of the full
-    test run on every term.
+    - *Witness fails.*  A test is skipped, and counted as failed, while its
+      witness still fails it by a factor 2: |term| finite and above twice
+      its bound, which no rounding of scalar against array ``abs`` can
+      undo (inf or nan falls through to the full test).  The witness is
+      the entry that failed the last full test worst (largest |term| /
+      bound).
+    - *First witness.*  Before any full test, the witness is the entry of
+      largest |z|, so term 1 of a batch with a large |z| is not tested.
+    - *Proven pass.*  With scalar a and b, after a passed test whose bounds
+      all lie in the normal range, the test on term j is skipped, and
+      counted as passed, when |c_j| max|z| <= 1/2, c_j = (a + j - 1) /
+      ((b + j - 1) j) the coefficient of the term recurrence.  Then every
+      |term| is at most half the last tested one, up to a few units of
+      roundoff, so at most half its bound, while each partial sum, and
+      with it the bound, moves by a relative stop or less.  A test passes
+      with a margin near 2; the chain is at most two terms long, since the
+      third quiet term stops the sum.
+
+    So the stop and every value are those of the full test run on every
+    term.  Each term is written into buffers allocated once per call, and
+    no output aliases an operand: a length-1 complex product written over
+    its own input can round differently under some SIMD dispatch.  When
+    the budget runs out, ``_Unconverged`` carries the entry of largest
+    |term| / bound on the last term.
     """
     tol = DEFAULT_TOLERANCES
     if z.dtype == np.complex128:
         stop = tol.series_rtol
     else:
         a, b, stop = np.asarray(a, z.dtype), np.asarray(b, z.dtype), _LD_STOP
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    tiny = np.finfo(z.real.dtype).tiny
     term = np.ones(np.broadcast(a, b, z).shape, z.dtype)
-    sums = [term] + [np.zeros_like(term) for _ in range(derivatives)]
-    nonzero = z != 0
+    step = np.empty_like(term)
+    sums = [term.copy()] + [np.zeros_like(term) for _ in range(derivatives)]
+    spare = [np.empty_like(term) for _ in sums]
+    if derivatives:
+        dterm = np.empty_like(term)
+    absz = np.abs(z)
+    witness = int(np.argmax(absz))
+    zmax = absz[witness]
     quiet = 0
-    witness = None
+    normal = False
     # a diverging sum overflows to inf/nan before the budget runs out and
     # SeriesError reports it, so numpy need not warn on the way; the
-    # derivative terms divide by z and are masked where z = 0
+    # derivative terms divide by z, and their z = 0 entries are replaced
+    # after the loop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(1, tol.series_max_terms + 1):
-            term = term * ((a + (j - 1)) / ((b + (j - 1)) * j)) * z
-            sums[0] = sums[0] + term
+            coef = (a + (j - 1)) / ((b + (j - 1)) * j)
+            np.multiply(term, coef, out=step)
+            np.multiply(step, z, out=term)
+            np.add(sums[0], term, out=spare[0])
             if derivatives:
                 # termwise derivative: d/dz z^j = j z^j / z
-                sums[1] = sums[1] + np.where(nonzero, float(j) * term / z, 0.0)
-            if witness is not None:
-                worst = abs(term[witness])
-                if 2 * stop * (abs(sums[0][witness]) + 1e-300) < worst < np.inf:
-                    quiet = 0
-                    continue
+                np.multiply(float(j), term, out=step)
+                np.divide(step, z, out=dterm)
+                np.add(sums[1], dterm, out=spare[1])
+            sums, spare = spare, sums
+            if quiet and normal and abs(coef) * zmax <= 0.5:
+                quiet += 1
+                if quiet >= 3:
+                    break
+                continue
+            worst = abs(term[witness])
+            if 2 * stop * (abs(sums[0][witness]) + 1e-300) < worst < np.inf:
+                quiet = 0
+                continue
             size = np.abs(term)
             bound = stop * (np.abs(sums[0]) + 1e-300)
             if np.all(size <= bound):
                 quiet += 1
                 if quiet >= 3:
                     break
+                normal = scalar and tiny <= bound.min() and bound.max() < np.inf
             else:
                 quiet = 0
                 witness = int(np.argmax(size / bound))
         else:
-            raise SeriesError(
-                f"1F1 series did not converge within {tol.series_max_terms} terms "
-                f"(a={a}, b={b}, max|z|={np.max(np.abs(z)):.3g})"
-            )
+            size = np.abs(term) / (stop * (np.abs(sums[0]) + 1e-300))
+            raise _Unconverged(int(np.argmax(size)))
     # the derivative sum above misses the z = 0 entries: F'(0) = a/b
     if derivatives and np.any(z == 0):
         sums[1] = np.where(z == 0, a / b, sums[1])
@@ -135,39 +185,84 @@ def _check_order(order: int) -> None:
         raise ValueError(f"derivative order {order} is outside 0..1")
 
 
+def _entry(a, b, z, shape: tuple, flat: int) -> str:
+    """The caller's (a, b, z) at flat index ``flat`` of the broadcast batch,
+    at repr precision."""
+    values = ", ".join(
+        f"{name}={complex(x[flat] if isinstance(x, np.ndarray) else x)!r}"
+        for name, x in (("a", a), ("b", b), ("z", z))
+    )
+    if not shape:
+        return values
+    index = tuple(int(i) for i in np.unravel_index(flat, shape))
+    return f"index {index[0] if len(index) == 1 else index} ({values})"
+
+
+def _branch(a, b, z: np.ndarray, kummer: bool, derivatives: int) -> list:
+    """F (and F') on one Kummer branch: the direct series, or e^z G(-z)
+    with G = 1F1(b - a, b, .)."""
+    if not kummer:
+        return _series(a, b, z, derivatives)
+    sums = _series(b - a, b, -z, derivatives)
+    ez = np.exp(z)
+    # F(z) = e^z G(-z): differentiate the product termwise
+    values = [ez * sums[0]]
+    if derivatives:
+        values.append(ez * (sums[0] - sums[1]))
+    return values
+
+
 def _eval(a, b, z, dtype, derivatives: int = 0):
     """1F1 (and z-derivatives) in the precision ``dtype``, with the Kummer
     transform on Re(z) < 0.
 
     Scalar a and b stay Python complex, so the float path sums exactly as a
     scalar-parameter series; b - a is formed in complex128 in both
-    precisions.  Returns a tuple of complex128 arrays, or of complex values
-    when a, b and z are all scalars.
+    precisions.  When one branch covers the whole batch (every ``_eval_rows``
+    call: Re z has one sign whenever rho^2 > 0), the batch is summed as it
+    stands, with no entry gathered or scattered.  Returns a tuple of
+    complex128 arrays, or of complex values when a, b and z are all scalars.
+    Raises ValueError, naming the entry, on a non-finite a, b or z, and
+    SeriesError naming the caller's (a, b, z) of the entry farthest from
+    the stop when the term budget runs out.
     """
     _check_order(derivatives)
     a, b, z = _param(a), _param(b), np.asarray(z, dtype)
-    _check_b(b)
     shape = np.broadcast(a, b, z).shape
     a, b = (np.broadcast_to(x, shape).ravel() if isinstance(x, np.ndarray) else x for x in (a, b))
     z = (z if z.shape == shape else np.broadcast_to(z, shape)).reshape(-1)
-    out = [np.empty_like(z) for _ in range(derivatives + 1)]
+    # a non-finite entry would run the whole term budget
+    finite = np.isfinite(z)
+    for x in (a, b):
+        if isinstance(x, np.ndarray) or not cmath.isfinite(x):
+            finite = finite & np.isfinite(x)
+    if not finite.all():
+        flat = int(np.argmin(finite))
+        raise ValueError(f"1F1 needs finite a, b and z; got {_entry(a, b, z, shape, flat)}")
+    _check_b(b)
+    if not z.size:
+        return tuple(np.empty(shape, np.complex128) for _ in range(derivatives + 1))
     neg = z.real < 0
 
     def take(x, mask):
         return x[mask] if isinstance(x, np.ndarray) else x
 
-    if np.any(~neg):
-        sums = _series(take(a, ~neg), take(b, ~neg), z[~neg], derivatives)
-        for p in range(derivatives + 1):
-            out[p][~neg] = sums[p]
-    if np.any(neg):
-        a_neg, b_neg = take(a, neg), take(b, neg)
-        sums = _series(b_neg - a_neg, b_neg, -z[neg], derivatives)
-        ez = np.exp(z[neg])
-        # F(z) = e^z G(-z): differentiate the product termwise
-        out[0][neg] = ez * sums[0]
-        if derivatives:
-            out[1][neg] = ez * (sums[0] - sums[1])
+    mask = None
+    try:
+        if neg.all() or not neg.any():
+            out = _branch(a, b, z, bool(neg[0]), derivatives)
+        else:
+            out = [np.empty_like(z) for _ in range(derivatives + 1)]
+            for mask, kummer in ((~neg, False), (neg, True)):
+                sums = _branch(take(a, mask), take(b, mask), z[mask], kummer, derivatives)
+                for p, values in enumerate(sums):
+                    out[p][mask] = values
+    except _Unconverged as exc:
+        flat = exc.index if mask is None else int(np.flatnonzero(mask)[exc.index])
+        raise SeriesError(
+            f"1F1 series did not converge within {DEFAULT_TOLERANCES.series_max_terms} "
+            f"terms at {_entry(a, b, z, shape, flat)}"
+        ) from None
     if not shape:
         return tuple(complex(v[0]) for v in out)
     return tuple(v.astype(np.complex128, copy=False).reshape(shape) for v in out)

@@ -215,8 +215,9 @@ def sweep_pde_kernel(
 
     One ``fd_apply`` call per radial group (see ``_radial_groups``), with
     one PDE row per distinct eigenvalue of the group; each K-type reads the
-    row of its own ``F.lam``.  The residuals are reduced in lattice order,
-    so ``worst_index`` is the first K-type of largest residual.
+    row of its own ``F.lam``, and the group's residuals are one (V, N)
+    reduction.  The worst is taken in lattice order, so ``worst_index`` is
+    the first K-type of largest residual.
     """
     rng = np.random.default_rng(seed)
     lattice = ktype_lattice(params, lam_max, m_max)
@@ -229,8 +230,10 @@ def sweep_pde_kernel(
         specs += [OperatorSpec.pde(params, float(lam)) for lam in rows]
         steps = stacked_steps(group, P, "noncompact")
         f0, *pdes = fd_apply(specs, to_noncompact(*group), P, steps)
-        for v, (F, lam) in enumerate(zip(group, lams)):
-            residuals[id(F)] = _relative(pdes[rows.index(lam)][v], f0[v])
+        # each K-type's own PDE row, (V, N), reduced as _relative reduces one
+        own = np.stack(pdes)[[rows.index(lam) for lam in lams], np.arange(len(group))]
+        worst_of = np.max(np.abs(own) / np.maximum(1.0, np.abs(f0)), axis=1)
+        residuals.update(zip(map(id, group), worst_of.tolist()))
     worst = 0.0
     worst_index = None
     for F in lattice:

@@ -186,10 +186,12 @@ def test_large_imaginary_argument_is_right_or_raises():
 
 
 def _reference_series(a, b, z, derivatives):
-    """The series loop with the batch-wide stop test run on every term: the
-    reference that the kernel's witness rule must reproduce bit for bit."""
+    """The series loop with the batch-wide stop test run on every term and
+    every product allocated: the reference that the kernel's skip rules and
+    buffers must reproduce bit for bit, down to the entry its SeriesError
+    names (largest |term| / bound on the last term)."""
     from singular_weyl.config import DEFAULT_TOLERANCES
-    from singular_weyl.hypergeometric import _LD_STOP
+    from singular_weyl.hypergeometric import _LD_STOP, _Unconverged
 
     tol = DEFAULT_TOLERANCES
     if z.dtype == np.complex128:
@@ -209,17 +211,16 @@ def _reference_series(a, b, z, derivatives):
                 if fac <= 0:
                     break
                 sums[p] = sums[p] + np.where(z != 0, fac * term / z**p, 0.0)
-            if np.all(np.abs(term) <= stop * (np.abs(sums[0]) + 1e-300)):
+            size = np.abs(term)
+            bound = stop * (np.abs(sums[0]) + 1e-300)
+            if np.all(size <= bound):
                 quiet += 1
                 if quiet >= 3:
                     break
             else:
                 quiet = 0
         else:
-            raise SeriesError(
-                f"1F1 series did not converge within {tol.series_max_terms} terms "
-                f"(a={a}, b={b}, max|z|={np.max(np.abs(z)):.3g})"
-            )
+            raise _Unconverged(int(np.argmax(size / bound)))
     if derivatives >= 1 and np.any(z == 0):
         coef = 1
         for p in range(1, derivatives + 1):
@@ -243,7 +244,9 @@ def _same_bits(x, y) -> bool:
 def _series_batches(rng):
     """Seeded (a, b, z, dtype, derivatives) batches: both precisions, both
     branches, derivatives 0..1, scalar and array a and b, z = 0 entries,
-    and batches that overflow to inf and nan."""
+    batches that overflow to inf and nan, batches where the proven-pass
+    rule fires, batches of length 1, and a first witness that converges
+    first."""
     for i in range(240):
         dtype = (np.complex128, np.clongdouble)[i % 2]
         derivatives = min((i // 2) % 3, 1)
@@ -259,6 +262,41 @@ def _series_batches(rng):
         if (i // 3) % 2:
             a, b = complex(a[0]), complex(b[0])
         yield a, b, z, dtype, derivatives
+    # the proven-pass rule fires: complex128, scalar a and b, max|z| <= 1
+    for i in range(40):
+        size = int(rng.integers(1, 40))
+        z = rng.uniform(0, 1, size) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
+        if i % 4 == 0:
+            z.real = np.abs(z.real) * (1 if i % 8 else -1)  # one branch only
+        z[rng.random(size) < 0.15] = 0
+        a = complex(rng.uniform(-8, 8), rng.uniform(-4, 4))
+        b = complex(rng.uniform(0.3, 9), rng.uniform(-4, 4))
+        yield a, b, z, np.complex128, i % 2
+    # length 1, on both branches, in both precisions
+    for i in range(32):
+        z = np.array([complex((-1) ** i * rng.uniform(0, 6), rng.uniform(-6, 6))])
+        a = complex(rng.uniform(-8, 8), rng.uniform(-4, 4))
+        b = complex(rng.uniform(0.3, 9), rng.uniform(-4, 4))
+        if i >= 16:
+            a, b = np.array([a]), np.array([b])
+        yield a, b, z, (np.complex128, np.clongdouble)[(i // 2) % 2], (i // 4) % 2
+    # the entry of largest |z|, the first witness, is a polynomial of degree
+    # 1 on its branch and converges first
+    for i in range(8):
+        sign = (-1) ** i
+        z = sign * np.array([6 + 2j, 1 + 0.5j, 2 - 1j, 0.5 + 3j])
+        b = np.array([1.5, 3, 2 + 1j, 4 - 1j])
+        a = np.array([-1 if sign > 0 else b[0] + 1, 2.5, 1.5 + 1j, -0.5j])
+        yield a, b, z, (np.complex128, np.clongdouble)[(i // 2) % 2], (i // 4) % 2
+    # term 2 passes by the accident of a tiny coefficient (a on its branch is
+    # -1 + 2^-52 or so), and the terms grow again: the proven-pass rule must
+    # leave term 3 to the full test
+    for i in range(4):
+        if i % 2:
+            a, b, z = 2 - 2.0**-52, 1.0, np.array([-15, -3 + 1j, -0.5 + 0.5j])
+        else:
+            a, b, z = -1 + 2.0**-53, 0.5, np.array([20, 3 + 1j, 0.5j])
+        yield a, b, z, np.complex128, i // 2
 
 
 def test_witness_stop_is_bit_identical_to_the_full_test(monkeypatch):
@@ -292,3 +330,55 @@ def test_witness_stop_is_bit_identical_to_the_full_test(monkeypatch):
             assert len(got) == len(want)
             assert all(_same_bits(x, y) for x, y in zip(got, want)), case
     assert errors == 10
+
+
+@pytest.mark.parametrize("z", [1.3 + 2.1j, -1.3 + 2.1j, 0.9j, -0.8, 2.5 - 1j, -3.5 - 0.7j])
+def test_point_alone_equals_the_point_in_a_batch(z):
+    # copies of the point beside a zero, which converges at once and on the
+    # Kummer branch splits the batch: every copy stops with the point alone,
+    # so its bits must not depend on the batch length (a length-1 product
+    # written in place rounds differently under some SIMD dispatch)
+    batch = np.array([z, z, 0, z])
+    for f, kwargs in ((hyp1f1, {}), (hyp1f1_precise, {}), (hyp1f1_precise, {"derivatives": 1})):
+        alone = np.atleast_1d(f(2.25, 3.5, z, **kwargs))
+        together = np.array(f(2.25, 3.5, batch, **kwargs)).reshape(len(alone), len(batch))
+        for k in (0, 1, 3):
+            assert _same_bits(alone, together[:, k].copy()), (f, kwargs, k)
+
+
+@pytest.mark.parametrize("f", [hyp1f1, hyp1f1_precise])
+def test_series_error_names_the_callers_entry(f):
+    # the Kummer branch sums 1F1(b - a, b, -z), but the message names the
+    # caller's a, b and z, at repr precision
+    for sign in (1, -1):
+        with pytest.raises(SeriesError) as info:
+            f(1.5, 2.0, np.array([0.5, sign * 1e8, 0.25j]))
+        assert str(info.value) == (
+            "1F1 series did not converge within 1000 terms at index 1 "
+            f"(a=(1.5+0j), b=(2+0j), z={complex(sign * 1e8)!r})"
+        )
+    with pytest.raises(SeriesError, match=r"at index \(\d, 1\) \(a="):
+        f(np.array([[1.5], [0.5]]), 2.0, np.array([0.5, 1e8]))
+    with pytest.raises(SeriesError, match=r"terms at a=\(1\.5\+0j\), b=\(2\+0j\), z="):
+        f(1.5, 2.0, 1e8)
+
+
+@pytest.mark.parametrize("f", [hyp1f1, hyp1f1_precise])
+def test_nonfinite_input_raises_before_summing(f, monkeypatch):
+    from singular_weyl import hypergeometric
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("series summed before the input was checked")
+
+    monkeypatch.setattr(hypergeometric, "_series", no_sum)
+    z = np.array([0.5, -0.5, 0.25j])
+    cases = [
+        (np.nan, 2.0, z, "index 0 (a=(nan+0j), b=(2+0j), z=(0.5+0j))"),
+        (1.5, np.array([2.0, np.inf, 3.0]), z, "index 1 (a=(1.5+0j), b=(inf+0j), z=(-0.5+0j))"),
+        (1.5, 2.0, np.array([0.5, 0.1, complex(0, np.nan)]), "index 2 (a=(1.5+0j), b=(2+0j), z=nanj)"),
+        (1.5, 2.0, complex(-np.inf, 1), "a=(1.5+0j), b=(2+0j), z=(-inf+1j)"),
+    ]
+    for a, b, zz, entry in cases:
+        with pytest.raises(ValueError) as info:
+            f(a, b, zz)
+        assert str(info.value) == f"1F1 needs finite a, b and z; got {entry}"
